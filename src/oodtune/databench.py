@@ -14,12 +14,13 @@ EMBA file layout (little-endian):
 
 from __future__ import annotations
 
+import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BankNormError, ClassBank
+from .model import ClassBank
 
 MAGIC = b"EMBA"
 VERSION = 1
@@ -312,6 +313,9 @@ def load(path) -> EmbeddingArchive:
         for i in range(c):
             (length,) = struct.unpack("<H", _read_exact(fh, 2, f"name length {i}"))
             names.append(_read_exact(fh, length, f"name {i}").decode("utf-8"))
+        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
+    if trailing:
+        raise ArchiveFormatError(f"{trailing} trailing bytes after the class names")
     if labels.size and int(labels.max()) >= c:
         raise ArchiveFormatError(f"label {int(labels.max())} >= class count {c}")
     if domains.size and int(domains.max()) >= m:

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import struct
 import sys
 from dataclasses import dataclass, field
@@ -22,8 +23,9 @@ import numpy as np
 from . import databench as db
 from . import losses as L
 from . import trainer as tr
-from .databench import ArchiveFormatError, BadMagicError, SplitSubset, TruncatedFileError, VersionError
-from .model import ClassBank, Encoder, LinearHead, embed, linear_head_logits, similarities, text_head_init
+from .databench import ArchiveFormatError, SplitSubset
+from .model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits, similarities,
+                    text_head_init, unflatten_params)
 from .tensor import Tensor
 
 RUN_MAGIC = b"RUNF"
@@ -92,12 +94,10 @@ def _scores(
     bank: ClassBank,
     features: np.ndarray,
     head: LinearHead | None,
-    normalize_linear: bool,
 ) -> np.ndarray:
     x = Tensor(np.asarray(features, dtype=np.float64))
     if head is not None:
-        feats = embed(encoder, x) if normalize_linear else encoder.forward_raw(x)
-        return linear_head_logits(head, feats).data
+        return linear_head_logits(head, encoder.forward_raw(x)).data
     return similarities(bank, embed(encoder, x)).data
 
 
@@ -108,14 +108,13 @@ def evaluate(
     base_classes,
     tau: float = 0.01,
     head: LinearHead | None = None,
-    normalize_linear: bool = False,
     topk: int | None = None,
 ) -> EvalReport:
     """Score every sample against all C classes; argmax predicts
     (ties broken toward the lowest class id)."""
     if subset.features.shape[0] == 0:
         raise ValueError("empty evaluation split")
-    scores = _scores(encoder, bank, subset.features, head, normalize_linear)
+    scores = _scores(encoder, bank, subset.features, head)
     preds = np.argmax(scores, axis=1)
     labels = np.asarray(subset.labels, dtype=np.int64)
     domains = np.asarray(subset.domains, dtype=np.int64)
@@ -220,6 +219,9 @@ def load_run(path) -> RunFile:
         final = np.frombuffer(_read_exact(fh, 8 * p, "final params"), dtype="<f8").copy()
         (q,) = struct.unpack("<I", _read_exact(fh, 4, "ensemble length"))
         ens = np.frombuffer(_read_exact(fh, 8 * q, "ensemble params"), dtype="<f8").copy()
+        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
+    if trailing:
+        raise RunFileError(f"{trailing} trailing bytes after the ensemble params")
     return RunFile(config=config, loss_curve=curve, final_params=final, ensemble_params=ens)
 
 
@@ -345,8 +347,7 @@ def _build_model(config: dict, bank: ClassBank) -> tuple[Encoder, LinearHead | N
 
 
 def _set_model_params(encoder: Encoder, head: LinearHead | None, flat: np.ndarray) -> None:
-    trainable = tr._Trainable(encoder, head)
-    trainable.set_flat(flat)
+    unflatten_params(encoder.parameters() + ([head.weights] if head is not None else []), flat)
 
 
 def _cmd_gen(args) -> int:
@@ -431,6 +432,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
+    if args.topk is not None and args.topk < 1:
+        raise UsageError(f"--topk must be >= 1, got {args.topk}")
     archive = db.load(args.data)
     run = load_run(args.run)
     config = run.config

@@ -8,7 +8,7 @@ minus the positive logit, so small temperatures stay overflow-safe.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

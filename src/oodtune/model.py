@@ -7,7 +7,7 @@ learnable class-vector matrix, optionally initialized from the bank).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -120,17 +120,32 @@ class Encoder:
         return T.add(T.matmul(h, self.w2), self.b2)
 
     def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.parameters()])
+        return flatten_params(self.parameters())
 
     def set_flat(self, flat: np.ndarray) -> None:
-        flat = np.asarray(flat, dtype=np.float64)
-        offset = 0
-        for p in self.parameters():
-            n = p.data.size
-            p.data = flat[offset:offset + n].reshape(p.data.shape).copy()
-            offset += n
-        if offset != flat.size:
-            raise ShapeError(f"parameter vector has {flat.size} entries, expected {offset}")
+        unflatten_params(self.parameters(), flat)
+
+
+def flatten_params(params: list[Tensor]) -> np.ndarray:
+    """Concatenate the row-major flattened data of `params`, in order."""
+    return np.concatenate([p.data.ravel() for p in params])
+
+
+def unflatten_params(params: list[Tensor], flat: np.ndarray) -> None:
+    """Copy consecutive slices of `flat` into `params`, in order.
+
+    The vector must hold exactly as many entries as the tensors; nothing
+    is assigned otherwise.
+    """
+    flat = np.asarray(flat, dtype=np.float64)
+    expected = sum(p.data.size for p in params)
+    if flat.ndim != 1 or flat.size != expected:
+        raise ShapeError(f"parameter vector has {flat.size} entries, expected {expected}")
+    offset = 0
+    for p in params:
+        n = p.data.size
+        p.data = flat[offset:offset + n].reshape(p.data.shape).copy()
+        offset += n
 
 
 def embed(enc: Encoder, x: Tensor) -> Tensor:

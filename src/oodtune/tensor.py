@@ -11,6 +11,10 @@ from __future__ import annotations
 import numpy as np
 
 
+# floor on the norm in l2_normalize; below it the map is v / NORM_EPS
+NORM_EPS = 1e-12
+
+
 class ShapeError(ValueError):
     """Raised when operand shapes are incompatible."""
 
@@ -204,7 +208,7 @@ def mean(a: Tensor) -> Tensor:
     return _make_out(np.asarray(a.data.mean()), (a,), backward)
 
 
-def l2_normalize(v: Tensor, eps: float = 1e-12) -> Tensor:
+def l2_normalize(v: Tensor, eps: float = NORM_EPS) -> Tensor:
     """Normalize a vector (or each row of a matrix) to unit L2 norm.
 
     out = v / max(||v||, eps), so the zero vector maps to itself.

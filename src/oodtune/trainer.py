@@ -2,21 +2,26 @@
 softmax forward/backward, AdamW with cosine learning-rate decay, and a
 per-step update of the trajectory ensemble.
 
+Each step runs a fused analytic forward and backward pass (`FusedStep`)
+over one flat parameter vector; no Tensor or Tape is built while
+training. The pass repeats, in order, the numpy operations that
+`tensor.Tape` would replay for the same loss, so `Tape` stays the
+gradient oracle the tests compare it against bit for bit.
+
 The loop is single-threaded and fully deterministic under its seed.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import losses as L
-from . import tensor as T
 from .ensemble import BmaState, ParamVector, bma_init, bma_update, ema_update
-from .model import ClassBank, Encoder, LinearHead, linear_head_logits, embed, similarities
-from .tensor import Tape, Tensor
+from .model import ClassBank, Encoder, LinearHead, flatten_params, unflatten_params
+from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 ENSEMBLE_BMA = "bma"
 ENSEMBLE_EMA = "ema"
@@ -25,11 +30,6 @@ ENSEMBLE_NONE = "none"
 
 HEAD_METRIC = "metric"
 HEAD_LINEAR = "linear"
-
-# 5e-6 is the learning rate tuned to a ~150M-parameter pretrained
-# backbone; it would leave the toy encoder here untrained, so 3e-3 is
-# the default and 5e-6 stays reachable via --lr.
-REFERENCE_BASE_LR = 5e-6
 
 
 @dataclass(frozen=True)
@@ -45,7 +45,6 @@ class TrainerConfig:
     ema_decay: float = 0.999
     bma_every: int = 1
     head: str = HEAD_METRIC
-    normalize_linear_features: bool = False  # probe baseline uses raw dot products
 
     def __post_init__(self):
         if self.steps < 1:
@@ -92,19 +91,36 @@ def adamw_step(
     lr: float,
     weight_decay: float,
 ) -> np.ndarray:
-    """One AdamW update with decoupled weight decay; mutates state,
-    returns the new parameter vector."""
+    """One AdamW update with decoupled weight decay.
+
+    Updates state.m, state.v and `params` in place and returns `params`.
+    Every element is computed as
+    params - lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * params).
+    """
     if params.shape != grads.shape or params.shape != state.m.shape:
         raise ValueError(
             f"shape mismatch: params {params.shape}, grads {grads.shape}, "
             f"state {state.m.shape}"
         )
     state.t += 1
-    state.m = state.beta1 * state.m + (1.0 - state.beta1) * grads
-    state.v = state.beta2 * state.v + (1.0 - state.beta2) * grads ** 2
-    m_hat = state.m / (1.0 - state.beta1 ** state.t)
-    v_hat = state.v / (1.0 - state.beta2 ** state.t)
-    return params - lr * (m_hat / (np.sqrt(v_hat) + state.eps) + weight_decay * params)
+    m, v = state.m, state.v
+    scratch = grads * (1.0 - state.beta1)
+    m *= state.beta1
+    m += scratch
+    np.multiply(grads, grads, out=scratch)
+    scratch *= 1.0 - state.beta2
+    v *= state.beta2
+    v += scratch
+    update = m / (1.0 - state.beta1 ** state.t)
+    np.divide(v, 1.0 - state.beta2 ** state.t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += state.eps
+    update /= scratch
+    np.multiply(params, weight_decay, out=scratch)
+    update += scratch
+    update *= lr
+    params -= update
+    return params
 
 
 @dataclass
@@ -122,50 +138,123 @@ class RunResult:
     trajectory: list[ParamVector] | None = None
 
 
-class _Trainable:
-    """Flattens encoder (and optional linear head) into one ParamVector."""
-
-    def __init__(self, encoder: Encoder, head: LinearHead | None):
-        self.encoder = encoder
-        self.head = head
-
-    def tensors(self) -> list[Tensor]:
-        ps = self.encoder.parameters()
-        if self.head is not None:
-            ps = ps + [self.head.weights]
-        return ps
-
-    def get_flat(self) -> np.ndarray:
-        return np.concatenate([p.data.ravel() for p in self.tensors()])
-
-    def set_flat(self, flat: np.ndarray) -> None:
-        offset = 0
-        for p in self.tensors():
-            n = p.data.size
-            p.data = flat[offset:offset + n].reshape(p.data.shape).copy()
-            offset += n
-
-    def grad_flat(self) -> np.ndarray:
-        parts = []
-        for p in self.tensors():
-            parts.append(
-                p.grad.ravel() if p.grad is not None else np.zeros(p.data.size)
-            )
-        return np.concatenate(parts)
-
-    def zero_grad(self) -> None:
-        for p in self.tensors():
-            p.zero_grad()
+def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    out, offset = [], 0
+    for shape in shapes:
+        n = math.prod(shape)
+        out.append(flat[offset:offset + n].reshape(shape))
+        offset += n
+    return out
 
 
-def _batch_loss(trainable: _Trainable, bank: ClassBank, x: Tensor, labels, cfg: TrainerConfig) -> Tensor:
-    if cfg.head == HEAD_LINEAR:
-        feats = embed(trainable.encoder, x) if cfg.normalize_linear_features \
-            else trainable.encoder.forward_raw(x)
-        logits = linear_head_logits(trainable.head, feats)
-        return L.cross_entropy_linear(logits, labels)
-    sims = similarities(bank, embed(trainable.encoder, x))
-    return L.mms_loss(sims, labels, bank, cfg.loss)
+class FusedStep:
+    """Loss and gradient of one batch, forward and backward written by hand.
+
+    Metric head: tanh MLP -> L2 norm -> cosine similarities -> + lambda D[y]
+    -> / tau -> log-softmax NLL. Linear head: raw MLP output r, logits
+    r @ W^T -> log-softmax NLL.
+
+    The trainable parameters (encoder w1, b1, w2, b2, then the head's
+    weights when a head is given) live in the flat vector `params`, and
+    each call leaves the gradient in `grads`, same layout. Both are
+    allocated once; the pass works on reshaped views of them. The encoder
+    and head tensors are only read at construction: `write_back` copies
+    `params` into them.
+
+    Every value goes through the same floating-point operations, in the
+    same order, as in `tensor.Tape`'s replay of the same loss, so the loss
+    and `grads` equal the Tape's bit for bit.
+    """
+
+    def __init__(self, encoder: Encoder, bank: ClassBank, loss_cfg: L.LossConfig,
+                 head: LinearHead | None = None):
+        if head is None:
+            if encoder.d_out != bank.dim:
+                raise ShapeError(f"encoder output dim {encoder.d_out} vs bank dim {bank.dim}")
+            self._bank_t = np.ascontiguousarray(bank.embeddings.T)
+            classes = np.arange(bank.num_classes)
+            self._margins = L.margin_table(classes, bank.num_classes, bank, loss_cfg)
+            self._inv_tau = float(1.0 / loss_cfg.tau)
+        else:
+            if head.d_in != encoder.d_out or head.num_classes != bank.num_classes:
+                raise ShapeError(
+                    f"linear head is {head.num_classes}x{head.d_in}, expected "
+                    f"{bank.num_classes}x{encoder.d_out}"
+                )
+        self._tensors = encoder.parameters() + ([head.weights] if head is not None else [])
+        self._linear = head is not None
+        self._skip_nonlinearity = encoder.skip_nonlinearity
+        shapes = [p.shape for p in self._tensors]
+        self.params = flatten_params(self._tensors)
+        self.grads = np.zeros_like(self.params)
+        self._p = _views(self.params, shapes)
+        self._g = _views(self.grads, shapes)
+
+    def write_back(self) -> None:
+        """Copy the current parameters into the encoder (and head) tensors."""
+        unflatten_params(self._tensors, self.params)
+
+    def __call__(self, x: np.ndarray, labels: np.ndarray) -> float:
+        """Fill `grads` for the batch (x, labels) and return the loss.
+
+        Labels must lie in [0, C); train() checks them once per run.
+        Raises NonFiniteError on a non-finite pre-activation or loss.
+        """
+        w1, b1, w2, b2 = self._p[:4]
+        gw1, gb1, gw2, gb2 = self._g[:4]
+        b = labels.shape[0]
+        rows = np.arange(b)
+
+        # forward
+        pre = x @ w1
+        pre += b1
+        # tanh maps +-inf to +-1, so an overflow here would not reach the loss
+        if not np.isfinite(pre).all():
+            raise NonFiniteError("non-finite pre-activation x @ w1 + b1")
+        h = pre if self._skip_nonlinearity else np.tanh(pre, out=pre)
+        r = h @ w2
+        r += b2
+        if self._linear:
+            w_t = np.ascontiguousarray(self._p[4].T)  # as tensor.transpose builds it
+            logits = r @ w_t
+        else:
+            norms = np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True))
+            denom = np.maximum(norms, NORM_EPS)
+            z = r / denom
+            logits = z @ self._bank_t
+            logits += self._margins[labels]
+            logits *= self._inv_tau
+        log_probs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+        log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
+        loss = float(np.add.reduce(log_probs[rows, labels]) / b * -1.0)
+        if not math.isfinite(loss):
+            raise NonFiniteError(f"non-finite loss {loss}")
+
+        # backward: d loss / d logits = (softmax - onehot) / B. The Tape's
+        # g - softmax * rowsum(g), with g holding one -1/B per row, rounds
+        # to exactly these values.
+        g = np.exp(log_probs, out=log_probs)
+        g *= 1.0 / b
+        g[rows, labels] -= 1.0 / b
+        if self._linear:
+            g_r = g @ w_t.T
+            self._g[4][...] = (r.T @ g).T
+        else:
+            g *= self._inv_tau
+            g_z = g @ self._bank_t.T
+            dot = np.add.reduce(z * g_z, axis=-1, keepdims=True)
+            g_r = (g_z - z * dot) / denom
+            guarded = norms < NORM_EPS  # below eps the map is linear: r / eps
+            if guarded.any():
+                g_r = np.where(guarded, g_z / denom, g_r)
+        np.add.reduce(g_r, axis=0, out=gb2)
+        g_h = g_r @ w2.T
+        np.matmul(h.T, g_r, out=gw2)
+        if not self._skip_nonlinearity:
+            g_h *= 1.0 - h ** 2
+        np.add.reduce(g_h, axis=0, out=gb1)
+        np.matmul(x.T, g_h, out=gw1)
+        return loss
 
 
 def train(
@@ -176,19 +265,28 @@ def train(
     head: LinearHead | None = None,
     keep_trajectory: bool = False,
 ) -> RunResult:
-    """Run exactly cfg.steps optimizer steps and ensemble the trajectory."""
-    n = dataset.features.shape[0]
+    """Run exactly cfg.steps optimizer steps and ensemble the trajectory.
+
+    The encoder (and head) tensors receive the final parameters when the
+    run ends.
+    """
+    features = np.asarray(dataset.features, dtype=np.float64)
+    labels = L._check_labels(dataset.labels, bank.num_classes)
+    n = features.shape[0]
     if n == 0:
         raise ValueError("empty training set")
-    if dataset.labels.size and int(dataset.labels.max()) >= bank.num_classes:
-        raise ValueError(
-            f"label {int(dataset.labels.max())} >= bank size {bank.num_classes}"
-        )
+    if features.ndim != 2 or features.shape[1] != encoder.d_in:
+        raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {features.shape}")
+    if labels.shape != (n,):
+        raise ShapeError(f"{labels.shape} labels for {n} feature rows")
     if cfg.head == HEAD_LINEAR and head is None:
         raise ValueError("linear head mode requires a LinearHead")
+    if not np.isfinite(features).all():
+        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
+        raise NonFiniteError(f"step 0: training feature row {row} is not finite")
 
-    trainable = _Trainable(encoder, head if cfg.head == HEAD_LINEAR else None)
-    params = trainable.get_flat()
+    step = FusedStep(encoder, bank, cfg.loss, head if cfg.head == HEAD_LINEAR else None)
+    params = step.params
     opt = AdamWState.init(params.size)
     rng = np.random.default_rng([cfg.seed, 2])
 
@@ -203,23 +301,16 @@ def train(
 
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty(cfg.steps)
-    features = np.asarray(dataset.features, dtype=np.float64)
-    labels = np.asarray(dataset.labels, dtype=np.int64)
 
     for t in range(cfg.steps):
         batch = rng.integers(0, n, size=cfg.batch_size)
-        x = Tensor(features[batch])
-        y = labels[batch]
-
-        trainable.zero_grad()
-        with Tape() as tape:
-            loss = _batch_loss(trainable, bank, x, y, cfg)
-            tape.backward(loss)
-        losses[t] = float(loss.data)
+        try:
+            losses[t] = step(features[batch], labels[batch])
+        except NonFiniteError as exc:
+            raise NonFiniteError(f"step {t}: {exc}") from None
 
         lr = cosine_lr(t, cfg.steps, cfg.base_lr)
-        params = adamw_step(params, trainable.grad_flat(), opt, lr, cfg.weight_decay)
-        trainable.set_flat(params)
+        adamw_step(params, step.grads, opt, lr, cfg.weight_decay)
 
         if trajectory is not None:
             trajectory.append(params.copy())
@@ -228,6 +319,7 @@ def train(
         elif ema_avg is not None:
             ema_avg = ema_update(ema_avg, params, cfg.ema_decay)
 
+    step.write_back()
     if bma is not None:
         ensemble_params = bma.avg.copy()
     elif ema_avg is not None:

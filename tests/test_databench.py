@@ -241,3 +241,9 @@ def test_load_rejects_inconsistent_counts(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(ArchiveFormatError):
         db.load(path)
+
+    trailing = tmp_path / "trailing.emba"
+    db.save(archive, trailing)
+    trailing.write_bytes(trailing.read_bytes() + b"junk")
+    with pytest.raises(ArchiveFormatError, match="4 trailing bytes"):
+        db.load(trailing)

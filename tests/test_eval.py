@@ -184,6 +184,11 @@ def test_run_file_bad_magic_and_truncation(tmp_path):
     with pytest.raises(RunFileError, match="expected"):
         load_run(trunc)
 
+    trailing = tmp_path / "trailing.run"
+    trailing.write_bytes(raw + b"junk")
+    with pytest.raises(RunFileError, match="4 trailing bytes"):
+        load_run(trailing)
+
 
 # ---------------------------------------------------------------------------
 # CLI
@@ -246,6 +251,13 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
     assert main(["train", "--data", str(corrupt), "--out", str(run),
                  "--steps", "1"]) == 2
 
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data)) == 0
+    trailing = tmp_path / "trailing.emba"
+    trailing.write_bytes(data.read_bytes() + b"junk")
+    assert main(["train", "--data", str(trailing), "--out", str(run),
+                 "--steps", "1"]) == 2
+
     # prototype placement that cannot satisfy the separation bound
     assert main(["gen", "--classes", "64", "--embed-dim", "2",
                  "--input-dim", "2", "--per-class", "1",
@@ -283,3 +295,45 @@ def test_cli_ablate_runs(tmp_path, capsys):
     assert set(payload) == {"adaptive+bma", "adaptive+none", "none+bma", "none+none"}
     for row in payload.values():
         assert set(row) == {"acc_base", "acc_new", "acc_h"}
+
+
+def _trained_run(tmp_path):
+    data = tmp_path / "bench.emba"
+    run = tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    assert main(["train", "--data", str(data), "--out", str(run),
+                 "--steps", "2", "--batch", "4", "--hidden", "8",
+                 "--test-domain", "1"]) == 0
+    return data, run
+
+
+def test_cli_eval_rejects_wrong_parameter_count(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    saved = load_run(run)
+    p = saved.final_params.size
+    for extra in (1, -1):
+        size = p + extra
+        final = np.resize(saved.final_params, size)
+        save_run(run, saved.config, saved.loss_curve, final, final)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", str(data),
+                     "--params", "final"]) == 2
+        err = capsys.readouterr().err
+        assert f"{size} entries" in err and f"expected {p}" in err
+
+
+def test_cli_eval_rejects_trailing_run_bytes(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    run.write_bytes(run.read_bytes() + b"junk")
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data)]) == 2
+    assert "trailing" in capsys.readouterr().err
+
+
+def test_cli_eval_topk_below_one_is_usage_error(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    for k in ("0", "-1"):
+        assert main(["eval", "--run", str(run), "--data", str(data), "--topk", k]) == 1
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data), "--topk", "1",
+                 "--json"]) == 0

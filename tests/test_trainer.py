@@ -42,8 +42,28 @@ def test_cosine_lr_endpoints():
 def test_adamw_zero_grads_no_decay():
     params = np.array([1.0, -2.0])
     state = AdamWState.init(2)
-    out = adamw_step(params, np.zeros(2), state, lr=0.01, weight_decay=0.0)
+    out = adamw_step(params.copy(), np.zeros(2), state, lr=0.01, weight_decay=0.0)
     np.testing.assert_array_equal(out, params)
+
+
+def test_adamw_updates_in_place_with_unchanged_arithmetic():
+    rng = np.random.default_rng(12)
+    params = rng.standard_normal(50)
+    state = AdamWState.init(50)
+    m, v = state.m, state.v
+    ref, ref_m, ref_v = params.copy(), np.zeros(50), np.zeros(50)
+    for t in range(1, 6):
+        grads = rng.standard_normal(50)
+        out = adamw_step(params, grads, state, lr=0.01, weight_decay=0.1)
+        assert out is params and state.m is m and state.v is v
+        # the out-of-place expression the update must reproduce bit for bit
+        ref_m = 0.9 * ref_m + (1.0 - 0.9) * grads
+        ref_v = 0.999 * ref_v + (1.0 - 0.999) * grads ** 2
+        m_hat = ref_m / (1.0 - 0.9 ** t)
+        v_hat = ref_v / (1.0 - 0.999 ** t)
+        ref = ref - 0.01 * (m_hat / (np.sqrt(v_hat) + 1e-8) + 0.1 * ref)
+        assert np.array_equal(params, ref)
+        assert np.array_equal(m, ref_m) and np.array_equal(v, ref_v)
 
 
 def test_adamw_decoupled_decay_closed_form():
@@ -191,6 +211,12 @@ def test_train_rejects_bad_data():
     bad = TrainSet(data.features, np.full_like(data.labels, bank.num_classes))
     with pytest.raises(ValueError):
         train(enc, bank, bad, TrainerConfig(steps=1, seed=0))
+    negative = TrainSet(data.features, np.full_like(data.labels, -1))
+    with pytest.raises(ValueError, match="label -1"):
+        train(enc, bank, negative, TrainerConfig(steps=1, seed=0))
+    with pytest.raises(ValueError, match="features"):
+        train(enc, bank, TrainSet(data.features[:, :3], data.labels),
+              TrainerConfig(steps=1, seed=0))
 
 
 def test_trainer_config_validation():
