@@ -131,13 +131,13 @@ def _sample_prototypes(rng: np.random.Generator, num_classes: int, dim: int) -> 
     cosine bound are resampled."""
     num_clusters = max(2, num_classes // 4)
     centers = [_random_unit(rng, dim) for _ in range(num_clusters)]
-    protos: list[np.ndarray] = []
-    failures = 0
-    while len(protos) < num_classes:
-        center = centers[len(protos) % num_clusters]
+    protos = np.empty((num_classes, dim))
+    placed = failures = 0
+    while placed < num_classes:
+        center = centers[placed % num_clusters]
         cand = center + 0.5 * rng.standard_normal(dim)
         cand /= np.linalg.norm(cand)
-        if protos and max(float(p @ cand) for p in protos) >= 0.9:
+        if placed and (protos[:placed] @ cand).max() >= 0.9:
             failures += 1
             if failures >= 1000:
                 raise GenerationError(
@@ -145,8 +145,9 @@ def _sample_prototypes(rng: np.random.Generator, num_classes: int, dim: int) -> 
                     f"cosine < 0.9 in dim {dim}; increase the embedding dim"
                 )
             continue
-        protos.append(cand)
-    return np.stack(protos)
+        protos[placed] = cand
+        placed += 1
+    return protos
 
 
 def generate(spec: BenchmarkSpec) -> EmbeddingArchive:

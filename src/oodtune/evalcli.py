@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import struct
 import sys
@@ -24,9 +25,8 @@ from . import databench as db
 from . import losses as L
 from . import trainer as tr
 from .databench import ArchiveFormatError, SplitSubset
-from .model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits, similarities,
-                    text_head_init, unflatten_params)
-from .tensor import Tensor
+from .model import ClassBank, Encoder, LinearHead, mlp_forward, text_head_init, unflatten_params
+from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 RUN_MAGIC = b"RUNF"
 RUN_VERSION = 1
@@ -89,16 +89,73 @@ class EvalReport:
         )
 
 
-def _scores(
-    encoder: Encoder,
-    bank: ClassBank,
-    features: np.ndarray,
-    head: LinearHead | None,
-) -> np.ndarray:
-    x = Tensor(np.asarray(features, dtype=np.float64))
-    if head is not None:
-        return linear_head_logits(head, encoder.forward_raw(x)).data
-    return similarities(bank, embed(encoder, x)).data
+# cap on the scores evaluate holds at once: rows are scored in blocks of
+# max(2, SCORE_BLOCK_ELEMENTS // C), so its memory does not grow with N
+SCORE_BLOCK_ELEMENTS = 1 << 18
+
+
+def _row_blocks(n: int, num_classes: int) -> list[slice]:
+    """Row slices of at most SCORE_BLOCK_ELEMENTS scores, two rows at least.
+
+    A lone last row joins the block before it: numpy multiplies a one-row
+    matrix through gemv, whose sums may differ from gemm's in the last bit,
+    and each block's scores must equal the rows of the whole-matrix product.
+    """
+    rows = max(2, SCORE_BLOCK_ELEMENTS // num_classes)
+    starts = list(range(0, n, rows))
+    if len(starts) > 1 and n - starts[-1] == 1:
+        starts.pop()
+    return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
+
+
+def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
+            normalize: bool) -> np.ndarray:
+    """Scores of the rows of x against the class columns of weights_t.
+
+    With `normalize` the encoder output is L2-normalized first (cosine
+    similarities against the bank); without, the raw output gives
+    linear-head logits. The floating-point operations are those of
+    `similarities(bank, embed(encoder, x))` and `linear_head_logits`.
+    """
+    _, r = mlp_forward(x, encoder.w1.data, encoder.b1.data, encoder.w2.data,
+                       encoder.b2.data, encoder.skip_nonlinearity)
+    if not np.isfinite(r).all():  # a NaN in w2 or b2 passes the pre-activation check
+        raise NonFiniteError("non-finite encoder output")
+    if normalize:
+        r /= np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), NORM_EPS)
+    return r @ weights_t
+
+
+def _top_k(scores: np.ndarray, k: int) -> np.ndarray:
+    """Ids of the k highest scores of each row, best first, ties toward the
+    lower id: the first k columns of a stable argsort of -scores."""
+    neg = -scores
+    if k >= scores.shape[1]:
+        return np.argsort(neg, axis=1, kind="stable")
+    part = np.argpartition(neg, k, axis=1)
+    top = part[:, :k]
+    vals = np.take_along_axis(neg, top, axis=1)
+    ids = np.take_along_axis(top, np.lexsort((top, vals), axis=1), axis=1)
+    # where the k-th best ties the (k+1)-th, the partition chose among the
+    # tied ids arbitrarily; rank those rows in full
+    next_best = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
+    tied = np.flatnonzero(vals.max(axis=1) == next_best)
+    if tied.size:
+        ids[tied] = np.argsort(neg[tied], axis=1, kind="stable")[:, :k]
+    return ids
+
+
+def _accuracy_by(groups: np.ndarray, correct: np.ndarray) -> dict[int, float]:
+    """Accuracy of each group id present, in ascending id order."""
+    keys, inverse = np.unique(groups, return_inverse=True)
+    hits = np.bincount(inverse, weights=correct, minlength=keys.size)
+    counts = np.bincount(inverse, minlength=keys.size)
+    return dict(zip(keys.tolist(), (hits / counts).tolist()))
+
+
+def _share(correct: np.ndarray, mask: np.ndarray) -> float:
+    n = int(np.count_nonzero(mask))
+    return int(np.count_nonzero(correct & mask)) / n if n else 0.0
 
 
 def evaluate(
@@ -111,45 +168,72 @@ def evaluate(
     topk: int | None = None,
 ) -> EvalReport:
     """Score every sample against all C classes; argmax predicts
-    (ties broken toward the lowest class id)."""
-    if subset.features.shape[0] == 0:
+    (ties broken toward the lowest class id).
+
+    Rows are scored in blocks of at most SCORE_BLOCK_ELEMENTS scores. Each
+    block keeps only its predictions and, with `topk`, its top-k ids and
+    their temperature-scaled softmax probabilities; `topk` > C gives C.
+    """
+    features = np.asarray(subset.features)
+    n = features.shape[0]
+    if n == 0:
         raise ValueError("empty evaluation split")
-    scores = _scores(encoder, bank, subset.features, head)
-    preds = np.argmax(scores, axis=1)
+    if topk is not None and topk < 1:
+        raise ValueError(f"topk must be >= 1, got {topk}")
+    if features.ndim != 2 or features.shape[1] != encoder.d_in:
+        raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {features.shape}")
+    if head is None:
+        if encoder.d_out != bank.dim:
+            raise ShapeError(f"encoder output dim {encoder.d_out} vs bank dim {bank.dim}")
+        weights_t = np.ascontiguousarray(bank.embeddings.T)
+    else:
+        if head.d_in != encoder.d_out:
+            raise ShapeError(f"linear head input dim {head.d_in} vs encoder output dim "
+                             f"{encoder.d_out}")
+        if not np.isfinite(head.weights.data).all():
+            raise NonFiniteError("non-finite linear head weights")
+        weights_t = np.ascontiguousarray(head.weights.data.T)  # as tensor.transpose builds it
+    num_classes = weights_t.shape[1]
+
+    preds = np.empty(n, dtype=np.int64)
+    if topk is not None:
+        k = min(topk, num_classes)
+        top_ids = np.empty((n, k), dtype=np.int64)
+        top_probs = np.empty((n, k))
+    for block in _row_blocks(n, num_classes):
+        scores = _scores(encoder, weights_t, np.asarray(features[block], dtype=np.float64),
+                         normalize=head is None)
+        preds[block] = np.argmax(scores, axis=1)
+        if topk is not None:
+            ids = _top_k(scores, k)
+            top_ids[block] = ids
+            # report temperature-scaled softmax probabilities as scores
+            scores /= tau
+            scores -= scores.max(axis=1, keepdims=True)
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=1, keepdims=True)
+            top_probs[block] = np.take_along_axis(scores, ids, axis=1) / total
+
     labels = np.asarray(subset.labels, dtype=np.int64)
-    domains = np.asarray(subset.domains, dtype=np.int64)
     correct = preds == labels
-
-    base_set = set(int(c) for c in base_classes)
-    is_base = np.array([int(lbl) in base_set for lbl in labels])
-
-    def group_acc(mask: np.ndarray) -> float:
-        return float(correct[mask].mean()) if mask.any() else 0.0
-
-    acc_base = group_acc(is_base)
-    acc_new = group_acc(~is_base)
-    per_domain = {int(m): group_acc(domains == m) for m in np.unique(domains)}
-    per_class = {int(c): group_acc(labels == c) for c in np.unique(labels)}
+    is_base = np.isin(labels, np.asarray(base_classes, dtype=np.int64))
+    acc_base = _share(correct, is_base)
+    acc_new = _share(correct, ~is_base)
 
     topk_list = None
     if topk is not None:
-        # report temperature-scaled softmax probabilities as scores
-        shifted = scores / tau
-        shifted -= shifted.max(axis=1, keepdims=True)
-        probs = np.exp(shifted)
-        probs /= probs.sum(axis=1, keepdims=True)
-        order = np.argsort(-scores, axis=1, kind="stable")[:, :topk]
         topk_list = [
-            (int(subset.indices[i]), [(int(c), float(probs[i, c])) for c in order[i]])
-            for i in range(scores.shape[0])
+            (sample, list(zip(ids, probs)))
+            for sample, ids, probs in zip(np.asarray(subset.indices).tolist(),
+                                          top_ids.tolist(), top_probs.tolist())
         ]
 
     return EvalReport(
         acc_base=acc_base,
         acc_new=acc_new,
         acc_h=harmonic_mean(acc_base, acc_new),
-        per_domain=per_domain,
-        per_class=per_class,
+        per_domain=_accuracy_by(np.asarray(subset.domains, dtype=np.int64), correct),
+        per_class=_accuracy_by(labels, correct),
         topk=topk_list,
     )
 
@@ -336,6 +420,38 @@ def _spec_for_archive(archive: db.EmbeddingArchive, base_fraction: float,
     )
 
 
+# run-config fields that eval reads, with the JSON types each may hold
+_RUN_CONFIG_FIELDS = {
+    "seed": int, "hidden": int, "head": str, "tau": (int, float),
+    "input_dim": int, "embed_dim": int, "num_classes": int, "num_domains": int,
+    "base_fraction": (int, float), "test_domain": int, "shots": (int, type(None)),
+}
+
+
+def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
+    """Raise RunFileError naming the first field of a run config that eval
+    cannot use: missing, of the wrong type, or not matching the archive."""
+    if not isinstance(config, dict):
+        raise RunFileError("run config is not a JSON object")
+    for key, kinds in _RUN_CONFIG_FIELDS.items():
+        if key not in config:
+            if key == "shots":  # optional: no cap on the train split
+                continue
+            raise RunFileError(f"run config lacks the field {key!r}")
+        value = config[key]
+        if isinstance(value, bool) or not isinstance(value, kinds):
+            raise RunFileError(f"run config field {key!r} has the wrong type: {value!r}")
+    if config["head"] not in (tr.HEAD_METRIC, tr.HEAD_LINEAR):
+        raise RunFileError(f"run config field 'head' is unknown: {config['head']!r}")
+    if not (math.isfinite(config["tau"]) and config["tau"] > 0):
+        raise RunFileError(f"run config field 'tau' must be finite and positive: {config['tau']!r}")
+    for key, actual in (("num_classes", archive.bank.num_classes), ("embed_dim", archive.bank.dim),
+                        ("input_dim", archive.input_dim), ("num_domains", archive.num_domains)):
+        if config[key] != actual:
+            raise RunFileError(
+                f"run config field {key!r} is {config[key]}, the archive has {actual}")
+
+
 def _build_model(config: dict, bank: ClassBank) -> tuple[Encoder, LinearHead | None]:
     rng = np.random.default_rng([config["seed"], 0])
     encoder = Encoder.init(config["input_dim"], config["hidden"], config["embed_dim"], rng)
@@ -386,6 +502,9 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
         bma_every=args.bma_every,
         head=args.head,
     )
+    if ensemble_mode in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG) and cfg.bma_every > cfg.steps:
+        raise UsageError(f"--bma-every {cfg.bma_every} exceeds --steps {cfg.steps}: "
+                         f"the {ensemble_mode} ensemble would get no update")
     m = archive.num_domains
     echo = {
         "steps": cfg.steps,
@@ -437,6 +556,7 @@ def _cmd_eval(args) -> int:
     archive = db.load(args.data)
     run = load_run(args.run)
     config = run.config
+    _check_run_config(config, archive)
     spec = _spec_for_archive(archive, config["base_fraction"], config["test_domain"],
                              config["seed"], config.get("shots"))
     splits = db.split(archive, spec)

@@ -8,6 +8,7 @@ minus the positive logit, so small temperatures stay overflow-safe.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,10 @@ class LossConfig:
     fixed_margin: float = 0.0
 
     def __post_init__(self):
+        for name, value in (("tau", self.tau), ("lambda", self.lam),
+                            ("fixed_margin", self.fixed_margin)):
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.tau <= 0:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.lam < 0:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .tensor import ShapeError, Tensor
+from .tensor import NonFiniteError, ShapeError, Tensor
 
 NORM_TOLERANCE = 1e-6
 
@@ -146,6 +146,25 @@ def unflatten_params(params: list[Tensor], flat: np.ndarray) -> None:
         n = p.data.size
         p.data = flat[offset:offset + n].reshape(p.data.shape).copy()
         offset += n
+
+
+def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                b2: np.ndarray, skip_nonlinearity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Encoder forward on plain arrays: h = tanh(x @ w1 + b1), r = h @ w2 + b2.
+
+    Returns (h, r), with the same floating-point operations as
+    `Encoder.forward_raw`. Raises NonFiniteError on a non-finite
+    pre-activation x @ w1 + b1.
+    """
+    pre = x @ w1
+    pre += b1
+    # tanh maps +-inf to +-1, so an overflow here would not reach the output
+    if not np.isfinite(pre).all():
+        raise NonFiniteError("non-finite pre-activation x @ w1 + b1")
+    h = pre if skip_nonlinearity else np.tanh(pre, out=pre)
+    r = h @ w2
+    r += b2
+    return h, r
 
 
 def embed(enc: Encoder, x: Tensor) -> Tensor:

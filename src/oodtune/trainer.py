@@ -20,7 +20,8 @@ import numpy as np
 
 from . import losses as L
 from .ensemble import BmaState, ParamVector, bma_init, bma_update, ema_update
-from .model import ClassBank, Encoder, LinearHead, flatten_params, unflatten_params
+from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward,
+                    unflatten_params)
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 ENSEMBLE_BMA = "bma"
@@ -47,6 +48,10 @@ class TrainerConfig:
     head: str = HEAD_METRIC
 
     def __post_init__(self):
+        for name in ("beta", "base_lr", "weight_decay", "ema_decay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.steps < 1:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.batch_size < 1:
@@ -205,15 +210,7 @@ class FusedStep:
         b = labels.shape[0]
         rows = np.arange(b)
 
-        # forward
-        pre = x @ w1
-        pre += b1
-        # tanh maps +-inf to +-1, so an overflow here would not reach the loss
-        if not np.isfinite(pre).all():
-            raise NonFiniteError("non-finite pre-activation x @ w1 + b1")
-        h = pre if self._skip_nonlinearity else np.tanh(pre, out=pre)
-        r = h @ w2
-        r += b2
+        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity)
         if self._linear:
             w_t = np.ascontiguousarray(self._p[4].T)  # as tensor.transpose builds it
             logits = r @ w_t

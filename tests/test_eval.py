@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +21,9 @@ from oodtune.evalcli import (
     save_run,
     zero_shot_evaluate,
 )
-from oodtune.model import ClassBank, Encoder
+from oodtune.model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits,
+                           similarities)
+from oodtune.tensor import Tensor
 
 from helpers import identity_encoder
 
@@ -116,6 +122,115 @@ def test_evaluate_ties_break_to_lowest_class():
     for _, ranked in report.topk:
         assert [c for c, _ in ranked] == [0, 1, 2]
         assert all(abs(s - 1.0 / 3.0) < 1e-12 for _, s in ranked)
+
+
+def _recorded_blocks(monkeypatch):
+    """Make evaluate record a copy of every score block it computes."""
+    blocks = []
+    inner = evalcli._scores
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        blocks.append(out.copy())
+        return out
+
+    monkeypatch.setattr(evalcli, "_scores", recording)
+    return blocks
+
+
+@pytest.mark.parametrize("rows", [3, 7, 1000])
+def test_block_scores_equal_tape_scores(monkeypatch, rows):
+    spec = BenchmarkSpec(samples_per_class_per_domain=10, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    subset = splits.test_both
+    n = subset.labels.size
+    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+    blocks = _recorded_blocks(monkeypatch)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    x = Tensor(subset.features.astype(np.float64))
+
+    evaluate(enc, archive.bank, subset, splits.base_classes)
+    assert len(blocks) == -(-n // rows)
+    assert n % rows  # the last block ends short of a full one
+    assert np.array_equal(np.concatenate(blocks), similarities(archive.bank, embed(enc, x)).data)
+
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    blocks.clear()
+    evaluate(enc, archive.bank, subset, splits.base_classes, head=head)
+    assert np.array_equal(np.concatenate(blocks),
+                          linear_head_logits(head, enc.forward_raw(x)).data)
+
+
+def test_one_row_tail_joins_the_block_before(monkeypatch):
+    spec = BenchmarkSpec(samples_per_class_per_domain=10, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    subset = splits.test_both
+    n = subset.labels.size  # 200 rows
+    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 199 * spec.num_classes)
+    blocks = _recorded_blocks(monkeypatch)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    evaluate(enc, archive.bank, subset, splits.base_classes)
+    assert [b.shape[0] for b in blocks] == [n]
+    x = Tensor(subset.features.astype(np.float64))
+    assert np.array_equal(blocks[0], similarities(archive.bank, embed(enc, x)).data)
+
+    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1)  # C > the cap: two rows a block
+    blocks.clear()
+    evaluate(enc, archive.bank, subset, splits.base_classes)
+    assert {b.shape[0] for b in blocks} == {2}
+
+
+def test_evaluate_report_independent_of_block_size(monkeypatch):
+    spec = BenchmarkSpec(samples_per_class_per_domain=10, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    reports = []
+    for rows in (10_000, 7, 2):
+        monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+        reports.append([
+            evaluate(enc, archive.bank, getattr(splits, cell), splits.base_classes, topk=topk)
+            for cell in ("test_domain_shift", "test_open", "test_both", "train")
+            for topk in (None, 5)
+        ])
+    assert reports[0] == reports[1] == reports[2]
+    assert [r.to_json() for r in reports[0]] == [r.to_json() for r in reports[2]]
+
+
+def _tied_bank_case():
+    """Bank of 12 classes: the last row alone is best for the first sample,
+    and the other eleven share one row, so they tie for every place after it."""
+    rows = np.tile(np.ones(4) / 2.0, (12, 1))
+    rows[11] = np.eye(4)[0]
+    bank = ClassBank(rows, [f"c{i}" for i in range(12)])
+    subset = db.SplitSubset(
+        features=np.eye(4)[:2],
+        labels=np.array([11, 3], dtype=np.uint32),
+        domains=np.zeros(2, dtype=np.uint32),
+        indices=np.array([40, 41]),
+    )
+    return bank, subset
+
+
+def test_evaluate_topk_tie_across_kth_place_keeps_lower_ids():
+    bank, subset = _tied_bank_case()
+    report = evaluate(identity_encoder(4), bank, subset, [11], topk=3)
+    first, second = report.topk
+    assert first[0] == 40 and [c for c, _ in first[1]] == [11, 0, 1]
+    # the second sample scores 0 on class 11 and ties the other eleven
+    assert second[0] == 41 and [c for c, _ in second[1]] == [0, 1, 2]
+    assert all(p == second[1][0][1] for _, p in second[1])
+
+
+def test_evaluate_topk_above_class_count_returns_every_class():
+    bank, subset = _tied_bank_case()
+    report = evaluate(identity_encoder(4), bank, subset, [11], topk=50)
+    first, second = report.topk
+    assert [c for c, _ in first[1]] == [11] + list(range(11))
+    assert [c for c, _ in second[1]] == list(range(11)) + [11]
+    assert abs(sum(p for _, p in first[1]) - 1.0) < 1e-12
 
 
 def test_evaluate_rejects_empty_split():
@@ -337,3 +452,116 @@ def test_cli_eval_topk_below_one_is_usage_error(tmp_path, capsys):
     capsys.readouterr()
     assert main(["eval", "--run", str(run), "--data", str(data), "--topk", "1",
                  "--json"]) == 0
+
+
+def test_cli_eval_rejects_non_finite_parameters(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    saved = load_run(run)
+    # first entry: a w1 weight, caught in the pre-activation; last: a b2 bias
+    for where in (0, -1):
+        ens = saved.ensemble_params.copy()
+        ens[where] = np.nan
+        save_run(run, saved.config, saved.loss_curve, saved.final_params, ens)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    linear = tmp_path / "linear.bin"
+    assert main(["train", "--data", str(data), "--out", str(linear), "--head", "linear",
+                 "--steps", "2", "--batch", "4", "--hidden", "8", "--test-domain", "1"]) == 0
+    saved = load_run(linear)
+    ens = saved.ensemble_params.copy()
+    ens[-1] = np.inf  # a linear-head weight
+    save_run(linear, saved.config, saved.loss_curve, saved.final_params, ens)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(linear), "--data", str(data)]) == 2
+    assert "non-finite linear head" in capsys.readouterr().err
+
+
+def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    saved = load_run(run)
+    other = tmp_path / "nine.emba"
+    nine = _gen_args(other)
+    nine[nine.index("--classes") + 1] = "9"
+    assert main(nine) == 0
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(other)]) == 2
+    assert "'num_classes' is 8, the archive has 9" in capsys.readouterr().err
+
+    cases = [
+        ("tau", None, "lacks the field 'tau'"),
+        ("seed", None, "lacks the field 'seed'"),
+        ("hidden", "8", "'hidden' has the wrong type"),
+        ("num_domains", True, "'num_domains' has the wrong type"),
+        ("shots", 1.5, "'shots' has the wrong type"),
+        ("head", "bogus", "'head' is unknown"),
+        ("tau", -1.0, "'tau' must be finite and positive"),
+        ("embed_dim", 13, "'embed_dim' is 13, the archive has 12"),
+        ("input_dim", 17, "'input_dim' is 17, the archive has 16"),
+        ("num_domains", 3, "'num_domains' is 3, the archive has 2"),
+    ]
+    for key, value, message in cases:
+        config = dict(saved.config)
+        if value is None:
+            del config[key]
+        else:
+            config[key] = value
+        save_run(run, config, saved.loss_curve, saved.final_params, saved.ensemble_params)
+        capsys.readouterr()
+        assert main(["eval", "--run", str(run), "--data", str(data)]) == 2, key
+        assert message in capsys.readouterr().err
+
+    config = dict(saved.config)
+    del config["shots"]  # optional: no cap on the train split
+    save_run(run, config, saved.loss_curve, saved.final_params, saved.ensemble_params)
+    assert main(["eval", "--run", str(run), "--data", str(data)]) == 0
+    capsys.readouterr()
+
+
+def test_cli_train_rejects_non_finite_hyperparameters(tmp_path, capsys):
+    data = tmp_path / "bench.emba"
+    run = tmp_path / "r.bin"
+    assert main(_gen_args(data)) == 0
+    for flag in ("--beta", "--lr", "--weight-decay", "--tau", "--lambda"):
+        for value in ("nan", "inf"):
+            capsys.readouterr()
+            assert main(["train", "--data", str(data), "--out", str(run),
+                         "--steps", "2", flag, value]) == 2, (flag, value)
+            assert "must be finite" in capsys.readouterr().err
+    assert main(["train", "--data", str(data), "--out", str(run),
+                 "--steps", "2", "--ensemble", "ema:nan"]) == 2
+    assert main(["train", "--data", str(data), "--out", str(run),
+                 "--steps", "2", "--margin", "fixed:inf"]) == 2
+    assert not run.exists()
+    capsys.readouterr()
+
+
+def test_cli_bma_every_above_steps_is_usage_error(tmp_path, capsys):
+    data = tmp_path / "bench.emba"
+    run = tmp_path / "r.bin"
+    assert main(_gen_args(data)) == 0
+    for ensemble in ("bma", "avg"):
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "3",
+                     "--bma-every", "4", "--ensemble", ensemble]) == 1
+        assert "--bma-every 4 exceeds --steps 3" in capsys.readouterr().err
+    assert not run.exists()
+    # bma_every == steps gives the ensemble its one update
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "3",
+                 "--bma-every", "3", "--batch", "4", "--hidden", "8"]) == 0
+    # ema and none never read bma_every
+    for ensemble in ("ema", "none"):
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "3",
+                     "--bma-every", "4", "--ensemble", ensemble,
+                     "--batch", "4", "--hidden", "8"]) == 0
+    capsys.readouterr()
+
+
+def test_python_dash_m_runs_the_cli():
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-W", "error", "-m", "oodtune", "eval"],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 1
+    assert done.stderr.startswith("usage error: ")

@@ -172,6 +172,10 @@ def test_loss_config_validation():
         LossConfig(margin_mode="bogus")
     with pytest.raises(ValueError):
         LossConfig(margin_mode="fixed", fixed_margin=-1.0)
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("tau", "lam", "fixed_margin"):
+            with pytest.raises(ValueError, match="must be finite"):
+                LossConfig(**{field: bad})
 
 
 def test_cross_entropy_trivial_values():

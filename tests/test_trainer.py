@@ -228,3 +228,7 @@ def test_trainer_config_validation():
         TrainerConfig(ensemble_mode="bogus")
     with pytest.raises(ValueError):
         TrainerConfig(head="bogus")
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in ("beta", "base_lr", "weight_decay", "ema_decay"):
+            with pytest.raises(ValueError, match=f"{field} must be finite"):
+                TrainerConfig(**{field: bad})
