@@ -66,6 +66,9 @@ class BenchmarkSpec:
             raise ValueError("need at least 2 classes")
         if self.num_domains < 2:
             raise ValueError("need at least 2 domains")
+        for name in ("embed_dim", "input_dim", "samples_per_class_per_domain"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 < self.base_fraction < 1:
             raise ValueError(f"base_fraction must lie in (0, 1), got {self.base_fraction}")
         n_base = int(self.num_classes * self.base_fraction)

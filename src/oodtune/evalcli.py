@@ -534,6 +534,8 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
 
 
 def _cmd_train(args) -> int:
+    if args.hidden < 1:
+        raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
     archive = db.load(args.data)
     cfg, echo = _train_config(args, archive)
     spec = _spec_for_archive(archive, args.base_fraction, args.test_domain,
@@ -586,6 +588,8 @@ def _cmd_eval(args) -> int:
         print(f"  harmonic mean: {report.acc_h:.4f}")
         for m, acc in sorted(report.per_domain.items()):
             print(f"  domain {m}: {acc:.4f}")
+        for sample, ranked in report.topk or []:
+            print(f"  sample {sample}: " + " ".join(f"{c}:{p:.4f}" for c, p in ranked))
     return 0
 
 
@@ -597,34 +601,48 @@ ABLATION_GRID = [
 ]
 
 
+def _ablation_cell(archive: db.EmbeddingArchive, base_fraction: float,
+                   test_domain: int | None, seed: int):
+    splits = db.split(archive, _spec_for_archive(archive, base_fraction, test_domain, seed))
+    return (tr.TrainSet(splits.train.features, splits.train.labels), splits.test_both,
+            splits.base_classes)
+
+
 def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
                  lr: float = 3e-3, batch: int = 36, hidden: int = 64,
                  base_fraction: float = 0.5, test_domain: int | None = None) -> dict:
     """Train every margin x ensemble variant per seed; report mean
-    base/new/H on the domain+class split."""
+    base/new/H on the domain+class split.
+
+    Each margin variant is one `train` call with one lane per seed. The
+    BMA ensemble only reads the parameters, so a run without an ensemble
+    follows the same trajectory: its `final_params` give the `+none` row
+    and its BMA average the `+bma` row.
+    """
+    if not seeds:
+        raise ValueError("run_ablation needs at least one seed")
+    # per seed, only the train set, the held-out cell and the base classes
+    cells = [_ablation_cell(archive, base_fraction, test_domain, seed) for seed in seeds]
+    accs = {}
+    for margin in dict.fromkeys(m for m, _ in ABLATION_GRID):
+        cfgs = [tr.TrainerConfig(steps=steps, batch_size=batch, base_lr=lr, seed=seed,
+                                 loss=L.LossConfig(margin_mode=margin),
+                                 ensemble_mode=tr.ENSEMBLE_BMA)
+                for seed in seeds]
+        encoders = [Encoder.init(archive.input_dim, hidden, archive.bank.dim,
+                                 np.random.default_rng([seed, 0]))
+                    for seed in seeds]
+        results = tr.train(encoders, archive.bank, [c[0] for c in cells], cfgs)
+        for encoder, result, (_, test, base) in zip(encoders, results, cells):
+            for ensemble, flat in ((tr.ENSEMBLE_BMA, result.ensemble_params),
+                                   (tr.ENSEMBLE_NONE, result.final_params)):
+                encoder.set_flat(flat)
+                report = evaluate(encoder, archive.bank, test, base, tau=cfgs[0].loss.tau)
+                accs.setdefault(f"{margin}+{ensemble}", []).append(
+                    (report.acc_base, report.acc_new, report.acc_h))
     results = {}
     for margin, ensemble in ABLATION_GRID:
-        accs = []
-        for seed in seeds:
-            cfg = tr.TrainerConfig(
-                steps=steps, batch_size=batch, base_lr=lr, seed=seed,
-                loss=L.LossConfig(margin_mode=margin),
-                ensemble_mode=ensemble,
-            )
-            spec = _spec_for_archive(archive, base_fraction, test_domain, seed)
-            splits = db.split(archive, spec)
-            rng = np.random.default_rng([seed, 0])
-            encoder = Encoder.init(archive.input_dim, hidden, archive.bank.dim, rng)
-            result = tr.train(
-                encoder, archive.bank,
-                tr.TrainSet(splits.train.features.astype(np.float64), splits.train.labels),
-                cfg,
-            )
-            encoder.set_flat(result.ensemble_params)
-            report = evaluate(encoder, archive.bank, splits.test_both,
-                              splits.base_classes, tau=cfg.loss.tau)
-            accs.append((report.acc_base, report.acc_new, report.acc_h))
-        arr = np.array(accs)
+        arr = np.array(accs[f"{margin}+{ensemble}"])
         results[f"{margin}+{ensemble}"] = {
             "acc_base": float(arr[:, 0].mean()),
             "acc_new": float(arr[:, 1].mean()),
@@ -634,6 +652,9 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
 
 
 def _cmd_ablate(args) -> int:
+    for flag, value in (("--seeds", args.seeds), ("--hidden", args.hidden)):
+        if value < 1:
+            raise UsageError(f"{flag} must be >= 1, got {value}")
     archive = db.load(args.data)
     results = run_ablation(
         archive, seeds=list(range(args.seeds)), steps=args.steps,

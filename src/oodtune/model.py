@@ -84,6 +84,10 @@ class Encoder:
 
     @classmethod
     def init(cls, d_in: int, hidden: int, d_out: int, rng: np.random.Generator) -> "Encoder":
+        for name, size in (("d_in", d_in), ("hidden", hidden), ("d_out", d_out)):
+            if size < 1:
+                raise ValueError(f"encoder {name} must be >= 1, got {size}")
+
         def affine(fan_in: int, fan_out: int) -> tuple[Tensor, Tensor]:
             bound = 1.0 / np.sqrt(fan_in)
             w = rng.uniform(-bound, bound, size=(fan_in, fan_out))
@@ -153,14 +157,20 @@ def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
     """Encoder forward on plain arrays: h = tanh(x @ w1 + b1), r = h @ w2 + b2.
 
     Returns (h, r), with the same floating-point operations as
-    `Encoder.forward_raw`. Raises NonFiniteError on a non-finite
-    pre-activation x @ w1 + b1.
+    `Encoder.forward_raw`. Also takes S-stacks of lanes (x S x B x d_in,
+    weights S x n x m, biases S x 1 x m). Raises NonFiniteError on a
+    non-finite pre-activation x @ w1 + b1, naming the first such lane of a
+    stack of more than one.
     """
     pre = x @ w1
     pre += b1
     # tanh maps +-inf to +-1, so an overflow here would not reach the output
     if not np.isfinite(pre).all():
-        raise NonFiniteError("non-finite pre-activation x @ w1 + b1")
+        where = ""
+        if pre.ndim == 3 and pre.shape[0] > 1:
+            lane = int(np.flatnonzero(~np.isfinite(pre).all(axis=(1, 2)))[0])
+            where = f"lane {lane}: "
+        raise NonFiniteError(f"{where}non-finite pre-activation x @ w1 + b1")
     h = pre if skip_nonlinearity else np.tanh(pre, out=pre)
     r = h @ w2
     r += b2
@@ -189,6 +199,9 @@ class LinearHead:
 
     @classmethod
     def init(cls, num_classes: int, d_in: int, rng: np.random.Generator) -> "LinearHead":
+        for name, size in (("num_classes", num_classes), ("d_in", d_in)):
+            if size < 1:
+                raise ValueError(f"linear head {name} must be >= 1, got {size}")
         bound = 1.0 / np.sqrt(d_in)
         w = rng.uniform(-bound, bound, size=(num_classes, d_in))
         return cls(Tensor(w, requires_grad=True))

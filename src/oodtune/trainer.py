@@ -2,19 +2,23 @@
 softmax forward/backward, AdamW with cosine learning-rate decay, and a
 per-step update of the trajectory ensemble.
 
-Each step runs a fused analytic forward and backward pass (`FusedStep`)
-over one flat parameter vector; no Tensor or Tape is built while
-training. The pass repeats, in order, the numpy operations that
-`tensor.Tape` would replay for the same loss, so `Tape` stays the
-gradient oracle the tests compare it against bit for bit.
+`train` takes one run or several runs as lanes of one loop: lists of
+encoders, datasets and configs that differ only in seed, data and initial
+parameters. The lanes' parameters, gradients and optimizer and ensemble
+state are rows of S x P blocks, and each step runs a fused analytic
+forward and backward pass (`FusedStep`) over all lanes with stacked
+matmuls; no Tensor or Tape is built while training. The pass repeats, in
+order, the numpy operations that `tensor.Tape` would replay for the same
+loss, so `Tape` stays the gradient oracle the tests compare it against
+bit for bit, and every lane equals its own one-lane run bit for bit.
 
-The loop is single-threaded and fully deterministic under its seed.
+The loop is single-threaded and fully deterministic under its seeds.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -143,99 +147,139 @@ class RunResult:
     trajectory: list[ParamVector] | None = None
 
 
-def _views(flat: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+def _lane_views(block: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
+    """Views of an S x P block as S-stacks of the given shapes, in order."""
     out, offset = [], 0
     for shape in shapes:
         n = math.prod(shape)
-        out.append(flat[offset:offset + n].reshape(shape))
+        out.append(block[:, offset:offset + n].reshape((block.shape[0],) + shape))
         offset += n
     return out
 
 
 class FusedStep:
-    """Loss and gradient of one batch, forward and backward written by hand.
+    """Loss and gradient of one batch per lane, forward and backward
+    written by hand.
 
     Metric head: tanh MLP -> L2 norm -> cosine similarities -> + lambda D[y]
     -> / tau -> log-softmax NLL. Linear head: raw MLP output r, logits
     r @ W^T -> log-softmax NLL.
 
-    The trainable parameters (encoder w1, b1, w2, b2, then the head's
-    weights when a head is given) live in the flat vector `params`, and
-    each call leaves the gradient in `grads`, same layout. Both are
-    allocated once; the pass works on reshaped views of them. The encoder
-    and head tensors are only read at construction: `write_back` copies
-    `params` into them.
+    `encoder` is one Encoder, or a list of S Encoders of equal shapes (and
+    `head` then a list of S heads, or None): each is one lane. The
+    trainable parameters of lane i (encoder w1, b1, w2, b2, then the
+    head's weights when a head is given) are row i of the S x P block
+    `params`, and each call leaves the gradients in `grads`, same layout.
+    Both are allocated once; the pass works on S-stacked views of them and
+    runs every matmul as one stacked numpy matmul, which calls per lane
+    the same BLAS routine a 2-D product would. Built from a single
+    Encoder, the step has one lane, `params` and `grads` are P-vectors
+    and a call takes a B x d_in batch and returns a float.
+
+    The encoder and head tensors are only read at construction:
+    `write_back` copies each lane's parameters into them.
 
     Every value goes through the same floating-point operations, in the
-    same order, as in `tensor.Tape`'s replay of the same loss, so the loss
-    and `grads` equal the Tape's bit for bit.
+    same order, as in `tensor.Tape`'s replay of the same loss, so each
+    lane's loss and gradient equal the Tape's bit for bit.
     """
 
-    def __init__(self, encoder: Encoder, bank: ClassBank, loss_cfg: L.LossConfig,
-                 head: LinearHead | None = None):
-        if head is None:
-            if encoder.d_out != bank.dim:
-                raise ShapeError(f"encoder output dim {encoder.d_out} vs bank dim {bank.dim}")
+    def __init__(self, encoder: Encoder | list[Encoder], bank: ClassBank,
+                 loss_cfg: L.LossConfig, head: LinearHead | list[LinearHead] | None = None):
+        self._single = isinstance(encoder, Encoder)
+        encoders = [encoder] if self._single else list(encoder)
+        heads = [head] * len(encoders) if self._single or head is None else list(head)
+        if not encoders or len(heads) != len(encoders):
+            raise ValueError(f"{len(encoders)} encoders and {len(heads)} heads")
+        first, linear = encoders[0], heads[0] is not None
+        for i, (enc, hd) in enumerate(zip(encoders, heads)):
+            if [p.shape for p in enc.parameters()] != [p.shape for p in first.parameters()]:
+                raise ValueError(f"lane {i}: encoder shapes differ from lane 0's")
+            if enc.skip_nonlinearity != first.skip_nonlinearity:
+                raise ValueError(f"lane {i}: skip_nonlinearity differs from lane 0's")
+            if (hd is not None) != linear:
+                raise ValueError(f"lane {i}: head mode differs from lane 0's")
+        if not linear:
+            if first.d_out != bank.dim:
+                raise ShapeError(f"encoder output dim {first.d_out} vs bank dim {bank.dim}")
             self._bank_t = np.ascontiguousarray(bank.embeddings.T)
             classes = np.arange(bank.num_classes)
             self._margins = L.margin_table(classes, bank.num_classes, bank, loss_cfg)
             self._inv_tau = float(1.0 / loss_cfg.tau)
         else:
-            if head.d_in != encoder.d_out or head.num_classes != bank.num_classes:
-                raise ShapeError(
-                    f"linear head is {head.num_classes}x{head.d_in}, expected "
-                    f"{bank.num_classes}x{encoder.d_out}"
-                )
-        self._tensors = encoder.parameters() + ([head.weights] if head is not None else [])
-        self._linear = head is not None
-        self._skip_nonlinearity = encoder.skip_nonlinearity
-        shapes = [p.shape for p in self._tensors]
-        self.params = flatten_params(self._tensors)
-        self.grads = np.zeros_like(self.params)
-        self._p = _views(self.params, shapes)
-        self._g = _views(self.grads, shapes)
+            for hd in heads:
+                if hd.d_in != first.d_out or hd.num_classes != bank.num_classes:
+                    raise ShapeError(
+                        f"linear head is {hd.num_classes}x{hd.d_in}, expected "
+                        f"{bank.num_classes}x{first.d_out}"
+                    )
+        self._tensors = [enc.parameters() + ([hd.weights] if linear else [])
+                         for enc, hd in zip(encoders, heads)]
+        self._linear = linear
+        self._skip_nonlinearity = first.skip_nonlinearity
+        self._block = np.stack([flatten_params(t) for t in self._tensors])
+        self._grad_block = np.zeros_like(self._block)
+        # biases as S x 1 x n, so they broadcast over the batch axis
+        shapes = [(1,) + p.shape if len(p.shape) == 1 else p.shape for p in self._tensors[0]]
+        self._p = _lane_views(self._block, shapes)
+        self._g = _lane_views(self._grad_block, shapes)
+        self._w2_t = self._p[2].transpose(0, 2, 1)
+        self.params = self._block[0] if self._single else self._block
+        self.grads = self._grad_block[0] if self._single else self._grad_block
 
     def write_back(self) -> None:
-        """Copy the current parameters into the encoder (and head) tensors."""
-        unflatten_params(self._tensors, self.params)
+        """Copy each lane's current parameters into its encoder (and head) tensors."""
+        for tensors, flat in zip(self._tensors, self._block):
+            unflatten_params(tensors, flat)
 
-    def __call__(self, x: np.ndarray, labels: np.ndarray) -> float:
-        """Fill `grads` for the batch (x, labels) and return the loss.
+    def __call__(self, x: np.ndarray, labels: np.ndarray):
+        """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
+        and return the list of S losses (one-lane step: B x d_in, B and a
+        float).
 
         Labels must lie in [0, C); train() checks them once per run.
-        Raises NonFiniteError on a non-finite pre-activation or loss.
+        Raises NonFiniteError on a non-finite pre-activation or loss,
+        naming the lane when there is more than one.
         """
+        if self._single:
+            x, labels = x[None], labels[None]
         w1, b1, w2, b2 = self._p[:4]
         gw1, gb1, gw2, gb2 = self._g[:4]
-        b = labels.shape[0]
-        rows = np.arange(b)
+        s, b = labels.shape
+        # the row-wise softmax part runs on (S*B) x C views, indexed as in 2-D
+        picks = (np.arange(s * b), labels.reshape(-1))
 
         h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity)
         if self._linear:
-            w_t = np.ascontiguousarray(self._p[4].T)  # as tensor.transpose builds it
-            logits = r @ w_t
+            w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
+            logits = (r @ w_t).reshape(s * b, -1)
         else:
             norms = np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True))
             denom = np.maximum(norms, NORM_EPS)
             z = r / denom
-            logits = z @ self._bank_t
-            logits += self._margins[labels]
+            logits = (z @ self._bank_t).reshape(s * b, -1)
+            logits += self._margins[picks[1]]
             logits *= self._inv_tau
         log_probs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
-        loss = float(np.add.reduce(log_probs[rows, labels]) / b * -1.0)
-        if not math.isfinite(loss):
-            raise NonFiniteError(f"non-finite loss {loss}")
+        # per lane in Python floats: the same IEEE operations as on numpy scalars
+        losses = [total / b * -1.0
+                  for total in np.add.reduce(log_probs[picks].reshape(s, b), axis=-1).tolist()]
+        for lane, loss in enumerate(losses):
+            if not math.isfinite(loss):
+                where = f"lane {lane}: " if s > 1 else ""
+                raise NonFiniteError(f"{where}non-finite loss {loss}")
 
         # backward: d loss / d logits = (softmax - onehot) / B. The Tape's
         # g - softmax * rowsum(g), with g holding one -1/B per row, rounds
         # to exactly these values.
         g = np.exp(log_probs, out=log_probs)
         g *= 1.0 / b
-        g[rows, labels] -= 1.0 / b
+        g[picks] -= 1.0 / b
+        g = g.reshape(s, b, -1)
         if self._linear:
-            g_r = g @ w_t.T
-            self._g[4][...] = (r.T @ g).T
+            g_r = g @ w_t.transpose(0, 2, 1)
+            self._g[4][...] = (r.transpose(0, 2, 1) @ g).transpose(0, 2, 1)
         else:
             g *= self._inv_tau
             g_z = g @ self._bank_t.T
@@ -244,52 +288,113 @@ class FusedStep:
             guarded = norms < NORM_EPS  # below eps the map is linear: r / eps
             if guarded.any():
                 g_r = np.where(guarded, g_z / denom, g_r)
-        np.add.reduce(g_r, axis=0, out=gb2)
-        g_h = g_r @ w2.T
-        np.matmul(h.T, g_r, out=gw2)
+        np.add.reduce(g_r, axis=1, keepdims=True, out=gb2)
+        g_h = g_r @ self._w2_t
+        np.matmul(h.transpose(0, 2, 1), g_r, out=gw2)
         if not self._skip_nonlinearity:
             g_h *= 1.0 - h ** 2
-        np.add.reduce(g_h, axis=0, out=gb1)
-        np.matmul(x.T, g_h, out=gw1)
-        return loss
+        np.add.reduce(g_h, axis=1, keepdims=True, out=gb1)
+        np.matmul(x.transpose(0, 2, 1), g_h, out=gw1)
+        return losses[0] if self._single else losses
+
+
+def _shared_fields(cfg: TrainerConfig) -> dict:
+    """The config fields every lane must share: all but the seed, with the
+    loss fields named loss.<field>."""
+    fields = asdict(cfg)
+    del fields["seed"]
+    fields.update({f"loss.{k}": v for k, v in fields.pop("loss").items()})
+    return fields
+
+
+def _checked_sets(datasets: list[TrainSet], num_classes: int,
+                  d_in: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Check each lane's training set; return its features and labels.
+
+    Float32 features stay float32: each batch is cast to float64 after the
+    gather, which is exact. Other dtypes become float64.
+    """
+    many = len(datasets) > 1
+    out = []
+    for i, data in enumerate(datasets):
+        where = f"lane {i}: " if many else ""
+        features = np.asarray(data.features)
+        if features.dtype != np.float32:
+            features = np.asarray(features, dtype=np.float64)
+        labels = L._check_labels(data.labels, num_classes)
+        if features.ndim != 2 or features.shape[1] != d_in:
+            raise ShapeError(f"{where}encoder expects N x {d_in} features, got {features.shape}")
+        n = features.shape[0]
+        if n == 0:
+            raise ValueError(f"{where}empty training set")
+        if labels.shape != (n,):
+            raise ShapeError(f"{where}{labels.shape} labels for {n} feature rows")
+        finite = np.isfinite(features).all(axis=1)
+        if not finite.all():
+            row = int(np.flatnonzero(~finite)[0])
+            raise NonFiniteError(f"step 0: {where}training feature row {row} is not finite")
+        out.append((features, labels))
+    return out
 
 
 def train(
-    encoder: Encoder,
+    encoder: Encoder | list[Encoder],
     bank: ClassBank,
-    dataset: TrainSet,
-    cfg: TrainerConfig,
-    head: LinearHead | None = None,
+    dataset: TrainSet | list[TrainSet],
+    cfg: TrainerConfig | list[TrainerConfig],
+    head: LinearHead | list[LinearHead] | None = None,
     keep_trajectory: bool = False,
-) -> RunResult:
-    """Run exactly cfg.steps optimizer steps and ensemble the trajectory.
+) -> RunResult | list[RunResult]:
+    """Run exactly cfg.steps optimizer steps and ensemble the trajectory;
+    return a RunResult.
+
+    Given equal-length lists of encoders, datasets and configs (and of
+    heads, or None), train them as lanes of one loop and return one
+    RunResult per lane. Every lane equals its own single train call bit for
+    bit. Lanes may differ only in the config's seed, the dataset and the
+    initial parameters; any other config field that differs raises
+    ValueError naming it.
 
     The encoder (and head) tensors receive the final parameters when the
     run ends.
     """
-    features = np.asarray(dataset.features, dtype=np.float64)
-    labels = L._check_labels(dataset.labels, bank.num_classes)
-    n = features.shape[0]
-    if n == 0:
-        raise ValueError("empty training set")
-    if features.ndim != 2 or features.shape[1] != encoder.d_in:
-        raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {features.shape}")
-    if labels.shape != (n,):
-        raise ShapeError(f"{labels.shape} labels for {n} feature rows")
-    if cfg.head == HEAD_LINEAR and head is None:
+    single = isinstance(encoder, Encoder)
+    if single:
+        encoders, datasets, cfgs, heads = [encoder], [dataset], [cfg], [head]
+    else:
+        encoders, datasets, cfgs = list(encoder), list(dataset), list(cfg)
+        heads = [None] * len(encoders) if head is None else list(head)
+        if not encoders or not len(datasets) == len(cfgs) == len(heads) == len(encoders):
+            raise ValueError(
+                f"lanes need equal, non-empty lists: {len(encoders)} encoders, "
+                f"{len(datasets)} datasets, {len(cfgs)} configs, {len(heads)} heads")
+    cfg = cfgs[0]
+    shared = _shared_fields(cfg)
+    for i, lane_cfg in enumerate(cfgs[1:], start=1):
+        for name, value in _shared_fields(lane_cfg).items():
+            if value != shared[name]:
+                raise ValueError(f"lane {i}: config field {name} is {value!r}, "
+                                 f"lane 0 has {shared[name]!r}")
+    if cfg.head == HEAD_LINEAR and any(h is None for h in heads):
         raise ValueError("linear head mode requires a LinearHead")
-    if not np.isfinite(features).all():
-        row = int(np.flatnonzero(~np.isfinite(features).all(axis=1))[0])
-        raise NonFiniteError(f"step 0: training feature row {row} is not finite")
 
-    step = FusedStep(encoder, bank, cfg.loss, head if cfg.head == HEAD_LINEAR else None)
+    sets = _checked_sets(datasets, bank.num_classes, encoders[0].d_in)
+    step = FusedStep(encoders, bank, cfg.loss, heads if cfg.head == HEAD_LINEAR else None)
     params = step.params
-    opt = AdamWState.init(params.size)
-    rng = np.random.default_rng([cfg.seed, 2])
+    opt = AdamWState(m=np.zeros_like(params), v=np.zeros_like(params))
+    # each lane draws its rows from its own stream and gathers them into its
+    # row of one batch buffer, in the features' dtype; float32 batches are
+    # cast to float64 after the gather, which is exact
+    dtype = np.result_type(*(features for features, _ in sets))
+    xs = np.empty((len(sets), cfg.batch_size, encoders[0].d_in), dtype=dtype)
+    ys = np.empty((len(sets), cfg.batch_size), dtype=np.int64)
+    lanes = [(np.random.default_rng([c.seed, 2]), features.astype(dtype, copy=False), labels,
+              x_row, y_row)
+             for c, (features, labels), x_row, y_row in zip(cfgs, sets, xs, ys)]
 
     ensemble_updates = cfg.steps // cfg.bma_every
     bma: BmaState | None = None
-    ema_avg: ParamVector | None = None
+    ema_avg: np.ndarray | None = None
     if cfg.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG) and ensemble_updates >= 1:
         beta = cfg.beta if cfg.ensemble_mode == ENSEMBLE_BMA else 1.0
         bma = bma_init(params, ensemble_updates, beta)
@@ -297,12 +402,16 @@ def train(
         ema_avg = params.copy()
 
     trajectory = [params.copy()] if keep_trajectory else None
-    losses = np.empty(cfg.steps)
+    losses = np.empty((cfg.steps, len(lanes)))
 
     for t in range(cfg.steps):
-        batch = rng.integers(0, n, size=cfg.batch_size)
+        for rng, features, labels, x_row, y_row in lanes:
+            rows = rng.integers(0, labels.size, size=cfg.batch_size)
+            # the rows are in range; "clip" skips the buffered copy of "raise"
+            features.take(rows, axis=0, out=x_row, mode="clip")
+            labels.take(rows, out=y_row, mode="clip")
         try:
-            losses[t] = step(features[batch], labels[batch])
+            losses[t] = step(xs.astype(np.float64, copy=False), ys)
         except NonFiniteError as exc:
             raise NonFiniteError(f"step {t}: {exc}") from None
 
@@ -318,16 +427,20 @@ def train(
 
     step.write_back()
     if bma is not None:
-        ensemble_params = bma.avg.copy()
+        ensemble = bma.avg
     elif ema_avg is not None:
-        ensemble_params = ema_avg
+        ensemble = ema_avg
     else:
-        ensemble_params = params.copy()
+        ensemble = params.copy()
 
-    return RunResult(
-        final_params=params,
-        ensemble_params=ensemble_params,
-        loss_curve=losses,
-        config=cfg,
-        trajectory=trajectory,
-    )
+    results = [
+        RunResult(
+            final_params=params[i],
+            ensemble_params=ensemble[i],
+            loss_curve=losses[:, i].copy(),
+            config=lane_cfg,
+            trajectory=None if trajectory is None else [snap[i] for snap in trajectory],
+        )
+        for i, lane_cfg in enumerate(cfgs)
+    ]
+    return results[0] if single else results

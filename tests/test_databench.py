@@ -30,6 +30,10 @@ def test_spec_validation():
         BenchmarkSpec(num_classes=2, base_fraction=0.01)
     with pytest.raises(ValueError):
         BenchmarkSpec(test_domain=5)
+    for name in ("embed_dim", "input_dim", "samples_per_class_per_domain"):
+        for size in (0, -1):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                BenchmarkSpec(**{name: size})
 
 
 def test_degenerate_generation_reproduces_prototypes():

@@ -412,6 +412,63 @@ def test_cli_ablate_runs(tmp_path, capsys):
         assert set(row) == {"acc_base", "acc_new", "acc_h"}
 
 
+def test_cli_ablate_json_is_run_ablation_over_the_seed_lanes(tmp_path, capsys):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data, per_class=4)) == 0
+    capsys.readouterr()
+    assert main(["ablate", "--data", str(data), "--seeds", "3", "--steps", "4",
+                 "--batch", "4", "--hidden", "8", "--json"]) == 0
+    payload = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    want = evalcli.run_ablation(db.load(data), [0, 1, 2], steps=4, batch=4, hidden=8)
+    assert payload == want
+    assert list(payload) == sorted(want)  # printed with sorted keys
+
+
+def test_cli_sizes_below_one(tmp_path, capsys):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data, per_class=4)) == 0
+    run = tmp_path / "r.bin"
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                 "--hidden", "0"]) == 1
+    assert "--hidden must be >= 1" in capsys.readouterr().err
+    assert not run.exists()
+    for flag in ("--seeds", "--hidden"):
+        assert main(["ablate", "--data", str(data), "--steps", "2", flag, "0"]) == 1
+        assert f"{flag} must be >= 1" in capsys.readouterr().err
+    for flag, name in (("--embed-dim", "embed_dim"), ("--input-dim", "input_dim"),
+                       ("--per-class", "samples_per_class_per_domain")):
+        out = tmp_path / f"{name}.emba"
+        args = _gen_args(out)
+        args[args.index(flag) + 1] = "0"
+        assert main(args) == 2
+        assert f"{name} must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
+
+
+def test_cli_eval_text_prints_the_topk_report(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open",
+                 "--topk", "3"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open",
+                 "--topk", "3", "--json"]) == 0
+    report = EvalReport.from_json(capsys.readouterr().out.strip().splitlines()[-1])
+    samples = [line for line in lines if line.startswith("  sample ")]
+    assert len(samples) == len(report.topk) > 0
+    for line, (sample, ranked) in zip(samples, report.topk):
+        head, entries = line.split(": ", 1)
+        assert head == f"  sample {sample}"
+        pairs = [entry.split(":") for entry in entries.split(" ")]
+        assert len(pairs) == 3
+        assert [int(c) for c, _ in pairs] == [c for c, _ in ranked]
+        assert [float(p) for _, p in pairs] == [round(p, 4) for _, p in ranked]
+    # the ranking follows the accuracy lines
+    assert lines.index(samples[0]) > max(i for i, line in enumerate(lines)
+                                         if line.startswith("  domain "))
+
+
 def _trained_run(tmp_path):
     data = tmp_path / "bench.emba"
     run = tmp_path / "run.bin"

@@ -161,3 +161,13 @@ def test_text_head_init_single_class_and_dim_error():
     wrong = LinearHead.init(1, 3, rng)
     with pytest.raises(ShapeError):
         text_head_init(wrong, bank)
+
+
+def test_init_rejects_sizes_below_one():
+    rng = np.random.default_rng(10)
+    for sizes, name in (((0, 5, 3), "d_in"), ((4, 0, 3), "hidden"), ((4, 5, -1), "d_out")):
+        with pytest.raises(ValueError, match=f"encoder {name} must be >= 1"):
+            Encoder.init(*sizes, rng)
+    for sizes, name in (((0, 3), "num_classes"), ((6, 0), "d_in")):
+        with pytest.raises(ValueError, match=f"linear head {name} must be >= 1"):
+            LinearHead.init(*sizes, rng)
