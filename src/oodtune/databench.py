@@ -175,23 +175,20 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     bank = ClassBank(prototypes, names)
 
     lifted = bank.embeddings @ lift.T  # C x d_in
-    rows = []
-    labels = []
-    domains = []
-    n = spec.samples_per_class_per_domain
+    c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
+    features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
     for m in range(spec.num_domains):
         base_points = lifted @ rotations[m].T + offsets[m]
-        for c in range(spec.num_classes):
-            noise = spec.noise_sigma * rng.standard_normal((n, spec.input_dim))
-            rows.append(base_points[c] + noise)
-            labels.extend([c] * n)
-            domains.extend([m] * n)
+        # one draw per domain gives the float64 normals of C draws of n rows
+        points = rng.standard_normal((c, n, d_in))
+        points *= spec.noise_sigma
+        points += base_points[:, None, :]
+        features[m] = points
 
-    features = np.concatenate(rows).astype(np.float32)
     return EmbeddingArchive(
-        features=features,
-        labels=np.asarray(labels, dtype=np.uint32),
-        domains=np.asarray(domains, dtype=np.uint32),
+        features=features.reshape(-1, d_in),
+        labels=np.tile(np.repeat(np.arange(c, dtype=np.uint32), n), spec.num_domains),
+        domains=np.repeat(np.arange(spec.num_domains, dtype=np.uint32), c * n),
         bank=bank,
     )
 

@@ -56,7 +56,12 @@ def bma_init(theta0: ParamVector, total_steps: int, beta: float) -> BmaState:
 
 
 def bma_update(state: BmaState, theta_t: ParamVector) -> BmaState:
-    """Fold the next snapshot into the running weighted average."""
+    """Fold the next snapshot into the running weighted average.
+
+    Updates state.avg, state.weight_sum and state.step in place and returns
+    `state`. Every element is computed as
+    avg + (alpha / new_sum) * (theta_t - avg).
+    """
     if state.step >= state.total_steps:
         raise RuntimeError(
             f"moving average already saw all {state.total_steps} updates"
@@ -68,8 +73,12 @@ def bma_update(state: BmaState, theta_t: ParamVector) -> BmaState:
     new_sum = state.weight_sum + alpha
     # delta form of (ws*avg + alpha*theta)/new_sum: a constant
     # trajectory stays a bit-exact fixed point
-    new_avg = state.avg + (alpha / new_sum) * (theta_t - state.avg)
-    return BmaState(new_avg, new_sum, state.step + 1, state.total_steps, state.beta)
+    delta = theta_t - state.avg
+    delta *= alpha / new_sum
+    state.avg += delta
+    state.weight_sum = new_sum
+    state.step += 1
+    return state
 
 
 def temporal_ensemble(trajectory: list[ParamVector], beta: float) -> ParamVector:
@@ -85,9 +94,17 @@ def temporal_ensemble(trajectory: list[ParamVector], beta: float) -> ParamVector
 
 
 def ema_update(avg: ParamVector, theta_t: ParamVector, decay: float) -> ParamVector:
+    """decay * avg + (1 - decay) * theta_t, elementwise.
+
+    A float64 array `avg` is updated in place and returned; any other
+    `avg` is converted to a new float64 array first.
+    """
     if not 0 < decay < 1:
         raise ValueError(f"decay must lie in (0, 1), got {decay}")
-    return decay * np.asarray(avg, dtype=np.float64) + (1.0 - decay) * np.asarray(theta_t, dtype=np.float64)
+    avg = np.asarray(avg, dtype=np.float64)
+    avg *= decay
+    avg += (1.0 - decay) * np.asarray(theta_t, dtype=np.float64)
+    return avg
 
 
 def uniform_average(trajectory: list[ParamVector]) -> ParamVector:

@@ -251,3 +251,57 @@ def test_load_rejects_inconsistent_counts(tmp_path):
     trailing.write_bytes(trailing.read_bytes() + b"junk")
     with pytest.raises(ArchiveFormatError, match="4 trailing bytes"):
         db.load(trailing)
+
+
+def _generate_row_by_row(spec):
+    """`generate` as it was written first: one noise draw per class and
+    domain, concatenated; kept as the reference for the batched draws."""
+    rng = np.random.default_rng([spec.seed, 0])
+    prototypes = db._sample_prototypes(rng, spec.num_classes, spec.embed_dim)
+    if spec.identity_lift:
+        lift = np.eye(spec.input_dim)
+    else:
+        q, r = np.linalg.qr(rng.standard_normal((spec.input_dim, spec.embed_dim)))
+        lift = q * np.sign(np.diag(r))
+    rotations, offsets = [], []
+    for _ in range(spec.num_domains):
+        rotations.append(db._random_rotation(rng, spec.input_dim, spec.domain_strength))
+        offsets.append(spec.domain_strength * rng.standard_normal(spec.input_dim))
+    bank = db.ClassBank(prototypes, [f"class_{c:03d}" for c in range(spec.num_classes)])
+    lifted = bank.embeddings @ lift.T
+    rows, labels, domains = [], [], []
+    n = spec.samples_per_class_per_domain
+    for m in range(spec.num_domains):
+        base_points = lifted @ rotations[m].T + offsets[m]
+        for c in range(spec.num_classes):
+            rows.append(base_points[c] + spec.noise_sigma * rng.standard_normal((n, spec.input_dim)))
+            labels.extend([c] * n)
+            domains.extend([m] * n)
+    return db.EmbeddingArchive(np.concatenate(rows).astype(np.float32),
+                               np.asarray(labels, dtype=np.uint32),
+                               np.asarray(domains, dtype=np.uint32), bank)
+
+
+# every spec the suite generates an archive from
+SUITE_SPECS = [
+    dict(num_classes=6, num_domains=2, embed_dim=16, input_dim=16, samples_per_class_per_domain=4,
+         test_domain=1, noise_sigma=0.0, domain_strength=0.0, identity_lift=True, seed=3),
+    dict(num_classes=4, num_domains=2, embed_dim=8, input_dim=8, samples_per_class_per_domain=3,
+         test_domain=1, noise_sigma=0.0, domain_strength=0.0, identity_lift=True, seed=0),
+    dict(num_classes=6, num_domains=2, embed_dim=8, input_dim=8, samples_per_class_per_domain=3,
+         test_domain=1, identity_lift=True, seed=13),
+    *[dict(num_classes=c, num_domains=2, embed_dim=12, input_dim=16, test_domain=1,
+           samples_per_class_per_domain=n, seed=seed)
+      for c, n, seed in ((8, 4, 0), (8, 4, 2), (8, 6, 0), (8, 6, 7), (9, 6, 0))],
+    *[dict(samples_per_class_per_domain=n, seed=seed)
+      for n, seed in ((10, 0), (10, 1), (10, 5), (5, 0), (5, 11), (50, 0), (50, 123))],
+    dict(samples_per_class_per_domain=5, seed=11, shots=2),
+]
+
+
+@pytest.mark.parametrize("fields", SUITE_SPECS)
+def test_batched_noise_draws_write_the_archive_bytes_of_the_row_by_row_loop(tmp_path, fields):
+    spec = BenchmarkSpec(**fields)
+    db.save(generate(spec), tmp_path / "batched.emba")
+    db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
+    assert (tmp_path / "batched.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()

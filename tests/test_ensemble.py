@@ -156,3 +156,27 @@ def test_uniform_average():
     )
     constant = [np.array([7.0])] * 4
     np.testing.assert_array_equal(uniform_average(constant), [7.0])
+
+
+def test_in_place_updates_equal_the_out_of_place_expressions_bit_for_bit():
+    rng = np.random.default_rng(4)
+    trajectory = [rng.standard_normal(257) for _ in range(51)]
+    for beta in (0.3, 1.0):
+        state = bma_init(trajectory[0], 50, beta)
+        avg, weight_sum = trajectory[0].copy(), state.weight_sum
+        for t, theta in enumerate(trajectory[1:], start=1):
+            alpha = beta_weight(t, 50, beta)
+            weight_sum += alpha
+            avg = avg + (alpha / weight_sum) * (theta - avg)
+            held = state.avg
+            assert bma_update(state, theta) is state
+            assert state.avg is held
+            assert state.avg.tobytes() == avg.tobytes()
+            assert (state.weight_sum, state.step) == (weight_sum, t)
+
+    ema = trajectory[0].copy()
+    want = trajectory[0].copy()
+    for theta in trajectory[1:]:
+        want = 0.9 * want + (1.0 - 0.9) * theta
+        assert ema_update(ema, theta, 0.9) is ema
+        assert ema.tobytes() == want.tobytes()

@@ -622,3 +622,93 @@ def test_python_dash_m_runs_the_cli():
                           capture_output=True, text=True, env=env)
     assert done.returncode == 1
     assert done.stderr.startswith("usage error: ")
+
+
+@pytest.mark.parametrize("tau", [0.0, float("nan"), -0.01])
+@pytest.mark.parametrize("topk", [None, 2])
+def test_evaluate_rejects_a_temperature_that_is_not_finite_and_positive(tau, topk):
+    archive = generate(NOISELESS)
+    splits = split(archive, NOISELESS)
+    with pytest.raises(ValueError, match="tau must be finite and positive"):
+        evaluate(identity_encoder(16), archive.bank, splits.test_both, splits.base_classes,
+                 tau=tau, topk=topk)
+
+
+def _sweep_cutoff(num_classes):
+    """The largest k for which _top_k still runs argmax sweeps."""
+    return max(k for k in range(1, num_classes) if evalcli._sweeps_pay(k, num_classes))
+
+
+@pytest.mark.parametrize("num_classes", [20, 60])
+def test_top_k_is_a_stable_argsort_on_tied_scores(num_classes):
+    rng = np.random.default_rng(num_classes)
+    scores = rng.choice([-0.5, 0.0, 0.25], size=(300, num_classes))  # ties everywhere
+    before = scores.copy()
+    cutoff = _sweep_cutoff(num_classes)
+    assert 1 < cutoff < num_classes - 1
+    want = np.argsort(-scores, axis=1, kind="stable")
+    for k in sorted({1, 2, 5, cutoff, cutoff + 1, num_classes - 1, num_classes,
+                     num_classes + 3}):
+        ids, vals = evalcli._top_k(scores, k)
+        assert np.array_equal(ids, want[:, :k]), k
+        assert np.array_equal(vals, np.take_along_axis(scores, want[:, :k], axis=1)), k
+        assert scores.tobytes() == before.tobytes()
+
+
+def test_top_k_ranks_rows_holding_minus_infinity_like_the_stable_argsort():
+    rng = np.random.default_rng(7)
+    scores = rng.choice([-np.inf, -1.0, 0.0, 2.0], size=(50, 12))
+    scores[[0, 1, 4]] = -np.inf
+    scores[0, 9] = 3.0  # all but one score is -inf
+    scores[4, 0] = 3.0  # the second sweep picks id 0 again
+    scores[2, 4] = np.nan  # NaN sorts last, as in the argsort
+    scores[3, [2, 5]] = np.inf
+    before = scores.copy()
+    want = np.argsort(-scores, axis=1, kind="stable")
+    for k in (1, 2, 3, 5, 11):
+        ids, _ = evalcli._top_k(scores, k)
+        assert np.array_equal(ids, want[:, :k]), k
+        assert scores.tobytes() == before.tobytes()
+
+
+def test_linear_head_logits_overflowing_to_minus_infinity_rank_like_the_argsort(monkeypatch):
+    spec = BenchmarkSpec(samples_per_class_per_domain=10, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    enc.b2.data[:] = 100.0  # every encoder output is positive
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    overflow = [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16]
+    head.weights.data[overflow] = -1e308  # finite weights, logits of -inf
+    blocks = _recorded_blocks(monkeypatch)
+    for k in (8, 9, 16):
+        blocks.clear()
+        with np.errstate(over="ignore"):
+            report = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
+                              head=head, topk=k)
+        scores = np.concatenate(blocks)
+        assert np.isneginf(scores[:, overflow]).all()
+        want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        assert np.array_equal([[c for c, _ in ranked] for _, ranked in report.topk], want)
+
+
+def test_top_k_predictions_equal_the_plain_argmax_on_an_open_eval_archive(monkeypatch):
+    spec = BenchmarkSpec(num_classes=1000, embed_dim=64, input_dim=96,
+                         samples_per_class_per_domain=20, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
+    argmax = []
+    inner = evalcli._scores
+
+    def recording(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        argmax.append(np.argmax(out, axis=1))
+        return out
+
+    monkeypatch.setattr(evalcli, "_scores", recording)
+    top = evaluate(enc, archive.bank, splits.test_open, splits.base_classes, topk=5)
+    assert np.array_equal([ranked[0][0] for _, ranked in top.topk], np.concatenate(argmax))
+    plain = evaluate(enc, archive.bank, splits.test_open, splits.base_classes)
+    assert (top.acc_base, top.acc_new, top.per_domain, top.per_class) == \
+        (plain.acc_base, plain.acc_new, plain.per_domain, plain.per_class)

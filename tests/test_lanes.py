@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oodtune import databench as db
+from oodtune import evalcli as ev
 from oodtune import losses as L
 from oodtune import trainer as tr
 from oodtune.evalcli import ABLATION_GRID, evaluate, run_ablation
@@ -210,3 +211,18 @@ def test_run_ablation_rejects_an_empty_seed_list():
     archive = db.generate(db.BenchmarkSpec(samples_per_class_per_domain=5))
     with pytest.raises(ValueError, match="at least one seed"):
         run_ablation(archive, [], steps=3)
+
+
+def test_run_ablation_evaluates_every_lane_on_one_held_out_cell(monkeypatch):
+    archive = db.generate(db.BenchmarkSpec(samples_per_class_per_domain=5))
+    cells = []
+    real = ev.evaluate
+
+    def recorded(encoder, bank, subset, *args, **kwargs):
+        cells.append(subset)
+        return real(encoder, bank, subset, *args, **kwargs)
+
+    monkeypatch.setattr(ev, "evaluate", recorded)
+    run_ablation(archive, [0, 1, 2], steps=3, batch=4, hidden=8)
+    assert len(cells) == 12 and all(cell is cells[0] for cell in cells)
+    assert np.array_equal(cells[0].indices, np.flatnonzero(archive.domains == 2))
