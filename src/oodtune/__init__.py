@@ -16,7 +16,7 @@ from .ensemble import (
 )
 from .trainer import TrainerConfig, TrainSet, cosine_lr, adamw_step, train
 from .databench import BenchmarkSpec, EmbeddingArchive, generate, split
-from .evalcli import EvalReport, evaluate, zero_shot_evaluate, main
+from .evalcli import EvalReport, evaluate, main
 
 __all__ = [
     "Tensor", "Tape", "matmul", "l2_normalize", "log_softmax",
@@ -26,5 +26,5 @@ __all__ = [
     "temporal_ensemble", "ema_update", "uniform_average",
     "TrainerConfig", "TrainSet", "cosine_lr", "adamw_step", "train",
     "BenchmarkSpec", "EmbeddingArchive", "generate", "split",
-    "EvalReport", "evaluate", "zero_shot_evaluate", "main",
+    "EvalReport", "evaluate", "main",
 ]

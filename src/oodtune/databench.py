@@ -284,39 +284,67 @@ def save(archive: EmbeddingArchive, path) -> None:
             fh.write(raw)
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise TruncatedFileError(
-            f"truncated while reading {what}: expected {count} bytes, got {len(buf)}"
-        )
-    return buf
+class BoundedReader:
+    """Section-by-section reads of a binary file that check each declared
+    length against the bytes left before reading it, so a corrupt length
+    field raises `error` instead of asking for more memory than the file
+    holds. `left` counts the bytes not yet read."""
+
+    def __init__(self, fh, error: type[ValueError]):
+        self._fh = fh
+        self._error = error
+        self.left = os.fstat(fh.fileno()).st_size - fh.tell()
+
+    def _check(self, count: int, available: int, what: str) -> None:
+        if count > available:
+            raise self._error(
+                f"truncated while reading {what}: expected {count} bytes, got {available}"
+            )
+
+    def read(self, count: int, what: str) -> bytes:
+        self._check(count, self.left, what)
+        buf = self._fh.read(count)
+        self._check(count, len(buf), what)  # the file shrank after it was opened
+        self.left -= count
+        return buf
+
+    def array(self, dtype, count: int, what: str) -> np.ndarray:
+        """`count` items of `dtype`, read straight into a new array. A bytes
+        buffer copied into the array would hold the section twice, and in a
+        long-running process its pages were often faulted in afresh on every
+        load."""
+        dtype = np.dtype(dtype)
+        self._check(count * dtype.itemsize, self.left, what)
+        out = np.empty(count, dtype=dtype)
+        self._check(out.nbytes, self._fh.readinto(out), what)
+        self.left -= out.nbytes
+        return out
 
 
 def load(path) -> EmbeddingArchive:
     with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
+        reader = BoundedReader(fh, TruncatedFileError)
+        magic = reader.read(4, "magic")
         if magic != MAGIC:
             raise BadMagicError(f"bad magic {magic!r}, expected {MAGIC!r}")
-        version = _read_exact(fh, 1, "version")[0]
+        version = reader.read(1, "version")[0]
         if version != VERSION:
             raise VersionError(f"unsupported version {version}, expected {VERSION}")
-        n, d_in, d, c, m = struct.unpack("<5I", _read_exact(fh, 20, "header"))
-        features = np.frombuffer(
-            _read_exact(fh, 4 * n * d_in, "features"), dtype="<f4"
-        ).reshape(n, d_in).copy()
-        labels = np.frombuffer(_read_exact(fh, 4 * n, "labels"), dtype="<u4").copy()
-        domains = np.frombuffer(_read_exact(fh, 4 * n, "domains"), dtype="<u4").copy()
-        bank_rows = np.frombuffer(
-            _read_exact(fh, 4 * c * d, "bank rows"), dtype="<f4"
-        ).reshape(c, d).astype(np.float64)
+        n, d_in, d, c, m = struct.unpack("<5I", reader.read(20, "header"))
+        features = reader.array("<f4", n * d_in, "features").reshape(n, d_in)
+        labels = reader.array("<u4", n, "labels")
+        domains = reader.array("<u4", n, "domains")
+        bank_rows = reader.array("<f4", c * d, "bank rows").reshape(c, d).astype(np.float64)
         names = []
         for i in range(c):
-            (length,) = struct.unpack("<H", _read_exact(fh, 2, f"name length {i}"))
-            names.append(_read_exact(fh, length, f"name {i}").decode("utf-8"))
-        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
-    if trailing:
-        raise ArchiveFormatError(f"{trailing} trailing bytes after the class names")
+            (length,) = struct.unpack("<H", reader.read(2, f"name length {i}"))
+            raw = reader.read(length, f"name {i}")
+            try:
+                names.append(raw.decode("utf-8"))
+            except UnicodeDecodeError as exc:
+                raise ArchiveFormatError(f"name {i} is not UTF-8: {exc.reason}") from None
+    if reader.left:
+        raise ArchiveFormatError(f"{reader.left} trailing bytes after the class names")
     if labels.size and int(labels.max()) >= c:
         raise ArchiveFormatError(f"label {int(labels.max())} >= class count {c}")
     if domains.size and int(domains.max()) >= m:

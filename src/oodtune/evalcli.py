@@ -14,10 +14,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import struct
 import sys
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -275,18 +274,6 @@ def evaluate(
     )
 
 
-def zero_shot_evaluate(
-    encoder0: Encoder,
-    bank: ClassBank,
-    subset: SplitSubset,
-    base_classes,
-    tau: float = 0.01,
-    topk: int | None = None,
-) -> EvalReport:
-    """Evaluation with the untrained (initial) encoder: the zero-shot baseline."""
-    return evaluate(encoder0, bank, subset, base_classes, tau=tau, topk=topk)
-
-
 # ---------------------------------------------------------------------------
 # Run file container
 
@@ -319,30 +306,27 @@ def save_run(path, config: dict, loss_curve, final_params, ensemble_params) -> N
         fh.write(ens.tobytes())
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    buf = fh.read(count)
-    if len(buf) != count:
-        raise RunFileError(f"truncated while reading {what}: expected {count} bytes, got {len(buf)}")
-    return buf
-
-
 def load_run(path) -> RunFile:
     with open(path, "rb") as fh:
-        if _read_exact(fh, 4, "magic") != RUN_MAGIC:
+        reader = db.BoundedReader(fh, RunFileError)
+        if reader.read(4, "magic") != RUN_MAGIC:
             raise RunFileError("bad run-file magic")
-        if _read_exact(fh, 1, "version")[0] != RUN_VERSION:
+        if reader.read(1, "version")[0] != RUN_VERSION:
             raise RunFileError("unsupported run-file version")
-        (clen,) = struct.unpack("<I", _read_exact(fh, 4, "config length"))
-        config = json.loads(_read_exact(fh, clen, "config").decode("utf-8"))
-        (t,) = struct.unpack("<I", _read_exact(fh, 4, "curve length"))
-        curve = np.frombuffer(_read_exact(fh, 4 * t, "loss curve"), dtype="<f4").copy()
-        (p,) = struct.unpack("<I", _read_exact(fh, 4, "final length"))
-        final = np.frombuffer(_read_exact(fh, 8 * p, "final params"), dtype="<f8").copy()
-        (q,) = struct.unpack("<I", _read_exact(fh, 4, "ensemble length"))
-        ens = np.frombuffer(_read_exact(fh, 8 * q, "ensemble params"), dtype="<f8").copy()
-        trailing = os.fstat(fh.fileno()).st_size - fh.tell()
-    if trailing:
-        raise RunFileError(f"{trailing} trailing bytes after the ensemble params")
+        (clen,) = struct.unpack("<I", reader.read(4, "config length"))
+        raw = reader.read(clen, "config")
+        try:
+            config = json.loads(raw.decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise RunFileError(f"run config is not UTF-8 JSON: {exc}") from None
+        (t,) = struct.unpack("<I", reader.read(4, "curve length"))
+        curve = reader.array("<f4", t, "loss curve")
+        (p,) = struct.unpack("<I", reader.read(4, "final length"))
+        final = reader.array("<f8", p, "final params")
+        (q,) = struct.unpack("<I", reader.read(4, "ensemble length"))
+        ens = reader.array("<f8", q, "ensemble params")
+    if reader.left:
+        raise RunFileError(f"{reader.left} trailing bytes after the ensemble params")
     return RunFile(config=config, loss_curve=curve, final_params=final, ensemble_params=ens)
 
 
@@ -398,25 +382,29 @@ def build_parser() -> _Parser:
     gen.add_argument("--seed", type=int, default=0)
     gen.add_argument("--out", required=True)
 
-    train = sub.add_parser("train", help="fine-tune on the base-class training domains")
-    train.add_argument("--data", required=True)
+    # the flags train and ablate share
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--data", required=True)
+    common.add_argument("--lr", type=float, default=3e-3)
+    common.add_argument("--batch", type=int, default=36)
+    common.add_argument("--hidden", type=int, default=64)
+    common.add_argument("--base-fraction", type=float, default=0.5)
+    common.add_argument("--test-domain", type=int, default=None,
+                        help="held-out domain; defaults to the last one")
+
+    train = sub.add_parser("train", parents=[common],
+                           help="fine-tune on the base-class training domains")
     train.add_argument("--out", required=True)
     train.add_argument("--lambda", dest="lam", type=float, default=0.3)
     train.add_argument("--beta", type=float, default=0.5)
     train.add_argument("--tau", type=float, default=0.01)
-    train.add_argument("--lr", type=float, default=3e-3)
     train.add_argument("--steps", type=int, default=5000)
-    train.add_argument("--batch", type=int, default=36)
     train.add_argument("--weight-decay", type=float, default=0.1)
-    train.add_argument("--hidden", type=int, default=64)
     train.add_argument("--seed", type=int, default=0)
     train.add_argument("--margin", default="adaptive")
     train.add_argument("--ensemble", default="bma")
     train.add_argument("--head", choices=[tr.HEAD_METRIC, tr.HEAD_LINEAR], default=tr.HEAD_METRIC)
     train.add_argument("--bma-every", type=int, default=1)
-    train.add_argument("--base-fraction", type=float, default=0.5)
-    train.add_argument("--test-domain", type=int, default=None,
-                       help="held-out domain; defaults to the last one")
     train.add_argument("--shots", type=int, default=None)
 
     ev = sub.add_parser("eval", help="evaluate a run file on a protocol split")
@@ -427,24 +415,20 @@ def build_parser() -> _Parser:
     ev.add_argument("--topk", type=int, default=None)
     ev.add_argument("--json", action="store_true")
 
-    ab = sub.add_parser("ablate", help="sweep margin x ensemble and report mean H")
-    ab.add_argument("--data", required=True)
+    ab = sub.add_parser("ablate", parents=[common],
+                        help="sweep margin x ensemble and report mean H")
     ab.add_argument("--seeds", type=int, default=5)
     ab.add_argument("--steps", type=int, default=300)
-    ab.add_argument("--lr", type=float, default=3e-3)
-    ab.add_argument("--batch", type=int, default=36)
-    ab.add_argument("--hidden", type=int, default=64)
-    ab.add_argument("--base-fraction", type=float, default=0.5)
-    ab.add_argument("--test-domain", type=int, default=None)
     ab.add_argument("--json", action="store_true")
     return parser
 
 
-def _spec_for_archive(archive: db.EmbeddingArchive, base_fraction: float,
-                      test_domain: int | None, seed: int,
-                      shots: int | None = None) -> db.BenchmarkSpec:
+def _splits(archive: db.EmbeddingArchive, base_fraction: float, test_domain: int | None,
+            seed: int, shots: int | None = None) -> db.Splits:
+    """The protocol cells of the archive for one seed; a test_domain of None
+    holds out the last domain."""
     m = archive.num_domains
-    return db.BenchmarkSpec(
+    return db.split(archive, db.BenchmarkSpec(
         num_classes=archive.bank.num_classes,
         num_domains=m,
         embed_dim=archive.bank.dim,
@@ -454,7 +438,19 @@ def _spec_for_archive(archive: db.EmbeddingArchive, base_fraction: float,
         test_domain=m - 1 if test_domain is None else test_domain,
         seed=seed,
         shots=shots,
-    )
+    ))
+
+
+def _init_model(archive: db.EmbeddingArchive, seed: int, hidden: int,
+                head: str) -> tuple[Encoder, LinearHead | None]:
+    """The seeded initial encoder of a run on the archive, and with the
+    linear head mode its head, initialized from the class bank."""
+    rng = np.random.default_rng([seed, 0])
+    encoder = Encoder.init(archive.input_dim, hidden, archive.bank.dim, rng)
+    if head != tr.HEAD_LINEAR:
+        return encoder, None
+    linear = LinearHead.init(archive.bank.num_classes, archive.bank.dim, rng)
+    return encoder, text_head_init(linear, archive.bank)
 
 
 # run-config fields that eval reads, with the JSON types each may hold
@@ -487,20 +483,6 @@ def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
         if config[key] != actual:
             raise RunFileError(
                 f"run config field {key!r} is {config[key]}, the archive has {actual}")
-
-
-def _build_model(config: dict, bank: ClassBank) -> tuple[Encoder, LinearHead | None]:
-    rng = np.random.default_rng([config["seed"], 0])
-    encoder = Encoder.init(config["input_dim"], config["hidden"], config["embed_dim"], rng)
-    head = None
-    if config["head"] == tr.HEAD_LINEAR:
-        head = LinearHead.init(bank.num_classes, bank.dim, rng)
-        text_head_init(head, bank)
-    return encoder, head
-
-
-def _set_model_params(encoder: Encoder, head: LinearHead | None, flat: np.ndarray) -> None:
-    unflatten_params(encoder.parameters() + ([head.weights] if head is not None else []), flat)
 
 
 def _cmd_gen(args) -> int:
@@ -542,31 +524,17 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
     if ensemble_mode in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG) and cfg.bma_every > cfg.steps:
         raise UsageError(f"--bma-every {cfg.bma_every} exceeds --steps {cfg.steps}: "
                          f"the {ensemble_mode} ensemble would get no update")
+    # the run config echo: the config's fields with the loss fields inlined
+    # and lam named lambda, plus the model, archive and split fields
+    echo = asdict(cfg)
+    echo.update(echo.pop("loss"))
+    echo["lambda"] = echo.pop("lam")
     m = archive.num_domains
-    echo = {
-        "steps": cfg.steps,
-        "batch_size": cfg.batch_size,
-        "base_lr": cfg.base_lr,
-        "weight_decay": cfg.weight_decay,
-        "beta": cfg.beta,
-        "tau": cfg.loss.tau,
-        "lambda": cfg.loss.lam,
-        "margin_mode": cfg.loss.margin_mode,
-        "fixed_margin": cfg.loss.fixed_margin,
-        "seed": cfg.seed,
-        "ensemble_mode": cfg.ensemble_mode,
-        "ema_decay": cfg.ema_decay,
-        "bma_every": cfg.bma_every,
-        "head": cfg.head,
-        "hidden": args.hidden,
-        "input_dim": archive.input_dim,
-        "embed_dim": archive.bank.dim,
-        "num_classes": archive.bank.num_classes,
-        "num_domains": m,
-        "base_fraction": args.base_fraction,
-        "test_domain": m - 1 if args.test_domain is None else args.test_domain,
-        "shots": args.shots,
-    }
+    echo.update(hidden=args.hidden, input_dim=archive.input_dim, embed_dim=archive.bank.dim,
+                num_classes=archive.bank.num_classes, num_domains=m,
+                base_fraction=args.base_fraction,
+                test_domain=m - 1 if args.test_domain is None else args.test_domain,
+                shots=args.shots)
     return cfg, echo
 
 
@@ -575,15 +543,10 @@ def _cmd_train(args) -> int:
         raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
     archive = db.load(args.data)
     cfg, echo = _train_config(args, archive)
-    spec = _spec_for_archive(archive, args.base_fraction, args.test_domain,
-                             args.seed, args.shots)
-    splits = db.split(archive, spec)
-    encoder, head = _build_model(echo, archive.bank)
-    result = tr.train(
-        encoder, archive.bank,
-        tr.TrainSet(splits.train.features.astype(np.float64), splits.train.labels),
-        cfg, head=head,
-    )
+    splits = _splits(archive, args.base_fraction, args.test_domain, args.seed, args.shots)
+    encoder, head = _init_model(archive, args.seed, args.hidden, args.head)
+    result = tr.train(encoder, archive.bank,
+                      tr.TrainSet(splits.train.features, splits.train.labels), cfg, head=head)
     save_run(args.out, echo, result.loss_curve, result.final_params, result.ensemble_params)
     print(f"wrote {args.out} (final loss {result.loss_curve[-1]:.4f})")
     return 0
@@ -596,9 +559,8 @@ def _cmd_eval(args) -> int:
     run = load_run(args.run)
     config = run.config
     _check_run_config(config, archive)
-    spec = _spec_for_archive(archive, config["base_fraction"], config["test_domain"],
-                             config["seed"], config.get("shots"))
-    splits = db.split(archive, spec)
+    splits = _splits(archive, config["base_fraction"], config["test_domain"], config["seed"],
+                     config.get("shots"))
     subset = {
         "domain": splits.test_domain_shift,
         "open": splits.test_open,
@@ -606,12 +568,11 @@ def _cmd_eval(args) -> int:
         "train": splits.train,
     }[args.split]
 
-    encoder, head = _build_model(config, archive.bank)
-    if args.params == "final":
-        _set_model_params(encoder, head, run.final_params)
-    elif args.params == "ensemble":
-        _set_model_params(encoder, head, run.ensemble_params)
-    # "zero" keeps the seeded initialization
+    encoder, head = _init_model(archive, config["seed"], config["hidden"], config["head"])
+    if args.params != "zero":  # "zero" keeps the seeded initialization
+        flat = run.final_params if args.params == "final" else run.ensemble_params
+        unflatten_params(encoder.parameters() + ([head.weights] if head is not None else []),
+                         flat)
 
     report = evaluate(encoder, archive.bank, subset, splits.base_classes,
                       tau=config["tau"], head=head, topk=args.topk)
@@ -638,18 +599,6 @@ ABLATION_GRID = [
 ]
 
 
-def _ablation_cells(archive: db.EmbeddingArchive, seeds: list[int], base_fraction: float,
-                    test_domain: int | None):
-    """Per seed, the train set and the base classes; and once, the
-    held-out-domain cell, which does not depend on the seed."""
-    cells = []
-    for seed in seeds:
-        splits = db.split(archive, _spec_for_archive(archive, base_fraction, test_domain, seed))
-        cells.append((tr.TrainSet(splits.train.features, splits.train.labels),
-                      splits.base_classes))
-    return cells, splits.test_both
-
-
 def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
                  lr: float = 3e-3, batch: int = 36, hidden: int = 64,
                  base_fraction: float = 0.5, test_domain: int | None = None) -> dict:
@@ -663,18 +612,24 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
     """
     if not seeds:
         raise ValueError("run_ablation needs at least one seed")
-    cells, test = _ablation_cells(archive, seeds, base_fraction, test_domain)
+    trainsets, bases = [], []
+    for seed in seeds:
+        splits = _splits(archive, base_fraction, test_domain, seed)
+        trainsets.append(tr.TrainSet(splits.train.features, splits.train.labels))
+        bases.append(splits.base_classes)
+    # the held-out-domain cell does not depend on the seed; the last seed's
+    # other cells are not kept
+    test = splits.test_both
+    del splits
     accs = {}
     for margin in dict.fromkeys(m for m, _ in ABLATION_GRID):
         cfgs = [tr.TrainerConfig(steps=steps, batch_size=batch, base_lr=lr, seed=seed,
                                  loss=L.LossConfig(margin_mode=margin),
                                  ensemble_mode=tr.ENSEMBLE_BMA)
                 for seed in seeds]
-        encoders = [Encoder.init(archive.input_dim, hidden, archive.bank.dim,
-                                 np.random.default_rng([seed, 0]))
-                    for seed in seeds]
-        results = tr.train(encoders, archive.bank, [c[0] for c in cells], cfgs)
-        for encoder, result, (_, base) in zip(encoders, results, cells):
+        encoders = [_init_model(archive, seed, hidden, tr.HEAD_METRIC)[0] for seed in seeds]
+        results = tr.train(encoders, archive.bank, trainsets, cfgs)
+        for encoder, result, base in zip(encoders, results, bases):
             for ensemble, flat in ((tr.ENSEMBLE_BMA, result.ensemble_params),
                                    (tr.ENSEMBLE_NONE, result.final_params)):
                 encoder.set_flat(flat)

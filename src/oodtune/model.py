@@ -40,7 +40,7 @@ class ClassBank:
             )
         norms = np.linalg.norm(emb, axis=1)
         off = np.abs(norms - 1.0)
-        if np.any(off > NORM_TOLERANCE):
+        if not np.all(off <= NORM_TOLERANCE):  # a NaN row fails too
             worst = int(np.argmax(off))
             raise BankNormError(
                 f"bank row {worst} has norm {norms[worst]:.8f}, "

@@ -165,16 +165,14 @@ class FusedStep:
     -> / tau -> log-softmax NLL. Linear head: raw MLP output r, logits
     r @ W^T -> log-softmax NLL.
 
-    `encoder` is one Encoder, or a list of S Encoders of equal shapes (and
-    `head` then a list of S heads, or None): each is one lane. The
-    trainable parameters of lane i (encoder w1, b1, w2, b2, then the
-    head's weights when a head is given) are row i of the S x P block
-    `params`, and each call leaves the gradients in `grads`, same layout.
-    Both are allocated once; the pass works on S-stacked views of them and
-    runs every matmul as one stacked numpy matmul, which calls per lane
-    the same BLAS routine a 2-D product would. Built from a single
-    Encoder, the step has one lane, `params` and `grads` are P-vectors
-    and a call takes a B x d_in batch and returns a float.
+    `encoders` is a list of S Encoders of equal shapes (and `heads` a list
+    of S heads, or None): each is one lane. The trainable parameters of
+    lane i (encoder w1, b1, w2, b2, then the head's weights when heads are
+    given) are row i of the S x P block `params`, and each call leaves the
+    gradients in `grads`, same layout. Both are allocated once; the pass
+    works on S-stacked views of them and runs every matmul as one stacked
+    numpy matmul, which calls per lane the same BLAS routine a 2-D product
+    would.
 
     The encoder and head tensors are only read at construction:
     `write_back` copies each lane's parameters into them.
@@ -184,11 +182,9 @@ class FusedStep:
     lane's loss and gradient equal the Tape's bit for bit.
     """
 
-    def __init__(self, encoder: Encoder | list[Encoder], bank: ClassBank,
-                 loss_cfg: L.LossConfig, head: LinearHead | list[LinearHead] | None = None):
-        self._single = isinstance(encoder, Encoder)
-        encoders = [encoder] if self._single else list(encoder)
-        heads = [head] * len(encoders) if self._single or head is None else list(head)
+    def __init__(self, encoders: list[Encoder], bank: ClassBank, loss_cfg: L.LossConfig,
+                 heads: list[LinearHead] | None = None):
+        heads = [None] * len(encoders) if heads is None else heads
         if not encoders or len(heads) != len(encoders):
             raise ValueError(f"{len(encoders)} encoders and {len(heads)} heads")
         first, linear = encoders[0], heads[0] is not None
@@ -217,32 +213,27 @@ class FusedStep:
                          for enc, hd in zip(encoders, heads)]
         self._linear = linear
         self._skip_nonlinearity = first.skip_nonlinearity
-        self._block = np.stack([flatten_params(t) for t in self._tensors])
-        self._grad_block = np.zeros_like(self._block)
+        self.params = np.stack([flatten_params(t) for t in self._tensors])
+        self.grads = np.zeros_like(self.params)
         # biases as S x 1 x n, so they broadcast over the batch axis
         shapes = [(1,) + p.shape if len(p.shape) == 1 else p.shape for p in self._tensors[0]]
-        self._p = _lane_views(self._block, shapes)
-        self._g = _lane_views(self._grad_block, shapes)
+        self._p = _lane_views(self.params, shapes)
+        self._g = _lane_views(self.grads, shapes)
         self._w2_t = self._p[2].transpose(0, 2, 1)
-        self.params = self._block[0] if self._single else self._block
-        self.grads = self._grad_block[0] if self._single else self._grad_block
 
     def write_back(self) -> None:
         """Copy each lane's current parameters into its encoder (and head) tensors."""
-        for tensors, flat in zip(self._tensors, self._block):
+        for tensors, flat in zip(self._tensors, self.params):
             unflatten_params(tensors, flat)
 
-    def __call__(self, x: np.ndarray, labels: np.ndarray):
+    def __call__(self, x: np.ndarray, labels: np.ndarray) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
-        and return the list of S losses (one-lane step: B x d_in, B and a
-        float).
+        and return the list of S losses.
 
         Labels must lie in [0, C); train() checks them once per run.
         Raises NonFiniteError on a non-finite pre-activation or loss,
         naming the lane when there is more than one.
         """
-        if self._single:
-            x, labels = x[None], labels[None]
         w1, b1, w2, b2 = self._p[:4]
         gw1, gb1, gw2, gb2 = self._g[:4]
         s, b = labels.shape
@@ -295,7 +286,7 @@ class FusedStep:
             g_h *= 1.0 - h ** 2
         np.add.reduce(g_h, axis=1, keepdims=True, out=gb1)
         np.matmul(x.transpose(0, 2, 1), g_h, out=gw1)
-        return losses[0] if self._single else losses
+        return losses
 
 
 def _shared_fields(cfg: TrainerConfig) -> dict:

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 
@@ -215,6 +217,27 @@ def test_load_truncated_features_names_byte_counts(tmp_path):
     cut = header + feature_bytes // 2
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(TruncatedFileError, match=f"expected {feature_bytes}"):
+        db.load(path)
+
+
+@pytest.mark.parametrize("n, d_in", [(2**32 - 1, 2**30), (2**31, 2**29)])
+def test_load_rejects_a_header_claiming_more_features_than_the_file_holds(tmp_path, n, d_in):
+    # a 25-byte file claiming 2^64 or 2^62 feature bytes: the claim is checked
+    # against the bytes left before anything is read or allocated
+    path = tmp_path / "huge.emba"
+    path.write_bytes(db.MAGIC + bytes([db.VERSION]) + struct.pack("<5I", n, d_in, 4, 2, 2))
+    with pytest.raises(TruncatedFileError,
+                       match=f"reading features: expected {4 * n * d_in} bytes, got 0"):
+        db.load(path)
+
+
+def test_load_rejects_a_class_name_that_is_not_utf8(tmp_path):
+    path = tmp_path / "name.emba"
+    db.save(generate(SMALL), path)
+    raw = bytearray(path.read_bytes())
+    raw[-1] = 0xFF  # last byte of the last class name
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArchiveFormatError, match=f"name {SMALL.num_classes - 1} is not UTF-8"):
         db.load(path)
 
 

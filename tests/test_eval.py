@@ -1,5 +1,6 @@
 import json
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -19,7 +20,6 @@ from oodtune.evalcli import (
     load_run,
     main,
     save_run,
-    zero_shot_evaluate,
 )
 from oodtune.model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits,
                            similarities)
@@ -261,15 +261,6 @@ def test_report_json_round_trip():
     assert report.to_json() == back.to_json()
 
 
-def test_zero_shot_matches_evaluate_at_init():
-    archive = generate(NOISELESS)
-    splits = split(archive, NOISELESS)
-    enc = Encoder.init(16, 8, 16, np.random.default_rng(2))
-    a = zero_shot_evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
-    b = evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
-    assert a == b
-
-
 def test_run_file_round_trip(tmp_path):
     path = tmp_path / "r.run"
     config = {"seed": 1, "steps": 3}
@@ -303,6 +294,34 @@ def test_run_file_bad_magic_and_truncation(tmp_path):
     trailing.write_bytes(raw + b"junk")
     with pytest.raises(RunFileError, match="4 trailing bytes"):
         load_run(trailing)
+
+
+def _final_length_offset(raw: bytes) -> int:
+    (clen,) = struct.unpack_from("<I", raw, 5)
+    (t,) = struct.unpack_from("<I", raw, 9 + clen)
+    return 9 + clen + 4 + 4 * t
+
+
+def test_run_file_final_length_beyond_the_file_is_truncation(tmp_path):
+    path = tmp_path / "r.run"
+    save_run(path, {"seed": 0}, np.zeros(2, dtype=np.float32), np.zeros(3), np.zeros(3))
+    raw = bytearray(path.read_bytes())
+    struct.pack_into("<I", raw, _final_length_offset(raw), 2**32 - 1)  # a 34 GB claim
+    path.write_bytes(bytes(raw))
+    with pytest.raises(RunFileError, match=f"final params: expected {8 * (2**32 - 1)} bytes"):
+        load_run(path)
+
+
+@pytest.mark.parametrize("config, reason", [(b"\xff", "can't decode byte 0xff"),
+                                            (b"{", "Expecting property name")])
+def test_run_file_config_that_is_not_utf8_json(tmp_path, config, reason):
+    path = tmp_path / "r.run"
+    save_run(path, {}, np.zeros(0, dtype=np.float32), np.zeros(1), np.zeros(1))
+    raw = path.read_bytes()
+    assert raw[5:11] == struct.pack("<I", 2) + b"{}"
+    path.write_bytes(raw[:5] + struct.pack("<I", len(config)) + config + raw[11:])
+    with pytest.raises(RunFileError, match=f"run config is not UTF-8 JSON: .*{reason}"):
+        load_run(path)
 
 
 # ---------------------------------------------------------------------------
@@ -378,6 +397,60 @@ def test_cli_data_errors_exit_two(tmp_path, capsys):
                  "--input-dim", "2", "--per-class", "1",
                  "--out", str(tmp_path / "x.emba")]) == 2
     capsys.readouterr()
+
+
+def test_cli_length_fields_beyond_the_file_exit_two(tmp_path, capsys):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "1",
+                 "--hidden", "4"]) == 0
+    huge_run = tmp_path / "huge.run"
+    raw = bytearray(run.read_bytes())
+    struct.pack_into("<I", raw, _final_length_offset(raw), 2**32 - 1)
+    huge_run.write_bytes(bytes(raw))
+    assert main(["eval", "--run", str(huge_run), "--data", str(data)]) == 2
+    assert "truncated while reading final params" in capsys.readouterr().err
+
+    for n, d_in in ((2**32 - 1, 2**30), (2**31, 2**29)):
+        huge = tmp_path / "huge.emba"
+        huge.write_bytes(db.MAGIC + bytes([db.VERSION]) + struct.pack("<5I", n, d_in, 4, 2, 2))
+        assert main(["train", "--data", str(huge), "--out", str(run), "--steps", "1"]) == 2
+        assert "truncated while reading features" in capsys.readouterr().err
+        assert main(["eval", "--run", str(run), "--data", str(huge)]) == 2
+        assert "truncated while reading features" in capsys.readouterr().err
+
+
+# the config echo of `train --steps 1` on the default `gen` archive, as the
+# hand-written echo wrote it
+ECHO_DEFAULTS = (
+    '{"base_fraction":0.5,"base_lr":0.003,"batch_size":36,"beta":0.5,"bma_every":1,'
+    '"ema_decay":0.999,"embed_dim":32,"ensemble_mode":"bma","fixed_margin":0.0,'
+    '"head":"metric","hidden":64,"input_dim":48,"lambda":0.3,"margin_mode":"adaptive",'
+    '"num_classes":20,"num_domains":3,"seed":0,"shots":null,"steps":1,"tau":0.01,'
+    '"test_domain":2,"weight_decay":0.1}'
+)
+ECHO_LINEAR = (
+    '{"base_fraction":0.5,"base_lr":0.003,"batch_size":36,"beta":0.5,"bma_every":1,'
+    '"ema_decay":0.9,"embed_dim":32,"ensemble_mode":"ema","fixed_margin":0.2,'
+    '"head":"linear","hidden":64,"input_dim":48,"lambda":0.3,"margin_mode":"fixed",'
+    '"num_classes":20,"num_domains":3,"seed":0,"shots":5,"steps":1,"tau":0.01,'
+    '"test_domain":2,"weight_decay":0.1}'
+)
+
+
+@pytest.mark.parametrize("flags, echo", [
+    ([], ECHO_DEFAULTS),
+    (["--head", "linear", "--ensemble", "ema:0.9", "--margin", "fixed:0.2", "--shots", "5"],
+     ECHO_LINEAR),
+])
+def test_cli_train_config_echo_bytes(tmp_path, capsys, flags, echo):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(["gen", "--out", str(data)]) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "1"] + flags) == 0
+    capsys.readouterr()
+    raw = run.read_bytes()
+    (clen,) = struct.unpack_from("<I", raw, 5)
+    assert raw[9:9 + clen] == echo.encode()
 
 
 def test_cli_zero_lr_train_equals_zero_shot(tmp_path, capsys):

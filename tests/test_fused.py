@@ -68,11 +68,11 @@ def test_fused_step_equals_tape_bit_for_bit(linear, skip, zero_row, tau, margin)
                                  MARGINS.index(margin)])
     for _ in range(10):
         enc, bank, head, x, labels, cfg = _instance(rng, linear, skip, zero_row, tau, margin)
-        step = FusedStep(enc, bank, cfg, head)
-        loss = step(x, labels)
+        step = FusedStep([enc], bank, cfg, None if head is None else [head])
+        loss = step(x[None], labels[None])[0]
         want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, labels, cfg, head)
         assert loss == want_loss
-        assert np.array_equal(step.grads, want_grads)
+        assert np.array_equal(step.grads[0], want_grads)
 
 
 @pytest.mark.parametrize("linear", [False, True])
@@ -87,15 +87,15 @@ def test_fused_gradients_match_finite_differences(linear):
             head = LinearHead.init(6, 3, rng) if linear else None
             x = rng.standard_normal((3, 4))
             labels = rng.integers(0, 6, size=3)
-            step = FusedStep(enc, bank, L.LossConfig(tau=tau), head)
-            step(x, labels)
-            grads = step.grads.copy()
+            step = FusedStep([enc], bank, L.LossConfig(tau=tau), None if head is None else [head])
+            step(x[None], labels[None])
+            grads = step.grads[0].copy()
 
             def f(flat):
-                step.params[...] = flat
-                return step(x, labels)
+                step.params[0][...] = flat
+                return step(x[None], labels[None])[0]
 
-            fd = central_diff(f, step.params.copy(), step=1e-5)
+            fd = central_diff(f, step.params[0].copy(), step=1e-5)
             worst = max(worst, max_rel_err(grads, fd))
     assert worst < 1e-4
 

@@ -50,6 +50,13 @@ def test_bank_rejects_far_from_unit_rows():
         ClassBank(rows, ["a", "b", "c"])
 
 
+def test_bank_rejects_nan_rows():
+    rows = np.eye(3)
+    rows[2, 0] = np.nan
+    with pytest.raises(BankNormError, match="row 2 has norm nan"):
+        ClassBank(rows, ["a", "b", "c"])
+
+
 def test_bank_is_frozen():
     bank = random_bank(np.random.default_rng(2), 4, 4)
     with pytest.raises(ValueError):
