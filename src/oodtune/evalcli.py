@@ -12,10 +12,13 @@ Run file layout (little-endian):
 from __future__ import annotations
 
 import argparse
+import contextvars
 import json
 import math
+import os
 import struct
 import sys
+import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -107,6 +110,81 @@ def _row_blocks(n: int, num_classes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
+# the variables that set the BLAS thread count, in the order they are read
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _score_threads() -> int:
+    """Threads to score row blocks on: the usable cores over the BLAS
+    threads, at least one.
+
+    The BLAS thread count is the first positive integer among
+    BLAS_THREAD_VARS; with none set the BLAS is taken to use every usable
+    core, and blocks are scored on the caller's thread alone, since threads
+    that each run a multi-threaded matmul oversubscribe the cores.
+    """
+    try:
+        cores = len(os.sched_getaffinity(0))
+    except (AttributeError, OSError):  # no affinity call on this platform
+        cores = os.cpu_count() or 1
+    for name in BLAS_THREAD_VARS:
+        try:
+            blas = int(os.environ.get(name, ""))
+        except ValueError:
+            continue
+        if blas > 0:
+            break
+    else:
+        blas = cores
+    return max(1, cores // blas)
+
+
+def _run_blocks(task, blocks: list[slice], workers: int) -> None:
+    """Call task(block) for every block, on `workers` threads counting the
+    caller's, each taking the next block in row order.
+
+    Once a block fails no further block is started, and when every thread
+    has stopped the exception of the first failing block in row order is
+    raised: as the serial loop does, since each block before it was started
+    and completes. Each thread runs in a copy of the caller's context, so
+    numpy's error state (a context variable) holds in all of them.
+    """
+    if workers <= 1:
+        for block in blocks:
+            task(block)
+        return
+    pending = iter(enumerate(blocks))
+    lock = threading.Lock()
+    stop = threading.Event()
+    failed: dict[int, BaseException] = {}
+
+    def drain() -> None:
+        while not stop.is_set():
+            with lock:
+                i, block = next(pending, (None, None))
+            if block is None:
+                return
+            try:
+                task(block)
+            except BaseException as exc:  # re-raised by the caller below
+                failed[i] = exc
+                stop.set()
+                return
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
+               for _ in range(workers - 1)]
+    for thread in threads:
+        thread.start()
+    try:
+        drain()
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if failed:
+        raise failed[min(failed)]
+
+
 def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
             normalize: bool) -> np.ndarray:
     """Scores of the rows of x against the class columns of weights_t.
@@ -125,48 +203,74 @@ def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
     return r @ weights_t
 
 
-def _sweeps_pay(k: int, num_classes: int) -> bool:
-    """Whether k masked argmax sweeps over a score block cost less than one
-    stable argsort of it.
+def _ranking(k: int, num_classes: int) -> str:
+    """The cheapest way for `_top_k` to rank k of C scores per row: "sweeps"
+    (k masked argmax sweeps), "partial" (a partition, then a sort of the
+    k) or "argsort" (a stable argsort of the whole row).
 
-    Measured per block of 2^18 float64 scores (numpy 2.4, one core): a sweep
-    takes 1.5 ms at C=20, 0.27 ms at C=100 and 0.12 ms at C=1000, and the
-    stable argsort 11, 14 and 27 ms. So a sweep costs about C + 250 score
-    visits per row and the sort at least 100 C; a fixed cutoff on k would be
-    7 at C=20 and over 200 at C=1000.
+    The costs are ns per row, fitted to median timings of each method on
+    blocks of 2^18 float64 scores, C from 20 to 4000 and k from 1 to C - 1
+    (numpy 2.4, one core). Over those 151 points the pick was the fastest
+    method at 141, within 4% of it at 146 and never more than 26% slower.
+    It takes sweeps up to k = 13 at C = 100 and k = 20 at C = 1000, the
+    partial sort from there to k of about 0.6 C, and the argsort above; at
+    C = 20 the argsort from k = 6 on.
     """
-    return k * (num_classes + 250) <= 100 * num_classes
+    if k >= num_classes:
+        return "argsort"
+    costs = {
+        "sweeps": k * (0.44 * num_classes + 113),
+        "partial": 9.6 * num_classes + 12.2 * k * math.log2(k) + 585,
+        "argsort": 8.0 * num_classes * math.log2(num_classes),
+    }
+    return min(costs, key=costs.get)
 
 
 def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Ids and values of the k highest scores of each row, best first, ties
     toward the lower id: the first k columns of a stable argsort of -scores.
 
-    Sweep j takes each row's argmax, which is its first maximum, records it
-    and masks it with -inf; the recorded values are written back at the end,
-    so `scores` is left as it was found. A row whose picks reach a -inf (or
-    a NaN) score could pick an id twice and is ranked by the stable argsort,
-    as all rows are when k >= C or when k sweeps cost more than the sort.
+    With sweeps, sweep j takes each row's argmax, which is its first
+    maximum, records it and masks it with -inf; the recorded values are
+    written back at the end, so `scores` is left as it was found. A row
+    whose picks reach a -inf (or a NaN) score could pick an id twice. With
+    the partial sort, a row whose k-th best score ties the (k+1)-th (or
+    where a NaN is among them) had its top k chosen among the tied ids
+    arbitrarily. Such rows are ranked by the stable argsort, as all rows
+    are when `_ranking` picks it.
     """
     n, num_classes = scores.shape
-    if k >= num_classes or not _sweeps_pay(k, num_classes):
+    ranking = _ranking(k, num_classes)
+    if ranking == "argsort":
         ids = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         return ids, np.take_along_axis(scores, ids, axis=1)
-    work = np.ascontiguousarray(scores)
-    flat = work.reshape(-1)
-    ids = np.empty((k, n), dtype=np.intp)
-    pos = np.empty((k, n), dtype=np.intp)
-    vals = np.empty((k, n), dtype=scores.dtype)
-    row_starts = np.arange(0, n * num_classes, num_classes)
-    for j in range(k):
-        np.argmax(work, axis=1, out=ids[j])
-        np.add(row_starts, ids[j], out=pos[j])
-        flat.take(pos[j], out=vals[j])
-        flat[pos[j]] = -np.inf
-    for j in reversed(range(k)):  # a twice-picked id gets its first value last
-        flat[pos[j]] = vals[j]
-    ids, vals = ids.T, vals.T
-    redo = np.flatnonzero(~(vals > -np.inf).all(axis=1))
+    if ranking == "partial":
+        neg = -scores
+        part = np.argpartition(neg, k, axis=1)
+        # ids ascending, then a stable sort by score: the order of a stable
+        # argsort among the k
+        top = np.sort(part[:, :k], axis=1)
+        order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
+        ids = np.take_along_axis(top, order, axis=1)
+        vals = np.take_along_axis(scores, ids, axis=1)
+        next_best = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
+        redo = np.flatnonzero(~(-vals[:, -1] < next_best))
+    else:
+        work = np.ascontiguousarray(scores)
+        flat = work.reshape(-1)
+        ids = np.empty((k, n), dtype=np.intp)
+        pos = np.empty((k, n), dtype=np.intp)
+        vals = np.empty((k, n), dtype=scores.dtype)
+        row_starts = np.arange(0, n * num_classes, num_classes)
+        for j in range(k):
+            np.argmax(work, axis=1, out=ids[j])
+            np.add(row_starts, ids[j], out=pos[j])
+            flat.take(pos[j], out=vals[j])
+            flat[pos[j]] = -np.inf
+        for j in reversed(range(k)):  # a twice-picked id gets its first value last
+            flat[pos[j]] = vals[j]
+        ids, vals = ids.T, vals.T
+        redo = np.flatnonzero(~(vals > -np.inf).all(axis=1))
     if redo.size:
         ids[redo] = np.argsort(-scores[redo], axis=1, kind="stable")[:, :k]
         vals[redo] = np.take_along_axis(scores[redo], ids[redo], axis=1)
@@ -204,6 +308,11 @@ def evaluate(
     `topk` the prediction is the first top-k id, which is the argmax on every
     row without a NaN score (only an overflowing linear head gives one).
     `tau` must be finite and positive.
+
+    Blocks are scored concurrently on up to `_score_threads()` threads, the
+    caller's among them, one block per thread at a time. Each block runs
+    the same operations and writes only its own rows, so the report does
+    not depend on the thread count; a one-block call starts no thread.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -233,12 +342,13 @@ def evaluate(
         k = min(topk, num_classes)
         top_ids = np.empty((n, k), dtype=np.int64)
         top_probs = np.empty((n, k))
-    for block in _row_blocks(n, num_classes):
+
+    def score(block: slice) -> None:
         scores = _scores(encoder, weights_t, np.asarray(features[block], dtype=np.float64),
                          normalize=head is None)
         if topk is None:
             preds[block] = np.argmax(scores, axis=1)
-            continue
+            return
         ids, vals = _top_k(scores, k)
         preds[block] = ids[:, 0]
         top_ids[block] = ids
@@ -249,6 +359,9 @@ def evaluate(
         np.exp(scores, out=scores)
         total = scores.sum(axis=1, keepdims=True)
         top_probs[block] = np.take_along_axis(scores, ids, axis=1) / total
+
+    blocks = _row_blocks(n, num_classes)
+    _run_blocks(score, blocks, min(len(blocks), _score_threads()))
 
     labels = np.asarray(subset.labels, dtype=np.int64)
     correct = preds == labels
@@ -559,6 +672,15 @@ def _cmd_eval(args) -> int:
     run = load_run(args.run)
     config = run.config
     _check_run_config(config, archive)
+    # checked before the model is built, whose size the config sets
+    d_in, d, hidden = archive.input_dim, archive.bank.dim, config["hidden"]
+    expected = hidden * (d_in + 1 + d) + d
+    if config["head"] == tr.HEAD_LINEAR:
+        expected += archive.bank.num_classes * d
+    for name, flat in (("final", run.final_params), ("ensemble", run.ensemble_params)):
+        if flat.size != expected:
+            raise RunFileError(f"the {name} parameter vector has {flat.size} entries, expected "
+                               f"{expected} for the run config's model")
     splits = _splits(archive, config["base_fraction"], config["test_domain"], config["seed"],
                      config.get("shots"))
     subset = {

@@ -36,6 +36,10 @@ ENSEMBLE_NONE = "none"
 HEAD_METRIC = "metric"
 HEAD_LINEAR = "linear"
 
+# steps of batch rows each lane draws per call: one call per step cost about
+# 11 us, 4% of a desk-size step; at B = 256 a chunk holds 512 KB of row ids
+BATCH_DRAW_STEPS = 256
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -396,11 +400,16 @@ def train(
     losses = np.empty((cfg.steps, len(lanes)))
 
     for t in range(cfg.steps):
-        for rng, features, labels, x_row, y_row in lanes:
-            rows = rng.integers(0, labels.size, size=cfg.batch_size)
+        chunk_step = t % BATCH_DRAW_STEPS
+        if chunk_step == 0:
+            # one draw of size (T, B) gives the stream of T draws of size B
+            chunk = min(BATCH_DRAW_STEPS, cfg.steps - t)
+            chunk_rows = [rng.integers(0, labels.size, size=(chunk, cfg.batch_size))
+                          for rng, _, labels, _, _ in lanes]
+        for (_, features, labels, x_row, y_row), rows in zip(lanes, chunk_rows):
             # the rows are in range; "clip" skips the buffered copy of "raise"
-            features.take(rows, axis=0, out=x_row, mode="clip")
-            labels.take(rows, out=y_row, mode="clip")
+            features.take(rows[chunk_step], axis=0, out=x_row, mode="clip")
+            labels.take(rows[chunk_step], out=y_row, mode="clip")
         try:
             losses[t] = step(xs.astype(np.float64, copy=False), ys)
         except NonFiniteError as exc:

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +24,7 @@ from oodtune.evalcli import (
 )
 from oodtune.model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits,
                            similarities)
-from oodtune.tensor import Tensor
+from oodtune.tensor import NonFiniteError, Tensor
 
 from helpers import identity_encoder
 
@@ -124,18 +125,37 @@ def test_evaluate_ties_break_to_lowest_class():
         assert all(abs(s - 1.0 / 3.0) < 1e-12 for _, s in ranked)
 
 
-def _recorded_blocks(monkeypatch):
-    """Make evaluate record a copy of every score block it computes."""
+def _recorded_blocks(monkeypatch, keep=np.copy):
+    """Make evaluate record every score block it computes, in the order
+    computed, which threads may make any order: a copy of the block's first
+    input row and `keep` of its scores."""
     blocks = []
     inner = evalcli._scores
 
-    def recording(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        blocks.append(out.copy())
+    def recording(encoder, weights_t, x, normalize):
+        out = inner(encoder, weights_t, x, normalize)
+        blocks.append((x[0].copy(), keep(out)))
         return out
 
     monkeypatch.setattr(evalcli, "_scores", recording)
     return blocks
+
+
+def _in_row_order(blocks, features):
+    """The recorded blocks' kept values in row order, each block placed at
+    the subset row that equals its first input row; the blocks must tile
+    the rows with no gap or overlap."""
+    x = np.asarray(features, dtype=np.float64)
+    placed = []
+    for first, kept in blocks:
+        rows = np.flatnonzero((x == first).all(axis=1))
+        assert rows.size == 1  # the subset's rows are distinct
+        placed.append((int(rows[0]), kept))
+    placed.sort(key=lambda p: p[0])
+    starts = [start for start, _ in placed]
+    ends = [start + kept.shape[0] for start, kept in placed]
+    assert starts == [0] + ends[:-1] and ends[-1] == x.shape[0]
+    return [kept for _, kept in placed]
 
 
 @pytest.mark.parametrize("rows", [3, 7, 1000])
@@ -153,12 +173,14 @@ def test_block_scores_equal_tape_scores(monkeypatch, rows):
     evaluate(enc, archive.bank, subset, splits.base_classes)
     assert len(blocks) == -(-n // rows)
     assert n % rows  # the last block ends short of a full one
-    assert np.array_equal(np.concatenate(blocks), similarities(archive.bank, embed(enc, x)).data)
+    assert np.array_equal(np.concatenate(_in_row_order(blocks, subset.features)),
+                          similarities(archive.bank, embed(enc, x)).data)
 
     head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     blocks.clear()
     evaluate(enc, archive.bank, subset, splits.base_classes, head=head)
-    assert np.array_equal(np.concatenate(blocks),
+    assert len(blocks) == -(-n // rows)
+    assert np.array_equal(np.concatenate(_in_row_order(blocks, subset.features)),
                           linear_head_logits(head, enc.forward_raw(x)).data)
 
 
@@ -172,14 +194,14 @@ def test_one_row_tail_joins_the_block_before(monkeypatch):
     blocks = _recorded_blocks(monkeypatch)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     evaluate(enc, archive.bank, subset, splits.base_classes)
-    assert [b.shape[0] for b in blocks] == [n]
+    assert [b.shape[0] for _, b in blocks] == [n]
     x = Tensor(subset.features.astype(np.float64))
-    assert np.array_equal(blocks[0], similarities(archive.bank, embed(enc, x)).data)
+    assert np.array_equal(blocks[0][1], similarities(archive.bank, embed(enc, x)).data)
 
     monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1)  # C > the cap: two rows a block
     blocks.clear()
     evaluate(enc, archive.bank, subset, splits.base_classes)
-    assert {b.shape[0] for b in blocks} == {2}
+    assert {b.shape[0] for _, b in blocks} == {2}
 
 
 def test_evaluate_report_independent_of_block_size(monkeypatch):
@@ -567,6 +589,42 @@ def test_cli_eval_rejects_wrong_parameter_count(tmp_path, capsys):
         assert f"{size} entries" in err and f"expected {p}" in err
 
 
+def test_cli_eval_checks_the_parameter_count_before_building_the_model(tmp_path, capsys):
+    data, run = _trained_run(tmp_path)
+    archive = db.load(data)
+    d_in, d, num_classes = archive.input_dim, archive.bank.dim, archive.bank.num_classes
+    saved = load_run(run)
+    p = saved.final_params.size
+    assert p == 8 * (d_in + 1 + d) + d
+    huge = 10**12 * (d_in + 1 + d) + d  # an encoder of that size does not fit in memory
+    save_run(run, dict(saved.config, hidden=10**12), saved.loss_curve, saved.final_params,
+             saved.ensemble_params)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data)]) == 2
+    err = capsys.readouterr().err
+    assert f"{p} entries" in err and f"expected {huge}" in err
+
+    # both stored vectors are checked, whichever --params picks; save_run
+    # writes equal lengths, so the longer ensemble section is spliced in
+    save_run(run, saved.config, saved.loss_curve, saved.final_params, saved.ensemble_params)
+    ensemble = np.resize(saved.ensemble_params, p + 1).astype("<f8")
+    run.write_bytes(run.read_bytes()[:-(4 + 8 * p)] + struct.pack("<I", p + 1)
+                    + ensemble.tobytes())
+    assert main(["eval", "--run", str(run), "--data", str(data), "--params", "final"]) == 2
+    assert f"ensemble parameter vector has {p + 1} entries" in capsys.readouterr().err
+
+    linear = tmp_path / "linear.bin"
+    assert main(["train", "--data", str(data), "--out", str(linear), "--head", "linear",
+                 "--steps", "2", "--batch", "4", "--hidden", "8", "--test-domain", "1"]) == 0
+    saved = load_run(linear)
+    assert saved.final_params.size == p + num_classes * d
+    save_run(linear, dict(saved.config, hidden=9), saved.loss_curve, saved.final_params,
+             saved.ensemble_params)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(linear), "--data", str(data), "--params", "zero"]) == 2
+    assert f"expected {9 * (d_in + 1 + d) + d + num_classes * d}" in capsys.readouterr().err
+
+
 def test_cli_eval_rejects_trailing_run_bytes(tmp_path, capsys):
     data, run = _trained_run(tmp_path)
     run.write_bytes(run.read_bytes() + b"junk")
@@ -709,7 +767,7 @@ def test_evaluate_rejects_a_temperature_that_is_not_finite_and_positive(tau, top
 
 def _sweep_cutoff(num_classes):
     """The largest k for which _top_k still runs argmax sweeps."""
-    return max(k for k in range(1, num_classes) if evalcli._sweeps_pay(k, num_classes))
+    return max(k for k in range(1, num_classes) if evalcli._ranking(k, num_classes) == "sweeps")
 
 
 @pytest.mark.parametrize("num_classes", [20, 60])
@@ -759,7 +817,7 @@ def test_linear_head_logits_overflowing_to_minus_infinity_rank_like_the_argsort(
         with np.errstate(over="ignore"):
             report = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
                               head=head, topk=k)
-        scores = np.concatenate(blocks)
+        scores = np.concatenate(_in_row_order(blocks, splits.test_both.features))
         assert np.isneginf(scores[:, overflow]).all()
         want = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         assert np.array_equal([[c for c, _ in ranked] for _, ranked in report.topk], want)
@@ -771,17 +829,275 @@ def test_top_k_predictions_equal_the_plain_argmax_on_an_open_eval_archive(monkey
     archive = generate(spec)
     splits = split(archive, spec)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
-    argmax = []
-    inner = evalcli._scores
-
-    def recording(*args, **kwargs):
-        out = inner(*args, **kwargs)
-        argmax.append(np.argmax(out, axis=1))
-        return out
-
-    monkeypatch.setattr(evalcli, "_scores", recording)
+    blocks = _recorded_blocks(monkeypatch, keep=lambda scores: np.argmax(scores, axis=1))
     top = evaluate(enc, archive.bank, splits.test_open, splits.base_classes, topk=5)
-    assert np.array_equal([ranked[0][0] for _, ranked in top.topk], np.concatenate(argmax))
+    assert len(blocks) == len(evalcli._row_blocks(splits.test_open.labels.size, spec.num_classes))
+    assert np.array_equal([ranked[0][0] for _, ranked in top.topk],
+                          np.concatenate(_in_row_order(blocks, splits.test_open.features)))
     plain = evaluate(enc, archive.bank, splits.test_open, splits.base_classes)
     assert (top.acc_base, top.acc_new, top.per_domain, top.per_class) == \
         (plain.acc_base, plain.acc_new, plain.per_domain, plain.per_class)
+
+
+@pytest.mark.parametrize("num_classes", [200, 1000])
+def test_top_k_equals_the_stable_argsort_for_every_k_below_the_class_count(num_classes):
+    rng = np.random.default_rng(num_classes)
+    scores = np.round(rng.standard_normal((24, num_classes)), 1)  # ties at some places
+    scores[:8] = rng.standard_normal((8, num_classes))  # no ties
+    scores[8:12] = rng.choice([-np.inf, -1.0, 0.0, 1.0], size=(4, num_classes))  # ties everywhere
+    scores[12, 5] = np.nan
+    before = scores.copy()
+    want = np.argsort(-scores, axis=1, kind="stable")
+    rankings = set()
+    for k in range(1, num_classes):
+        rankings.add(evalcli._ranking(k, num_classes))
+        ids, vals = evalcli._top_k(scores, k)
+        assert np.array_equal(ids, want[:, :k]), k
+        assert np.array_equal(vals, np.take_along_axis(scores, want[:, :k], axis=1),
+                              equal_nan=True), k
+    assert scores.tobytes() == before.tobytes()
+    assert rankings == {"sweeps", "partial", "argsort"}
+
+
+def _stable_argsort_top_k(scores, k):
+    ids = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+    return ids, np.take_along_axis(scores, ids, axis=1)
+
+
+def test_top_k_reports_at_a_thousand_classes_equal_the_stable_argsort_ones(monkeypatch):
+    spec = BenchmarkSpec(num_classes=1000, embed_dim=64, input_dim=96,
+                         samples_per_class_per_domain=2, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    both = splits.test_both
+    first = slice(0, 400)  # two score blocks
+    subset = db.SplitSubset(features=both.features[first], labels=both.labels[first],
+                            domains=both.domains[first], indices=both.indices[first])
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
+    ks = (5, 64, 200)
+    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "partial"]
+    got = [evaluate(enc, archive.bank, subset, splits.base_classes, topk=k).to_json()
+           for k in ks]
+    monkeypatch.setattr(evalcli, "_top_k", _stable_argsort_top_k)
+    want = [evaluate(enc, archive.bank, subset, splits.base_classes, topk=k).to_json()
+            for k in ks]
+    assert got == want
+
+
+# --- row blocks scored on threads; the thread count is forced with a
+# monkeypatch, so these run on a one-core machine too
+
+
+def _reports_by_threads(monkeypatch, run, threads=(1, 2, 4)):
+    """run() under each forced thread count; the first is serial."""
+    out = []
+    for count in threads:
+        monkeypatch.setattr(evalcli, "_score_threads", lambda count=count: count)
+        out.append(run())
+    return out
+
+
+def _threads_case(monkeypatch, rows=7, **spec_fields):
+    spec = BenchmarkSpec(**{"samples_per_class_per_domain": 10, "seed": 5, **spec_fields})
+    archive = generate(spec)
+    splits = split(archive, spec)
+    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    return spec, archive, splits, enc
+
+
+def test_threaded_plain_and_top_k_reports_equal_the_serial_ones(monkeypatch):
+    _, archive, splits, enc = _threads_case(monkeypatch)
+
+    def run():
+        return [evaluate(enc, archive.bank, getattr(splits, cell), splits.base_classes,
+                         topk=topk).to_json()
+                for cell in ("test_domain_shift", "test_open", "test_both", "train")
+                for topk in (None, 5)]
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    assert all(reports == serial for reports in threaded)
+
+
+def test_threaded_top_k_reports_equal_the_serial_ones_for_every_ranking(monkeypatch):
+    spec, archive, splits, enc = _threads_case(monkeypatch, num_classes=60)
+    cutoff = _sweep_cutoff(spec.num_classes)
+    ks = (cutoff, cutoff + 1, 40)
+    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "argsort"]
+
+    def run():
+        return [evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
+                         topk=k).to_json() for k in ks]
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    assert all(reports == serial for reports in threaded)
+
+
+def test_threaded_linear_head_reports_equal_the_serial_ones(monkeypatch):
+    spec, archive, splits, enc = _threads_case(monkeypatch)
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+
+    def run():
+        return [evaluate(enc, archive.bank, splits.test_both, splits.base_classes, head=head,
+                         topk=topk).to_json() for topk in (None, 3)]
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    assert all(reports == serial for reports in threaded)
+
+
+def _overflowing_head(spec, enc, classes):
+    """A linear head whose logits are -inf for the given classes."""
+    enc.b2.data[:] = 100.0  # every encoder output is positive
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head.weights.data[classes] = -1e308
+    return head
+
+
+def test_threaded_reports_equal_the_serial_ones_on_rows_the_argsort_ranks(monkeypatch):
+    spec, archive, splits, enc = _threads_case(monkeypatch, num_classes=60)
+    head = _overflowing_head(spec, enc, np.arange(40))
+    ks = (5, 20)
+    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial"]
+    inner = evalcli._scores
+    blocks = []
+
+    def with_a_nan(*args, **kwargs):
+        out = inner(*args, **kwargs)
+        out[:, 45] = np.nan
+        # every row holds 19 finite scores, 40 of -inf and a NaN: the sweeps
+        # pick the NaN first, and the partial sort's 20th and 21st best
+        # scores are both -inf, so every row is ranked again
+        blocks.append(bool((np.isfinite(out).sum(axis=1) == 19).all()))
+        return out
+
+    monkeypatch.setattr(evalcli, "_scores", with_a_nan)
+
+    def run():
+        with np.errstate(over="ignore"):
+            return [evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
+                             head=head, topk=k).to_json() for k in ks]
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    count = len(evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes))
+    assert count > 4 and blocks == [True] * (3 * len(ks) * count)
+    assert all(reports == serial for reports in threaded)
+
+
+def test_threads_score_under_the_callers_numpy_error_state(monkeypatch):
+    spec, archive, splits, enc = _threads_case(monkeypatch)
+    head = _overflowing_head(spec, enc, [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16])
+    monkeypatch.setattr(evalcli, "_score_threads", lambda: 2)
+    assert len(evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes)) > 2
+    with np.errstate(over="raise"):
+        with pytest.raises(FloatingPointError, match="overflow"):
+            evaluate(enc, archive.bank, splits.test_both, splits.base_classes, head=head)
+    with np.errstate(over="ignore"):  # no RuntimeWarning, which the suite makes an error
+        threaded = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
+                            head=head, topk=9)
+        monkeypatch.setattr(evalcli, "_score_threads", lambda: 1)
+        serial = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
+                          head=head, topk=9)
+    assert threaded.to_json() == serial.to_json()
+
+
+def test_threaded_nan_weight_raises_the_serial_error(monkeypatch):
+    _, archive, splits, enc = _threads_case(monkeypatch)
+    enc.w2.data[3, 1] = np.nan  # passes the pre-activation check
+
+    def run():
+        with pytest.raises(NonFiniteError) as caught:
+            evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
+        return str(caught.value)
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    assert serial == "non-finite encoder output"
+    assert threaded == [serial, serial]
+
+
+def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
+    _, archive, splits, enc = _threads_case(monkeypatch, rows=2)
+    features = splits.test_both.features.astype(np.float64)
+    later_failed = threading.Event()
+    inner = evalcli._scores
+
+    def failing(encoder, weights_t, x, normalize):
+        block = int(np.flatnonzero((features == x[0]).all(axis=1))[0]) // 2
+        if block == 2:  # fails only once block 9 has
+            later_failed.wait(timeout=10)
+            raise ValueError("block 2")
+        if block == 9:
+            later_failed.set()
+            raise ValueError("block 9")
+        return inner(encoder, weights_t, x, normalize)
+
+    monkeypatch.setattr(evalcli, "_scores", failing)
+    before = threading.active_count()
+    monkeypatch.setattr(evalcli, "_score_threads", lambda: 4)
+    with pytest.raises(ValueError, match="^block 2$"):
+        evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
+    assert later_failed.is_set()
+    assert threading.active_count() == before  # every thread has stopped
+
+
+def test_one_block_call_starts_no_thread(monkeypatch):
+    _, archive, splits, enc = _threads_case(monkeypatch)
+    counts = []
+    inner = evalcli._scores
+
+    def counting(*args, **kwargs):
+        counts.append(threading.active_count())
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(evalcli, "_scores", counting)
+    monkeypatch.setattr(evalcli, "_score_threads", lambda: 4)
+    before = threading.active_count()
+    evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
+    assert len(counts) > 1 and max(counts) > before  # many blocks: threads score them
+    counts.clear()
+    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1 << 18)
+    evaluate(enc, archive.bank, splits.test_both, splits.base_classes, topk=3)
+    assert counts == [before]
+    assert threading.active_count() == before
+
+
+def test_threaded_blocks_are_each_scored_once_under_frequent_switches(monkeypatch):
+    _, archive, splits, enc = _threads_case(monkeypatch, rows=2)
+    subset = splits.test_both
+    monkeypatch.setattr(evalcli, "_score_threads", lambda: 1)
+    serial = evaluate(enc, archive.bank, subset, splits.base_classes, topk=2)
+    blocks = _recorded_blocks(monkeypatch, keep=lambda scores: np.argmax(scores, axis=1))
+    monkeypatch.setattr(evalcli, "_score_threads", lambda: 8)  # more threads than cores
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = evaluate(enc, archive.bank, subset, splits.base_classes, topk=2)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(blocks) == subset.labels.size // 2
+    _in_row_order(blocks, subset.features)  # each row scored once
+    assert threaded.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("env,cores,want", [
+    ({}, 8, 1),  # the BLAS takes every core
+    ({"OPENBLAS_NUM_THREADS": "1"}, 8, 8),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, 8, 4),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "4,2", "MKL_NUM_THREADS": "3"}, 8, 2),
+    ({"OPENBLAS_NUM_THREADS": "", "OMP_NUM_THREADS": "2"}, 7, 3),
+    ({"MKL_NUM_THREADS": "16"}, 8, 1),
+    ({"OMP_NUM_THREADS": "1"}, 1, 1),
+])
+def test_score_threads_are_the_usable_cores_over_the_blas_threads(monkeypatch, env, cores,
+                                                                  want):
+    for name in evalcli.BLAS_THREAD_VARS:
+        monkeypatch.delenv(name, raising=False)
+    for name, value in env.items():
+        monkeypatch.setenv(name, value)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)  # not read when the affinity is known
+    assert evalcli._score_threads() == want
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert evalcli._score_threads() == want
+    monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
+    assert evalcli._score_threads() == 1

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oodtune import tensor as T
+from oodtune import trainer as tr
 from oodtune.ensemble import temporal_ensemble
 from oodtune.losses import LossConfig, metric_softmax_loss
 from oodtune.model import Encoder, embed, similarities
@@ -232,3 +233,38 @@ def test_trainer_config_validation():
         for field in ("beta", "base_lr", "weight_decay", "ema_decay"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TrainerConfig(**{field: bad})
+
+
+def test_batches_drawn_in_chunks_equal_a_replay_drawing_one_step_at_a_time(monkeypatch):
+    rng = np.random.default_rng(5)
+    bank, data = _toy_task(rng)
+    other = TrainSet(data.features[::-1].copy(), data.labels[::-1].copy())
+    steps = 2 * tr.BATCH_DRAW_STEPS + 37  # two whole chunks and a part
+    cfgs = [TrainerConfig(steps=steps, batch_size=7, seed=seed) for seed in (4, 9)]
+    init = Encoder.init(4, 5, 4, rng).get_flat()
+    seen = []
+
+    class Recording(tr.FusedStep):
+        def __call__(self, xs, ys):
+            seen.append(xs.copy())
+            return super().__call__(xs, ys)
+
+    def run():
+        encoders = [Encoder.init(4, 5, 4, rng) for _ in cfgs]
+        for enc in encoders:
+            enc.set_flat(init)
+        return train(encoders, bank, [data, other], cfgs)
+
+    monkeypatch.setattr(tr, "FusedStep", Recording)
+    chunked = run()
+    batches = np.stack(seen)
+    for lane, (cfg, dataset) in enumerate(zip(cfgs, [data, other])):
+        replay = np.random.default_rng([cfg.seed, 2])
+        for t in range(steps):
+            rows = replay.integers(0, dataset.labels.size, size=cfg.batch_size)
+            assert np.array_equal(batches[t, lane], dataset.features[rows]), (lane, t)
+    monkeypatch.setattr(tr, "BATCH_DRAW_STEPS", 1)
+    for got, want in zip(chunked, run()):
+        np.testing.assert_array_equal(got.loss_curve, want.loss_curve)
+        np.testing.assert_array_equal(got.final_params, want.final_params)
+        np.testing.assert_array_equal(got.ensemble_params, want.ensemble_params)
