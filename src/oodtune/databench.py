@@ -76,6 +76,8 @@ class BenchmarkSpec:
             raise ValueError("base_fraction leaves an empty base or new class set")
         if not 0 <= self.test_domain < self.num_domains:
             raise ValueError(f"test_domain {self.test_domain} out of range")
+        if self.shots is not None and self.shots < 1:
+            raise ValueError(f"shots must be >= 1 or None, got {self.shots}")
         if self.identity_lift and self.input_dim != self.embed_dim:
             raise ValueError("identity_lift requires input_dim == embed_dim")
 

@@ -15,7 +15,6 @@ import argparse
 import contextvars
 import json
 import math
-import os
 import struct
 import sys
 import threading
@@ -28,6 +27,8 @@ from . import losses as L
 from . import trainer as tr
 from .databench import ArchiveFormatError, SplitSubset
 from .model import ClassBank, Encoder, LinearHead, mlp_forward, text_head_init, unflatten_params
+# evaluate calls the thread rule under this module's name, where tests replace it
+from .parallel import BLAS_THREAD_VARS, worker_threads as _score_threads  # noqa: F401
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 RUN_MAGIC = b"RUNF"
@@ -64,12 +65,18 @@ class EvalReport:
             "per_class": {str(k): v for k, v in self.per_class.items()},
             "config": self.config,
         }
-        if self.topk is not None:
-            payload["topk"] = [
-                [sample, [[int(c), float(s)] for c, s in ranked]]
-                for sample, ranked in self.topk
-            ]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if self.topk is None:
+            return text
+        # "topk" sorts after every other key, so its rows are appended as
+        # text, in json.dumps' form, without a nested payload of N x k lists;
+        # repr gives json's float text but for nan and +-inf, which no int
+        # or finite float text contains
+        rows = ",".join(["[%d,[%s]]" % (sample, ",".join(["[%d,%r]" % (c, float(p))
+                                                          for c, p in ranked]))
+                         for sample, ranked in self.topk])
+        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+        return f'{text[:-1]},"topk":[{rows}]}}'
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -108,35 +115,6 @@ def _row_blocks(n: int, num_classes: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-# the variables that set the BLAS thread count, in the order they are read
-BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-def _score_threads() -> int:
-    """Threads to score row blocks on: the usable cores over the BLAS
-    threads, at least one.
-
-    The BLAS thread count is the first positive integer among
-    BLAS_THREAD_VARS; with none set the BLAS is taken to use every usable
-    core, and blocks are scored on the caller's thread alone, since threads
-    that each run a multi-threaded matmul oversubscribe the cores.
-    """
-    try:
-        cores = len(os.sched_getaffinity(0))
-    except (AttributeError, OSError):  # no affinity call on this platform
-        cores = os.cpu_count() or 1
-    for name in BLAS_THREAD_VARS:
-        try:
-            blas = int(os.environ.get(name, ""))
-        except ValueError:
-            continue
-        if blas > 0:
-            break
-    else:
-        blas = cores
-    return max(1, cores // blas)
 
 
 def _run_blocks(task, blocks: list[slice], workers: int) -> None:
@@ -591,6 +569,8 @@ def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
         raise RunFileError(f"run config field 'head' is unknown: {config['head']!r}")
     if not (math.isfinite(config["tau"]) and config["tau"] > 0):
         raise RunFileError(f"run config field 'tau' must be finite and positive: {config['tau']!r}")
+    if config.get("shots") is not None and config["shots"] < 1:
+        raise RunFileError(f"run config field 'shots' must be >= 1 or null: {config['shots']!r}")
     for key, actual in (("num_classes", archive.bank.num_classes), ("embed_dim", archive.bank.dim),
                         ("input_dim", archive.input_dim), ("num_domains", archive.num_domains)):
         if config[key] != actual:
@@ -598,7 +578,13 @@ def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
                 f"run config field {key!r} is {config[key]}, the archive has {actual}")
 
 
+def _check_shots(shots: int | None) -> None:
+    if shots is not None and shots < 1:
+        raise UsageError(f"--shots must be >= 1, got {shots}")
+
+
 def _cmd_gen(args) -> int:
+    _check_shots(args.shots)
     spec = db.BenchmarkSpec(
         num_classes=args.classes,
         num_domains=args.domains,
@@ -654,6 +640,7 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
 def _cmd_train(args) -> int:
     if args.hidden < 1:
         raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
+    _check_shots(args.shots)
     archive = db.load(args.data)
     cfg, echo = _train_config(args, archive)
     splits = _splits(archive, args.base_fraction, args.test_domain, args.seed, args.shots)

@@ -153,16 +153,17 @@ def unflatten_params(params: list[Tensor], flat: np.ndarray) -> None:
 
 
 def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                b2: np.ndarray, skip_nonlinearity: bool = False) -> tuple[np.ndarray, np.ndarray]:
+                b2: np.ndarray, skip_nonlinearity: bool = False,
+                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Encoder forward on plain arrays: h = tanh(x @ w1 + b1), r = h @ w2 + b2.
 
     Returns (h, r), with the same floating-point operations as
-    `Encoder.forward_raw`. Also takes S-stacks of lanes (x S x B x d_in,
-    weights S x n x m, biases S x 1 x m). Raises NonFiniteError on a
-    non-finite pre-activation x @ w1 + b1, naming the first such lane of a
-    stack of more than one.
+    `Encoder.forward_raw`; h is computed in `out` when given. Also takes
+    S-stacks of lanes (x S x B x d_in, weights S x n x m, biases S x 1 x m).
+    Raises NonFiniteError on a non-finite pre-activation x @ w1 + b1, naming
+    the first such lane of a stack of more than one.
     """
-    pre = x @ w1
+    pre = np.matmul(x, w1, out=out)
     pre += b1
     # tanh maps +-inf to +-1, so an overflow here would not reach the output
     if not np.isfinite(pre).all():

@@ -12,13 +12,21 @@ order, the numpy operations that `tensor.Tape` would replay for the same
 loss, so `Tape` stays the gradient oracle the tests compare it against
 bit for bit, and every lane equals its own one-lane run bit for bit.
 
-The loop is single-threaded and fully deterministic under its seeds.
+A step whose work reaches SPLIT_WORK runs as two halves: two blocks of
+batch rows (forward, loss and backward to the hidden layer), then two
+ranges of the parameters (their gradients, AdamW and the ensemble update).
+Where the cores allow (`parallel.worker_threads`), the halves run on the
+caller's thread and one worker thread that `train` starts and joins. The
+halves are fixed by the shapes alone, so the loop is fully deterministic
+under its seeds and gives the same bits at every thread count.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from collections.abc import Callable
+from contextlib import contextmanager
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -26,6 +34,7 @@ from . import losses as L
 from .ensemble import BmaState, ParamVector, bma_init, bma_update, ema_update
 from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward,
                     unflatten_params)
+from .parallel import PairWorker, worker_threads
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 ENSEMBLE_BMA = "bma"
@@ -39,6 +48,18 @@ HEAD_LINEAR = "linear"
 # steps of batch rows each lane draws per call: one call per step cost about
 # 11 us, 4% of a desk-size step; at B = 256 a chunk holds 512 KB of row ids
 BATCH_DRAW_STEPS = 256
+
+# a step whose work, S lanes x (B rows x the flops of one row's matmuls + P),
+# reaches this runs as two halves of rows and of parameters, on two threads
+# where the cores allow. Step time on two threads over one, both halved, on
+# a 2-core machine (numpy 2.4, BLAS at one thread): 3.8 at desk size (C=20,
+# d=32, d_in=48, h=64, B=36; work 9.8e5), 1.9 with 5 such lanes (4.9e6),
+# 1.5 at C=100, d=64, d_in=96, h=128, B=128 (1.6e7); at C=400, d=128,
+# d_in=256, h=256: 0.97 with B=16 (1.1e7), 0.93 with B=32 (2.1e7), 0.75 with
+# B=64 (4.3e7) and 0.72 with B=256 (1.7e8); 0.75 at C=1000, d=32, d_in=48,
+# h=64, B=256 (3.9e7). Small steps lose: their many short numpy calls
+# contend for the interpreter lock.
+SPLIT_WORK = 30_000_000
 
 
 @dataclass(frozen=True)
@@ -178,16 +199,28 @@ class FusedStep:
     numpy matmul, which calls per lane the same BLAS routine a 2-D product
     would.
 
+    A call runs in two phases, each split into the parts `parts` gives. A
+    row part runs forward, loss terms and backward down to the hidden
+    layer's gradient for one block of batch rows; a range part computes
+    the gradients of one range of the columns of `params` from the whole
+    batch, then calls `update(part)`, which `train` uses to step the
+    optimizer and the ensemble on that range. The losses are checked
+    between the phases, before any parameter moves. Inside `threads` the
+    two parts of a phase run on two threads; the parts do not depend on the
+    thread count, so neither do the results.
+
     The encoder and head tensors are only read at construction:
     `write_back` copies each lane's parameters into them.
 
     Every value goes through the same floating-point operations, in the
-    same order, as in `tensor.Tape`'s replay of the same loss, so each
-    lane's loss and gradient equal the Tape's bit for bit.
+    same order, as in `tensor.Tape`'s replay of the same loss when a call
+    has one part per phase, so each lane's loss and gradient equal the
+    Tape's bit for bit.
     """
 
     def __init__(self, encoders: list[Encoder], bank: ClassBank, loss_cfg: L.LossConfig,
-                 heads: list[LinearHead] | None = None):
+                 heads: list[LinearHead] | None = None,
+                 update: Callable[[int], None] | None = None):
         heads = [None] * len(encoders) if heads is None else heads
         if not encoders or len(heads) != len(encoders):
             raise ValueError(f"{len(encoders)} encoders and {len(heads)} heads")
@@ -217,18 +250,116 @@ class FusedStep:
                          for enc, hd in zip(encoders, heads)]
         self._linear = linear
         self._skip_nonlinearity = first.skip_nonlinearity
+        self._update = update
         self.params = np.stack([flatten_params(t) for t in self._tensors])
         self.grads = np.zeros_like(self.params)
+        tensor_shapes = [p.shape for p in self._tensors[0]]
         # biases as S x 1 x n, so they broadcast over the batch axis
-        shapes = [(1,) + p.shape if len(p.shape) == 1 else p.shape for p in self._tensors[0]]
+        shapes = [(1,) + shape if len(shape) == 1 else shape for shape in tensor_shapes]
         self._p = _lane_views(self.params, shapes)
         self._g = _lane_views(self.grads, shapes)
         self._w2_t = self._p[2].transpose(0, 2, 1)
+        # each tensor's offset in a lane's row, size and row length: a range
+        # of the row covers whole rows of each matrix and whole biases
+        self._spans, offset = [], 0
+        for shape in tensor_shapes:
+            size = math.prod(shape)
+            self._spans.append((offset, size, shape[-1] if len(shape) == 2 else size))
+            offset += size
+        # the halves' cut: the row boundary nearest the middle of a lane's row
+        # in the tensor holding it, or either end of a bias
+        start, size, row = next(span for span in self._spans if 2 * (span[0] + span[1]) > offset)
+        self._cut = start + (offset - 2 * start + row) // (2 * row) * row
+        self._plans: dict[int, tuple] = {}
+        d_in, hidden = first.w1.shape
+        # per batch row: 2 flops per multiply-add of the matmuls, forward
+        # (x @ w1, h @ w2, the logits) and backward (the logits' input
+        # gradient, g_h and the weight gradients)
+        self._dims = (hidden, first.d_out, bank.num_classes)
+        self._row_flops = 2 * (2 * d_in * hidden + 3 * hidden * first.d_out
+                               + (3 if linear else 2) * first.d_out * bank.num_classes)
+        self._worker: PairWorker | None = None
 
     def write_back(self) -> None:
         """Copy each lane's current parameters into its encoder (and head) tensors."""
         for tensors, flat in zip(self._tensors, self.params):
             unflatten_params(tensors, flat)
+
+    def parts(self, batch_size: int) -> tuple[list[slice], list[slice]]:
+        """The row blocks of a batch of `batch_size` rows and the column
+        ranges of `params` that a call runs as its parts.
+
+        Below SPLIT_WORK, one block and one range; from it on, two halves of
+        each, the ranges cut at a row boundary of a weight matrix. They
+        depend on the shapes alone: a row-split matmul need not round like
+        the whole product, so the thread count must not choose the split.
+        """
+        s, p = self.params.shape
+        if (s * (batch_size * self._row_flops + p) < SPLIT_WORK or batch_size < 2
+                or not 0 < self._cut < p):
+            return [slice(0, batch_size)], [slice(0, p)]
+        half = (batch_size + 1) // 2
+        return ([slice(0, half), slice(half, batch_size)],
+                [slice(0, self._cut), slice(self._cut, p)])
+
+    def _plan(self, batch_size: int) -> tuple[list[slice], list[list[tuple]], dict]:
+        """What a call with `batch_size` rows runs, kept per batch size.
+
+        The row blocks of `parts`; for each of its ranges the tensors it
+        covers, as (index, rows or None for all of them, the view of those
+        rows of `grads`); and the dict of the whole batch's arrays that the
+        row parts leave for the range parts. With two blocks it holds
+        buffers that each block fills with its rows. With one it holds the
+        block's own arrays, each kept until the next call replaces it:
+        dropping them all at the end of each call made glibc hand the top
+        of the heap back to the system and fault it in again in the next
+        one (desk size, 5 lanes: up to 84 minor page faults per step against
+        0.5, and steps up to 29% slower).
+        """
+        plan = self._plans.get(batch_size)
+        if plan is None:
+            blocks, ranges = self.parts(batch_size)
+            covered = []
+            for cols in ranges:
+                covered.append([])
+                for k, (start, size, row) in enumerate(self._spans):
+                    lo, hi = max(cols.start, start), min(cols.stop, start + size)
+                    if lo < hi:
+                        rows = slice((lo - start) // row, (hi - start) // row)
+                        covered[-1].append((k, None if hi - lo == size else rows,
+                                            self._g[k][:, rows]))
+            act = {}
+            if len(blocks) > 1:
+                s, (hidden, d, c) = self.params.shape[0], self._dims
+                act.update(picked=np.empty((s, batch_size)), h=np.empty((s, batch_size, hidden)),
+                           g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
+                if self._linear:
+                    act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
+            plan = self._plans[batch_size] = (blocks, covered, act)
+        return plan
+
+    @contextmanager
+    def threads(self, count: int):
+        """Inside the block, run the two parts of a phase on two threads,
+        the caller's and one worker's, when `count` is 2 or more. The worker
+        is stopped and joined on exit."""
+        if count < 2:
+            yield
+            return
+        with PairWorker() as self._worker:
+            try:
+                yield
+            finally:
+                self._worker = None
+
+    def _run(self, part, count: int) -> None:
+        """part(0), ..., part(count - 1); with a worker, parts 0 and 1 at
+        once, raising the exception of the first part that raised."""
+        if count == 1 or self._worker is None:
+            for i in range(count):
+                part(i)
+        else:
+            self._worker.run(lambda: part(0), lambda: part(1))
 
     def __call__(self, x: np.ndarray, labels: np.ndarray) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
@@ -236,18 +367,57 @@ class FusedStep:
 
         Labels must lie in [0, C); train() checks them once per run.
         Raises NonFiniteError on a non-finite pre-activation or loss,
-        naming the lane when there is more than one.
+        naming the lane when there is more than one; of two row blocks
+        failing, the first one's error.
         """
-        w1, b1, w2, b2 = self._p[:4]
-        gw1, gb1, gw2, gb2 = self._g[:4]
         s, b = labels.shape
-        # the row-wise softmax part runs on (S*B) x C views, indexed as in 2-D
+        self._x, self._labels = x, labels
+        self._blocks, self._covered, self._act = self._plan(b)
+        if self._linear:
+            self._w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
+        self._run(self._rows, len(self._blocks))
+        # per lane in Python floats: the same IEEE operations as on numpy scalars
+        losses = [total / b * -1.0
+                  for total in np.add.reduce(self._act["picked"], axis=-1).tolist()]
+        for lane, loss in enumerate(losses):
+            if not math.isfinite(loss):
+                where = f"lane {lane}: " if s > 1 else ""
+                raise NonFiniteError(f"{where}non-finite loss {loss}")
+        self._run(self._range, len(self._covered))
+        self._x = self._labels = None
+        return losses
+
+    def _out(self, name: str, rows: slice) -> np.ndarray | None:
+        """Where a row block computes its rows of a whole-batch array: in a
+        new array (None) when it is the whole batch, else in its rows of the
+        whole batch's buffer."""
+        return None if len(self._blocks) == 1 else self._act[name][:, rows]
+
+    def _keep(self, rows: slice, **arrays: np.ndarray) -> None:
+        """Record a row block's arrays: as they are when it is the whole
+        batch, else copied into its rows of the whole batch's buffers."""
+        if len(self._blocks) == 1:
+            self._act.update(arrays)
+        else:
+            for name, value in arrays.items():
+                self._act[name][:, rows] = value
+
+    def _rows(self, part: int) -> None:
+        """Forward, loss terms and backward down to g_h for one block of
+        batch rows of every lane."""
+        rows = self._blocks[part]
+        w1, b1, w2, b2 = self._p[:4]
+        x, labels = self._x, self._labels
+        if len(self._blocks) > 1:
+            x, labels = x[:, rows], labels[:, rows]
+        s, b = labels.shape
+        scale = 1.0 / self._labels.shape[1]
+        # the row-wise softmax part runs on (S*b) x C views, indexed as in 2-D
         picks = (np.arange(s * b), labels.reshape(-1))
 
-        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity)
+        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity, self._out("h", rows))
         if self._linear:
-            w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
-            logits = (r @ w_t).reshape(s * b, -1)
+            logits = (r @ self._w_t).reshape(s * b, -1)
         else:
             norms = np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True))
             denom = np.maximum(norms, NORM_EPS)
@@ -257,40 +427,55 @@ class FusedStep:
             logits *= self._inv_tau
         log_probs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
-        # per lane in Python floats: the same IEEE operations as on numpy scalars
-        losses = [total / b * -1.0
-                  for total in np.add.reduce(log_probs[picks].reshape(s, b), axis=-1).tolist()]
-        for lane, loss in enumerate(losses):
-            if not math.isfinite(loss):
-                where = f"lane {lane}: " if s > 1 else ""
-                raise NonFiniteError(f"{where}non-finite loss {loss}")
+        picked = log_probs[picks].reshape(s, b)
+        self._keep(rows, picked=picked)
+        if not np.logical_and.reduce(np.isfinite(picked), axis=None):
+            return  # the caller raises on the loss before the backward is used
 
         # backward: d loss / d logits = (softmax - onehot) / B. The Tape's
         # g - softmax * rowsum(g), with g holding one -1/B per row, rounds
         # to exactly these values.
         g = np.exp(log_probs, out=log_probs)
-        g *= 1.0 / b
-        g[picks] -= 1.0 / b
+        g *= scale
+        g[picks] -= scale
         g = g.reshape(s, b, -1)
         if self._linear:
-            g_r = g @ w_t.transpose(0, 2, 1)
-            self._g[4][...] = (r.transpose(0, 2, 1) @ g).transpose(0, 2, 1)
+            g_r = np.matmul(g, self._w_t.transpose(0, 2, 1), out=self._out("g_r", rows))
+            self._keep(rows, r=r, g=g)
         else:
             g *= self._inv_tau
             g_z = g @ self._bank_t.T
             dot = np.add.reduce(z * g_z, axis=-1, keepdims=True)
-            g_r = (g_z - z * dot) / denom
+            g_r = np.divide(g_z - z * dot, denom, out=self._out("g_r", rows))
             guarded = norms < NORM_EPS  # below eps the map is linear: r / eps
             if guarded.any():
-                g_r = np.where(guarded, g_z / denom, g_r)
-        np.add.reduce(g_r, axis=1, keepdims=True, out=gb2)
-        g_h = g_r @ self._w2_t
-        np.matmul(h.transpose(0, 2, 1), g_r, out=gw2)
+                g_r[...] = np.where(guarded, g_z / denom, g_r)
+        g_h = np.matmul(g_r, self._w2_t, out=self._out("g_h", rows))
         if not self._skip_nonlinearity:
             g_h *= 1.0 - h ** 2
-        np.add.reduce(g_h, axis=1, keepdims=True, out=gb1)
-        np.matmul(x.transpose(0, 2, 1), g_h, out=gw1)
-        return losses
+        if len(self._blocks) == 1:
+            self._act.update(h=h, g_r=g_r, g_h=g_h)
+
+    def _range(self, part: int) -> None:
+        """Every lane's gradients in one column range of `grads`, from the
+        whole batch; then the update of that range."""
+        act = self._act
+        for k, rows, out in self._covered[part]:
+            if k == 0:  # w1
+                x = self._x if rows is None else self._x[:, :, rows]
+                np.matmul(x.transpose(0, 2, 1), act["g_h"], out=out)
+            elif k == 1:  # b1
+                np.add.reduce(act["g_h"], axis=1, keepdims=True, out=out)
+            elif k == 2:  # w2
+                h = act["h"] if rows is None else act["h"][:, :, rows]
+                np.matmul(h.transpose(0, 2, 1), act["g_r"], out=out)
+            elif k == 3:  # b2
+                np.add.reduce(act["g_r"], axis=1, keepdims=True, out=out)
+            else:  # the linear head's weights, C x d, as the Tape forms them
+                g = act["g"] if rows is None else act["g"][:, :, rows]
+                out[...] = (act["r"].transpose(0, 2, 1) @ g).transpose(0, 2, 1)
+        if self._update is not None:
+            self._update(part)
 
 
 def _shared_fields(cfg: TrainerConfig) -> dict:
@@ -374,9 +559,20 @@ def train(
         raise ValueError("linear head mode requires a LinearHead")
 
     sets = _checked_sets(datasets, bank.num_classes, encoders[0].d_in)
-    step = FusedStep(encoders, bank, cfg.loss, heads if cfg.head == HEAD_LINEAR else None)
+
+    def update(part: int) -> None:
+        """AdamW and the ensemble on one column range of the parameters."""
+        theta, grad, opt, bma_part, ema_part = states[part]
+        adamw_step(theta, grad, opt, lr, cfg.weight_decay)
+        if bma_part is not None and (t + 1) % cfg.bma_every == 0 \
+                and bma_part.step < bma_part.total_steps:
+            bma_update(bma_part, theta)
+        elif ema_part is not None:
+            ema_update(ema_part, theta, cfg.ema_decay)
+
+    step = FusedStep(encoders, bank, cfg.loss, heads if cfg.head == HEAD_LINEAR else None,
+                     update=update)
     params = step.params
-    opt = AdamWState(m=np.zeros_like(params), v=np.zeros_like(params))
     # each lane draws its rows from its own stream and gathers them into its
     # row of one batch buffer, in the features' dtype; float32 batches are
     # cast to float64 after the gather, which is exact
@@ -395,35 +591,40 @@ def train(
         bma = bma_init(params, ensemble_updates, beta)
     elif cfg.ensemble_mode == ENSEMBLE_EMA:
         ema_avg = params.copy()
+    # each range of the parameters updates its own views of the gradients
+    # and the optimizer and ensemble state; the ranges' step counters and
+    # weight sums advance in lockstep. The closure holds these views, not
+    # the step, which holds the closure.
+    blocks, ranges = step.parts(cfg.batch_size)
+    m, v = np.zeros_like(params), np.zeros_like(params)
+    states = [(params[:, cols], step.grads[:, cols], AdamWState(m=m[:, cols], v=v[:, cols]),
+               None if bma is None else replace(bma, avg=bma.avg[:, cols]),
+               None if ema_avg is None else ema_avg[:, cols])
+              for cols in ranges]
 
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
-    for t in range(cfg.steps):
-        chunk_step = t % BATCH_DRAW_STEPS
-        if chunk_step == 0:
-            # one draw of size (T, B) gives the stream of T draws of size B
-            chunk = min(BATCH_DRAW_STEPS, cfg.steps - t)
-            chunk_rows = [rng.integers(0, labels.size, size=(chunk, cfg.batch_size))
-                          for rng, _, labels, _, _ in lanes]
-        for (_, features, labels, x_row, y_row), rows in zip(lanes, chunk_rows):
-            # the rows are in range; "clip" skips the buffered copy of "raise"
-            features.take(rows[chunk_step], axis=0, out=x_row, mode="clip")
-            labels.take(rows[chunk_step], out=y_row, mode="clip")
-        try:
-            losses[t] = step(xs.astype(np.float64, copy=False), ys)
-        except NonFiniteError as exc:
-            raise NonFiniteError(f"step {t}: {exc}") from None
-
-        lr = cosine_lr(t, cfg.steps, cfg.base_lr)
-        adamw_step(params, step.grads, opt, lr, cfg.weight_decay)
-
-        if trajectory is not None:
-            trajectory.append(params.copy())
-        if bma is not None and (t + 1) % cfg.bma_every == 0 and bma.step < bma.total_steps:
-            bma = bma_update(bma, params)
-        elif ema_avg is not None:
-            ema_avg = ema_update(ema_avg, params, cfg.ema_decay)
+    with step.threads(worker_threads() if len(blocks) > 1 else 1):
+        for t in range(cfg.steps):
+            chunk_step = t % BATCH_DRAW_STEPS
+            if chunk_step == 0:
+                # one draw of size (T, B) gives the stream of T draws of size B
+                chunk = min(BATCH_DRAW_STEPS, cfg.steps - t)
+                chunk_rows = [rng.integers(0, labels.size, size=(chunk, cfg.batch_size))
+                              for rng, _, labels, _, _ in lanes]
+            for (_, features, labels, x_row, y_row), rows in zip(lanes, chunk_rows):
+                # the rows are in range; "clip" skips the buffered copy of "raise"
+                features.take(rows[chunk_step], axis=0, out=x_row, mode="clip")
+                labels.take(rows[chunk_step], out=y_row, mode="clip")
+            lr = cosine_lr(t, cfg.steps, cfg.base_lr)
+            try:
+                # the step calls update() on each range of the parameters
+                losses[t] = step(xs.astype(np.float64, copy=False), ys)
+            except NonFiniteError as exc:
+                raise NonFiniteError(f"step {t}: {exc}") from None
+            if trajectory is not None:
+                trajectory.append(params.copy())
 
     step.write_back()
     if bma is not None:

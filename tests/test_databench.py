@@ -36,6 +36,10 @@ def test_spec_validation():
         for size in (0, -1):
             with pytest.raises(ValueError, match=f"{name} must be >= 1"):
                 BenchmarkSpec(**{name: size})
+    for shots in (0, -3):
+        with pytest.raises(ValueError, match="shots must be >= 1"):
+            BenchmarkSpec(shots=shots)
+    assert BenchmarkSpec(shots=1).shots == 1
 
 
 def test_degenerate_generation_reproduces_prototypes():

@@ -283,6 +283,30 @@ def test_report_json_round_trip():
     assert report.to_json() == back.to_json()
 
 
+def test_report_json_appends_topk_rows_as_the_nested_payload_would_dump_them():
+    probs = [0.9, 1e-300, 5e-324, float("nan"), float("inf"), -float("inf"), 0.1, 1 / 3]
+    report = EvalReport(
+        acc_base=0.5, acc_new=float("nan"), acc_h=0.0, per_domain={0: 0.5}, per_class={3: 1.0},
+        config={"seed": 7, "zzz": [1.5, None], "shots": None},
+        topk=[(12, [(3, p), (1, 0.05)]) for p in probs] + [(4, [(np.int64(2), np.float64(0.5))]),
+                                                          (5, [])],
+    )
+    payload = {
+        "acc_base": report.acc_base,
+        "acc_new": report.acc_new,
+        "acc_h": report.acc_h,
+        "per_domain": {str(k): v for k, v in report.per_domain.items()},
+        "per_class": {str(k): v for k, v in report.per_class.items()},
+        "config": report.config,
+        "topk": [[sample, [[int(c), float(s)] for c, s in ranked]]
+                 for sample, ranked in report.topk],
+    }
+    assert report.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    report.topk = []
+    payload["topk"] = []
+    assert report.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
 def test_run_file_round_trip(tmp_path):
     path = tmp_path / "r.run"
     config = {"seed": 1, "steps": 3}
@@ -531,6 +555,15 @@ def test_cli_sizes_below_one(tmp_path, capsys):
     for flag in ("--seeds", "--hidden"):
         assert main(["ablate", "--data", str(data), "--steps", "2", flag, "0"]) == 1
         assert f"{flag} must be >= 1" in capsys.readouterr().err
+    for shots in ("0", "-3"):
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                     "--shots", shots]) == 1
+        assert "--shots must be >= 1" in capsys.readouterr().err
+        assert not run.exists()
+        out = tmp_path / "shots.emba"
+        assert main(_gen_args(out) + ["--shots", shots]) == 1
+        assert "--shots must be >= 1" in capsys.readouterr().err
+        assert not out.exists()
     for flag, name in (("--embed-dim", "embed_dim"), ("--input-dim", "input_dim"),
                        ("--per-class", "samples_per_class_per_domain")):
         out = tmp_path / f"{name}.emba"
@@ -683,6 +716,8 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
         ("hidden", "8", "'hidden' has the wrong type"),
         ("num_domains", True, "'num_domains' has the wrong type"),
         ("shots", 1.5, "'shots' has the wrong type"),
+        ("shots", 0, "'shots' must be >= 1 or null"),
+        ("shots", -3, "'shots' must be >= 1 or null"),
         ("head", "bogus", "'head' is unknown"),
         ("tau", -1.0, "'tau' must be finite and positive"),
         ("embed_dim", 13, "'embed_dim' is 13, the archive has 12"),

@@ -1,0 +1,284 @@
+"""The training step split into two row blocks and two parameter ranges:
+the halves depend on the shapes alone, so one and two threads give the
+same bits; errors are those of the first failing half; the worker thread
+sees the caller's numpy error state and never outlives `train`."""
+
+import gc
+import sys
+import threading
+from dataclasses import replace
+
+import numpy as np
+import pytest
+
+from oodtune import parallel
+from oodtune import trainer as tr
+from oodtune.model import Encoder, LinearHead
+from oodtune.tensor import NonFiniteError
+from oodtune.trainer import FusedStep, TrainerConfig, TrainSet, train
+
+from helpers import random_bank
+
+# trained parameters and losses of a reordered but correct step stay this
+# close over a few mid-size steps: the tolerance perfbench's replica check uses
+AGREE_ATOL = 1e-6
+
+
+@pytest.fixture
+def split_small(monkeypatch):
+    """Split every step in two, whatever its size."""
+    monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+
+
+def _threads(monkeypatch, count):
+    monkeypatch.setattr(tr, "worker_threads", lambda: count)
+
+
+def _lanes(lanes, linear, dtype, d_in=6, hidden=8, classes=5, dim=4):
+    bank = random_bank(np.random.default_rng(40), classes, dim)
+    built = []
+    for i in range(lanes):
+        rng = np.random.default_rng([41, i])
+        enc = Encoder.init(d_in, hidden, dim, rng)
+        head = LinearHead.init(classes, dim, rng) if linear else None
+        n = 23 + 7 * i
+        data = TrainSet(rng.standard_normal((n, d_in)).astype(dtype),
+                        rng.integers(0, classes, size=n))
+        built.append((enc, head, data))
+    return bank, built
+
+
+def _train(lanes, linear, dtype, cfg):
+    bank, built = _lanes(lanes, linear, dtype)
+    cfgs = [replace(cfg, seed=10 + i) for i in range(lanes)]
+    return train([e for e, _, _ in built], bank, [d for _, _, d in built], cfgs,
+                 head=[h for _, h, _ in built] if linear else None, keep_trajectory=True)
+
+
+def _assert_same(got, want):
+    for a, b in zip(got, want, strict=True):
+        np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
+        np.testing.assert_array_equal(a.final_params, b.final_params)
+        np.testing.assert_array_equal(a.ensemble_params, b.ensemble_params)
+        assert len(a.trajectory) == len(b.trajectory)
+        for x, y in zip(a.trajectory, b.trajectory):
+            np.testing.assert_array_equal(x, y)
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("ensemble,every", [("bma", 1), ("bma", 3), ("ema", 1), ("avg", 1),
+                                            ("none", 1)])
+def test_one_and_two_threads_train_the_same_bits(monkeypatch, split_small, lanes, linear, dtype,
+                                                 ensemble, every):
+    cfg = TrainerConfig(steps=10, batch_size=7, ensemble_mode=ensemble, ema_decay=0.9,
+                        bma_every=every, head="linear" if linear else "metric")
+    workers = []
+    monkeypatch.setattr(parallel.PairWorker, "__enter__",
+                        lambda self: workers.append(self) or self)
+    _threads(monkeypatch, 1)
+    serial = _train(lanes, linear, dtype, cfg)
+    assert not workers
+    _threads(monkeypatch, 2)
+    threaded = _train(lanes, linear, dtype, cfg)
+    assert len(workers) == 1  # the step ran on a worker
+    _assert_same(threaded, serial)
+
+
+def test_halves_split_the_batch_rows_and_the_parameters_at_a_matrix_row(split_small):
+    bank, built = _lanes(2, True, np.float64)
+    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), [h for _, h, _ in built])
+    blocks, ranges = step.parts(7)
+    assert blocks == [slice(0, 4), slice(4, 7)]
+    p = step.params.shape[1]  # w1 6x8, b1 8, w2 8x4, b2 4, head 5x4: P = 112
+    assert ranges == [slice(0, 56), slice(56, p)] and p == 112
+    assert step.parts(1) == ([slice(0, 1)], [slice(0, p)])
+
+
+@pytest.mark.parametrize("lanes", [1, 3])
+@pytest.mark.parametrize("linear", [False, True])
+def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, linear):
+    bank, built = _lanes(lanes, linear, np.float64)
+    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(),
+                     [h for _, h, _ in built] if linear else None)
+    rng = np.random.default_rng(6)
+    x, labels = rng.standard_normal((lanes, 9, 6)), rng.integers(0, 5, size=(lanes, 9))
+    whole = step(x, labels), step.grads.copy()
+    monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    assert len(step.parts(9)[0]) == 2
+    with step.threads(2):
+        halves = step(x, labels), step.grads.copy()
+    np.testing.assert_allclose(halves[0], whole[0], rtol=1e-13, atol=0)
+    np.testing.assert_allclose(halves[1], whole[1], rtol=1e-12, atol=1e-15)
+
+
+def _mid(lanes=1, batch=256):
+    """The mid-size workload's shapes: C=400, d=128, d_in=256, h=256."""
+    rng = np.random.default_rng(7)
+    bank = random_bank(rng, 400, 128)
+    encoders = [Encoder.init(256, 256, 128, np.random.default_rng([7, i])) for i in range(lanes)]
+    return bank, encoders
+
+
+@pytest.mark.parametrize("lanes,batch,halves", [
+    (1, 36, 1),   # desk-train: C=20, d=32, d_in=48, h=64
+    (5, 36, 1),   # ablate-sweep: 5 seeds of desk size
+    (1, 256, 2),  # mid-train
+])
+def test_benchmark_shapes_get_their_halves(lanes, batch, halves):
+    if halves == 1:
+        bank = random_bank(np.random.default_rng(3), 20, 32)
+        encoders = [Encoder.init(48, 64, 32, np.random.default_rng(i)) for i in range(lanes)]
+    else:
+        bank, encoders = _mid(lanes)
+    blocks, ranges = FusedStep(encoders, bank, tr.L.LossConfig()).parts(batch)
+    assert len(blocks) == len(ranges) == halves
+    if halves == 2:
+        # w1 is 256 x 256 and P = 98,688: the cut is w1's row 193
+        assert ranges[0] == slice(0, 193 * 256)
+
+
+def test_mid_size_halves_agree_with_one_block(monkeypatch):
+    bank, (enc,) = _mid()
+    rng = np.random.default_rng(8)
+    data = TrainSet(rng.standard_normal((600, 256)).astype(np.float32),
+                    rng.integers(0, 400, size=600))
+    cfg = TrainerConfig(steps=3, batch_size=256)
+    init = enc.get_flat()
+
+    def run():
+        enc.set_flat(init)
+        return train(enc, bank, data, cfg)
+
+    _threads(monkeypatch, 2)
+    halves = run()
+    monkeypatch.setattr(tr, "SPLIT_WORK", float("inf"))
+    whole = run()
+    for got, want in ((halves.loss_curve, whole.loss_curve),
+                      (halves.final_params, whole.final_params),
+                      (halves.ensemble_params, whole.ensemble_params)):
+        np.testing.assert_allclose(got, want, rtol=0, atol=AGREE_ATOL)
+
+
+def _fail(step, x, labels, threads):
+    with step.threads(threads), pytest.raises(NonFiniteError) as info:
+        step(x, labels)
+    return str(info.value)
+
+
+def test_a_failing_second_block_raises_the_serial_error(split_small):
+    bank, built = _lanes(3, False, np.float64)
+    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig())
+    rng = np.random.default_rng(2)
+    x, labels = rng.standard_normal((3, 7, 6)), rng.integers(0, 5, size=(3, 7))
+    (first, second), _ = step.parts(7)
+    nan = x.copy()
+    nan[2, second.start + 1, 3] = np.nan  # lane 2, second block
+    assert _fail(step, nan, labels, 1) == _fail(step, nan, labels, 2) == \
+        "lane 2: non-finite pre-activation x @ w1 + b1"
+    both = nan.copy()
+    both[1, first.start, 0] = np.inf  # lane 1, first block
+    assert _fail(step, both, labels, 1) == _fail(step, both, labels, 2) == \
+        "lane 1: non-finite pre-activation x @ w1 + b1"
+
+
+def test_an_overflowing_pre_activation_names_the_step_at_every_thread_count(monkeypatch,
+                                                                            split_small):
+    # one AdamW step at this rate moves every weight to about 1e308
+    cfg = TrainerConfig(steps=3, batch_size=7, base_lr=1e308, weight_decay=0.0)
+    messages = []
+    for threads in (1, 2):
+        _threads(monkeypatch, threads)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError) as info:
+            _train(3, False, np.float64, cfg)
+        messages.append(str(info.value))
+    assert messages[0] == messages[1]
+    assert messages[0].startswith("step 1: lane 0: ")
+
+
+def test_the_worker_runs_under_the_callers_error_state(split_small):
+    # a linear map and a large second block: only its rows' softmax underflows
+    bank, built = _lanes(1, True, np.float64)
+    enc, head, _ = built[0]
+    enc.skip_nonlinearity = True
+    step = FusedStep([enc], bank, tr.L.LossConfig(), [head])
+    rng = np.random.default_rng(4)
+    x, labels = rng.standard_normal((1, 8, 6)), rng.integers(0, 5, size=(1, 8))
+    (_, second), _ = step.parts(8)
+    x[:, second] *= 1e5
+    step(x, labels)  # ignored underflow: no error
+    for threads in (1, 2):
+        with step.threads(threads), np.errstate(under="raise"), \
+                pytest.raises(FloatingPointError, match="underflow"):
+            step(x, labels)
+
+
+def test_no_thread_outlives_train(monkeypatch, split_small):
+    _threads(monkeypatch, 2)
+    before = threading.active_count()
+    cfg = TrainerConfig(steps=4, batch_size=7)
+    _train(2, False, np.float64, cfg)
+    assert threading.active_count() == before
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+        _train(2, False, np.float64, replace(cfg, base_lr=1e308, weight_decay=0.0))
+    assert threading.active_count() == before
+
+
+def test_train_frees_its_step_without_the_cycle_collector(monkeypatch, split_small):
+    # the step holds train's update closure: a closure that held the step
+    # would keep every run's parameter blocks alive until a collection
+    _threads(monkeypatch, 2)
+    gc.collect()
+    gc.disable()
+    try:
+        _train(2, True, np.float64, TrainerConfig(steps=3, batch_size=7))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_pair_worker_runs_each_job_once_and_raises_the_callers_error_first():
+    runs = []
+
+    def job(name, fail=False):
+        def run():
+            runs.append(name)
+            if fail:
+                raise ValueError(name)
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with parallel.PairWorker() as worker:
+            for i in range(500):
+                worker.run(job(("mine", i)), job(("theirs", i)))
+            assert sorted(runs) == sorted([("mine", i) for i in range(500)]
+                                          + [("theirs", i) for i in range(500)])
+            for mine, theirs, want in ((True, False, "a"), (False, True, "b"),
+                                       (True, True, "a")):
+                runs.clear()
+                with pytest.raises(ValueError, match=want):
+                    worker.run(job("a", mine), job("b", theirs))
+                assert "a" in runs
+            worker.run(job("c"), job("d"))  # still serving after an error
+    finally:
+        sys.setswitchinterval(interval)
+    assert not worker._thread.is_alive()
+
+
+def test_pair_worker_runs_a_job_under_the_callers_context_at_the_hand_off():
+    started = threading.Event()
+    seen = {}
+
+    def theirs():
+        seen.update(under=np.geterr()["under"], thread=threading.current_thread())
+        started.set()
+
+    with parallel.PairWorker() as worker:
+        with np.errstate(under="raise"):
+            # the caller waits until the worker has taken the job
+            worker.run(lambda: started.wait(10), theirs)
+    assert started.is_set()
+    assert seen == {"under": "raise", "thread": worker._thread}
