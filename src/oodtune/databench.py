@@ -14,6 +14,7 @@ EMBA file layout (little-endian):
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass
@@ -76,6 +77,10 @@ class BenchmarkSpec:
             raise ValueError("base_fraction leaves an empty base or new class set")
         if not 0 <= self.test_domain < self.num_domains:
             raise ValueError(f"test_domain {self.test_domain} out of range")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
+        if not math.isfinite(self.domain_strength):
+            raise ValueError(f"domain_strength must be finite, got {self.domain_strength}")
         if self.shots is not None and self.shots < 1:
             raise ValueError(f"shots must be >= 1 or None, got {self.shots}")
         if self.identity_lift and self.input_dim != self.embed_dim:

@@ -12,23 +12,20 @@ Run file layout (little-endian):
 from __future__ import annotations
 
 import argparse
-import contextvars
 import json
 import math
 import struct
 import sys
-import threading
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from . import databench as db
 from . import losses as L
+from . import parallel
 from . import trainer as tr
 from .databench import ArchiveFormatError, SplitSubset
 from .model import ClassBank, Encoder, LinearHead, mlp_forward, text_head_init, unflatten_params
-# evaluate calls the thread rule under this module's name, where tests replace it
-from .parallel import BLAS_THREAD_VARS, worker_threads as _score_threads  # noqa: F401
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 RUN_MAGIC = b"RUNF"
@@ -115,52 +112,6 @@ def _row_blocks(n: int, num_classes: int) -> list[slice]:
     if len(starts) > 1 and n - starts[-1] == 1:
         starts.pop()
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
-
-
-def _run_blocks(task, blocks: list[slice], workers: int) -> None:
-    """Call task(block) for every block, on `workers` threads counting the
-    caller's, each taking the next block in row order.
-
-    Once a block fails no further block is started, and when every thread
-    has stopped the exception of the first failing block in row order is
-    raised: as the serial loop does, since each block before it was started
-    and completes. Each thread runs in a copy of the caller's context, so
-    numpy's error state (a context variable) holds in all of them.
-    """
-    if workers <= 1:
-        for block in blocks:
-            task(block)
-        return
-    pending = iter(enumerate(blocks))
-    lock = threading.Lock()
-    stop = threading.Event()
-    failed: dict[int, BaseException] = {}
-
-    def drain() -> None:
-        while not stop.is_set():
-            with lock:
-                i, block = next(pending, (None, None))
-            if block is None:
-                return
-            try:
-                task(block)
-            except BaseException as exc:  # re-raised by the caller below
-                failed[i] = exc
-                stop.set()
-                return
-
-    threads = [threading.Thread(target=contextvars.copy_context().run, args=(drain,))
-               for _ in range(workers - 1)]
-    for thread in threads:
-        thread.start()
-    try:
-        drain()
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if failed:
-        raise failed[min(failed)]
 
 
 def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
@@ -287,10 +238,12 @@ def evaluate(
     row without a NaN score (only an overflowing linear head gives one).
     `tau` must be finite and positive.
 
-    Blocks are scored concurrently on up to `_score_threads()` threads, the
-    caller's among them, one block per thread at a time. Each block runs
-    the same operations and writes only its own rows, so the report does
-    not depend on the thread count; a one-block call starts no thread.
+    Blocks are scored on a `parallel.Crew` of up to
+    `parallel.worker_threads()` threads, the caller's among them, one block
+    per thread at a time; of failing blocks, the first one's error is
+    raised. Each block runs the same operations and writes only its own
+    rows, so the report does not depend on the thread count; a one-block
+    call starts no thread.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -339,7 +292,8 @@ def evaluate(
         top_probs[block] = np.take_along_axis(scores, ids, axis=1) / total
 
     blocks = _row_blocks(n, num_classes)
-    _run_blocks(score, blocks, min(len(blocks), _score_threads()))
+    with parallel.Crew(min(len(blocks), parallel.worker_threads())) as crew:
+        crew.run(score, blocks)
 
     labels = np.asarray(subset.labels, dtype=np.int64)
     correct = preds == labels

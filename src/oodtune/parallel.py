@@ -1,10 +1,10 @@
 """Threads for the parts of a job that split by rows: how many the cores
-allow, and a persistent second thread that runs one part while the caller
-runs another.
+allow (`worker_threads`), and a crew of persistent threads that run a
+job's parts with the caller (`Crew`).
 
-Both `evalcli.evaluate` (its score blocks) and `trainer.train` (its step
-halves) read the same rule. Every part runs the same operations at any
-thread count, so results do not depend on it.
+`evalcli.evaluate` runs its score blocks and `trainer.train` the halves of
+each step on a crew of `worker_threads()`. Every part runs the same
+operations at any thread count, so results do not depend on it.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import contextvars
 import os
 import threading
 import time
-from collections import deque
 
 # the variables that set the BLAS thread count, in the order they are read
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -67,80 +66,119 @@ def _take(lock: threading.Lock) -> None:
     lock.acquire()
 
 
-class PairWorker:
-    """One worker thread that runs a job while the caller runs another.
+class _Job:
+    """One run(): the task, the parts not yet taken (with their indices),
+    each worker's context, the workers running a part, and the errors."""
 
-    The caller offers a job and wakes the worker; if the worker has not
-    started it by the time the caller's own job ends, the caller takes it
-    back and runs it itself, so a worker the OS has not scheduled yet never
-    holds up the caller. The hand-off is two plain locks, each released by
-    one thread and taken by the other, waited on through `_take`; with two
-    `threading.Barrier`s in their place a mid-size training step took 6.35
-    ms against 5.86 ms (medians of 6 runs on 2 cores). The worker runs
-    each job in a copy of the caller's context at the hand-off, so numpy's
-    error state (a context variable) holds in it. Use as a context manager:
-    the thread stops and is joined on exit, also when the block raises.
+    __slots__ = ("task", "pending", "contexts", "busy", "failed", "waiting")
+
+    def __init__(self, task, parts, workers: int):
+        self.task = task
+        self.pending = iter(enumerate(parts))
+        self.contexts = [contextvars.copy_context() for _ in range(workers)]
+        self.busy = 0
+        self.failed: dict[int, BaseException] = {}
+        self.waiting = False  # the caller waits on the done lock
+
+
+class Crew:
+    """The caller and `count - 1` persistent worker threads, which run the
+    parts of a job together.
+
+    `run(task, parts)` calls task(part) for every part: each thread takes
+    the next part in order under one lock. A part no thread has started
+    goes to whichever asks next, so the caller runs it itself when a worker
+    has not woken yet; the caller then waits only while a worker still runs
+    a part it took. Once a part raises no further part starts, and when
+    every started part has returned the exception of the first failing part
+    in order is raised. Each worker runs its parts in its own copy of the
+    caller's context, taken at run(), so numpy's error state (a context
+    variable) holds in it. The hand-off is plain locks waited on through
+    `_take`: with two `threading.Barrier`s in their place, a two-thread
+    hand-off made a mid-size training step take 6.35 ms against 5.86 ms
+    (medians of 6 runs on 2 cores).
+
+    A crew of one starts no thread and runs the parts in a plain loop. Use
+    as a context manager, from one thread: the workers stop and are joined
+    on exit, also when the block raises.
     """
 
-    def __init__(self):
-        self._wake = threading.Lock()  # released by the caller to wake the worker
-        self._wake.acquire()
-        self._done = threading.Lock()  # released by the worker after a job it took
+    def __init__(self, count: int):
+        self._lock = threading.Lock()  # guards the parts, busy count and errors of a job
+        self._done = threading.Lock()  # released by the last busy worker to a waiting caller
         self._done.acquire()
-        # the offered job and its context, popped by whichever thread takes it
-        self._offered: deque = deque()
-        self._error: BaseException | None = None
+        self._job: _Job | None = None
         self._stop = False
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
+        self._wakes: list[threading.Lock] = []  # one per worker, released by the caller
+        self._threads: list[threading.Thread] = []
+        for index in range(count - 1):
+            wake = threading.Lock()
+            wake.acquire()
+            thread = threading.Thread(target=self._serve, args=(index, wake), daemon=True)
+            self._wakes.append(wake)
+            self._threads.append(thread)
+            thread.start()
 
-    def _serve(self) -> None:
+    def _serve(self, index: int, wake: threading.Lock) -> None:
         while True:
-            _take(self._wake)
+            _take(wake)
             if self._stop:
                 return
-            try:
-                context, job = self._offered.pop()
-            except IndexError:  # the caller took it back
-                continue
-            try:
-                context.run(job)
-            except BaseException as exc:  # re-raised on the caller by run()
-                self._error = exc
-            self._done.release()
+            job = self._job
+            if job is not None:
+                job.contexts[index].run(self._drain, job, True)
 
-    def _signal(self) -> None:
-        # only the caller releases the wake lock: when it is free, a wake-up
-        # is still pending, and the worker will find the current offer
-        if self._wake.locked():
-            self._wake.release()
+    def _wake(self) -> None:
+        # only the caller releases a wake lock: when it is free, a wake-up is
+        # still pending, and the worker will find the current job
+        for wake in self._wakes:
+            if wake.locked():
+                wake.release()
 
-    def run(self, mine, theirs) -> None:
-        """Call mine() on the caller and theirs() on the worker, or on the
-        caller after mine() when the worker has not started it. When both
-        have returned, raise the exception of mine() if it raised one, else
-        that of theirs()."""
-        self._offered.append((contextvars.copy_context(), theirs))
-        self._signal()
-        try:
-            mine()
-        finally:
+    def _drain(self, job: _Job, worker: bool) -> None:
+        """Run the job's next part until none is left or one has failed."""
+        while True:
+            with self._lock:
+                item = None if job.failed else next(job.pending, None)
+                if item is None:
+                    return
+                if worker:
+                    job.busy += 1
+            index, part = item
             try:
-                self._offered.pop()
-                taken_back = True
-            except IndexError:  # the worker runs it
-                taken_back = False
-                _take(self._done)
-        if taken_back:
-            theirs()
-        error, self._error = self._error, None
-        if error is not None:
-            raise error
+                job.task(part)
+            except BaseException as exc:  # raised on the caller by run()
+                job.failed[index] = exc
+            if worker:
+                with self._lock:
+                    job.busy -= 1
+                    if job.waiting and not job.busy:
+                        self._done.release()
 
-    def __enter__(self) -> "PairWorker":
+    def run(self, task, parts) -> None:
+        """Call task(part) for every part on the crew; raise the exception
+        of the first failing part in order once every started part has
+        returned."""
+        if not self._threads:
+            for part in parts:
+                task(part)
+            return
+        job = self._job = _Job(task, parts, len(self._threads))
+        self._wake()
+        self._drain(job, False)
+        with self._lock:
+            self._job = None
+            job.waiting = job.busy > 0
+        if job.waiting:
+            _take(self._done)
+        if job.failed:
+            raise job.failed[min(job.failed)]
+
+    def __enter__(self) -> "Crew":
         return self
 
     def __exit__(self, *exc) -> None:
         self._stop = True
-        self._signal()
-        self._thread.join()
+        self._wake()
+        for thread in self._threads:
+            thread.join()

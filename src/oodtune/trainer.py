@@ -15,10 +15,11 @@ bit for bit, and every lane equals its own one-lane run bit for bit.
 A step whose work reaches SPLIT_WORK runs as two halves: two blocks of
 batch rows (forward, loss and backward to the hidden layer), then two
 ranges of the parameters (their gradients, AdamW and the ensemble update).
-Where the cores allow (`parallel.worker_threads`), the halves run on the
-caller's thread and one worker thread that `train` starts and joins. The
-halves are fixed by the shapes alone, so the loop is fully deterministic
-under its seeds and gives the same bits at every thread count.
+Where the cores allow (`parallel.worker_threads`), the halves run on a
+`parallel.Crew`, the caller's thread and a worker that `train` starts and
+joins. The halves are fixed by the shapes alone, so the loop is fully
+deterministic under its seeds and gives the same bits at every thread
+count.
 """
 
 from __future__ import annotations
@@ -31,10 +32,10 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from . import losses as L
+from . import parallel
 from .ensemble import BmaState, ParamVector, bma_init, bma_update, ema_update
 from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward,
                     unflatten_params)
-from .parallel import PairWorker, worker_threads
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
 ENSEMBLE_BMA = "bma"
@@ -278,7 +279,7 @@ class FusedStep:
         self._dims = (hidden, first.d_out, bank.num_classes)
         self._row_flops = 2 * (2 * d_in * hidden + 3 * hidden * first.d_out
                                + (3 if linear else 2) * first.d_out * bank.num_classes)
-        self._worker: PairWorker | None = None
+        self._crew = parallel.Crew(1)
 
     def write_back(self) -> None:
         """Copy each lane's current parameters into its encoder (and head) tensors."""
@@ -340,26 +341,14 @@ class FusedStep:
 
     @contextmanager
     def threads(self, count: int):
-        """Inside the block, run the two parts of a phase on two threads,
-        the caller's and one worker's, when `count` is 2 or more. The worker
-        is stopped and joined on exit."""
-        if count < 2:
-            yield
-            return
-        with PairWorker() as self._worker:
+        """Inside the block, run the parts of each phase on a
+        `parallel.Crew` of `count` threads, the caller's among them. Its
+        workers are stopped and joined on exit."""
+        with parallel.Crew(count) as self._crew:
             try:
                 yield
             finally:
-                self._worker = None
-
-    def _run(self, part, count: int) -> None:
-        """part(0), ..., part(count - 1); with a worker, parts 0 and 1 at
-        once, raising the exception of the first part that raised."""
-        if count == 1 or self._worker is None:
-            for i in range(count):
-                part(i)
-        else:
-            self._worker.run(lambda: part(0), lambda: part(1))
+                self._crew = parallel.Crew(1)
 
     def __call__(self, x: np.ndarray, labels: np.ndarray) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
@@ -375,7 +364,7 @@ class FusedStep:
         self._blocks, self._covered, self._act = self._plan(b)
         if self._linear:
             self._w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
-        self._run(self._rows, len(self._blocks))
+        self._crew.run(self._rows, range(len(self._blocks)))
         # per lane in Python floats: the same IEEE operations as on numpy scalars
         losses = [total / b * -1.0
                   for total in np.add.reduce(self._act["picked"], axis=-1).tolist()]
@@ -383,7 +372,7 @@ class FusedStep:
             if not math.isfinite(loss):
                 where = f"lane {lane}: " if s > 1 else ""
                 raise NonFiniteError(f"{where}non-finite loss {loss}")
-        self._run(self._range, len(self._covered))
+        self._crew.run(self._range, range(len(self._covered)))
         self._x = self._labels = None
         return losses
 
@@ -605,7 +594,7 @@ def train(
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
-    with step.threads(worker_threads() if len(blocks) > 1 else 1):
+    with step.threads(parallel.worker_threads() if len(blocks) > 1 else 1):
         for t in range(cfg.steps):
             chunk_step = t % BATCH_DRAW_STEPS
             if chunk_step == 0:

@@ -40,6 +40,13 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="shots must be >= 1"):
             BenchmarkSpec(shots=shots)
     assert BenchmarkSpec(shots=1).shots == 1
+    for sigma in (float("nan"), float("inf"), -0.5):
+        with pytest.raises(ValueError, match="noise_sigma must be finite and >= 0"):
+            BenchmarkSpec(noise_sigma=sigma)
+    for strength in (float("nan"), float("inf"), float("-inf")):
+        with pytest.raises(ValueError, match="domain_strength must be finite"):
+            BenchmarkSpec(domain_strength=strength)
+    assert BenchmarkSpec(noise_sigma=0.0, domain_strength=-0.5).domain_strength == -0.5
 
 
 def test_degenerate_generation_reproduces_prototypes():

@@ -11,6 +11,7 @@ import pytest
 
 from oodtune import databench as db
 from oodtune import evalcli
+from oodtune import parallel
 from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import (
     EvalReport,
@@ -572,6 +573,16 @@ def test_cli_sizes_below_one(tmp_path, capsys):
         assert main(args) == 2
         assert f"{name} must be >= 1" in capsys.readouterr().err
         assert not out.exists()
+    # a non-finite or negative noise, or a non-finite domain strength, would
+    # write an archive whose every feature is NaN
+    for flag, value, message in (("--noise-sigma", "nan", "noise_sigma must be finite and >= 0"),
+                                 ("--noise-sigma", "-0.5", "noise_sigma must be finite and >= 0"),
+                                 ("--domain-strength", "inf", "domain_strength must be finite"),
+                                 ("--domain-strength", "nan", "domain_strength must be finite")):
+        out = tmp_path / "noise.emba"
+        assert main(_gen_args(out) + [flag, value]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_eval_text_prints_the_topk_report(tmp_path, capsys):
@@ -927,7 +938,7 @@ def _reports_by_threads(monkeypatch, run, threads=(1, 2, 4)):
     """run() under each forced thread count; the first is serial."""
     out = []
     for count in threads:
-        monkeypatch.setattr(evalcli, "_score_threads", lambda count=count: count)
+        monkeypatch.setattr(parallel, "worker_threads", lambda count=count: count)
         out.append(run())
     return out
 
@@ -1021,7 +1032,7 @@ def test_threaded_reports_equal_the_serial_ones_on_rows_the_argsort_ranks(monkey
 def test_threads_score_under_the_callers_numpy_error_state(monkeypatch):
     spec, archive, splits, enc = _threads_case(monkeypatch)
     head = _overflowing_head(spec, enc, [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16])
-    monkeypatch.setattr(evalcli, "_score_threads", lambda: 2)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 2)
     assert len(evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes)) > 2
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
@@ -1029,7 +1040,7 @@ def test_threads_score_under_the_callers_numpy_error_state(monkeypatch):
     with np.errstate(over="ignore"):  # no RuntimeWarning, which the suite makes an error
         threaded = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
                             head=head, topk=9)
-        monkeypatch.setattr(evalcli, "_score_threads", lambda: 1)
+        monkeypatch.setattr(parallel, "worker_threads", lambda: 1)
         serial = evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
                           head=head, topk=9)
     assert threaded.to_json() == serial.to_json()
@@ -1067,7 +1078,7 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
 
     monkeypatch.setattr(evalcli, "_scores", failing)
     before = threading.active_count()
-    monkeypatch.setattr(evalcli, "_score_threads", lambda: 4)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     with pytest.raises(ValueError, match="^block 2$"):
         evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
     assert later_failed.is_set()
@@ -1084,7 +1095,7 @@ def test_one_block_call_starts_no_thread(monkeypatch):
         return inner(*args, **kwargs)
 
     monkeypatch.setattr(evalcli, "_scores", counting)
-    monkeypatch.setattr(evalcli, "_score_threads", lambda: 4)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     before = threading.active_count()
     evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
     assert len(counts) > 1 and max(counts) > before  # many blocks: threads score them
@@ -1098,10 +1109,10 @@ def test_one_block_call_starts_no_thread(monkeypatch):
 def test_threaded_blocks_are_each_scored_once_under_frequent_switches(monkeypatch):
     _, archive, splits, enc = _threads_case(monkeypatch, rows=2)
     subset = splits.test_both
-    monkeypatch.setattr(evalcli, "_score_threads", lambda: 1)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 1)
     serial = evaluate(enc, archive.bank, subset, splits.base_classes, topk=2)
     blocks = _recorded_blocks(monkeypatch, keep=lambda scores: np.argmax(scores, axis=1))
-    monkeypatch.setattr(evalcli, "_score_threads", lambda: 8)  # more threads than cores
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 8)  # more threads than cores
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -1124,15 +1135,15 @@ def test_threaded_blocks_are_each_scored_once_under_frequent_switches(monkeypatc
 ])
 def test_score_threads_are_the_usable_cores_over_the_blas_threads(monkeypatch, env, cores,
                                                                   want):
-    for name in evalcli.BLAS_THREAD_VARS:
+    for name in parallel.BLAS_THREAD_VARS:
         monkeypatch.delenv(name, raising=False)
     for name, value in env.items():
         monkeypatch.setenv(name, value)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: 64)  # not read when the affinity is known
-    assert evalcli._score_threads() == want
+    assert parallel.worker_threads() == want
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
-    assert evalcli._score_threads() == want
+    assert parallel.worker_threads() == want
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
-    assert evalcli._score_threads() == 1
+    assert parallel.worker_threads() == 1

@@ -1,0 +1,112 @@
+"""The crew that runs a job's parts on the caller and persistent workers:
+every part runs once; errors are those of the first failing part in
+order, and no part starts after a failure; a worker runs under the
+caller's context; the caller never waits for a worker that took nothing;
+the workers are joined on exit."""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from oodtune import parallel
+
+
+def _call(job):
+    job()
+
+
+def test_crew_runs_each_part_once_and_raises_the_first_parts_error_first():
+    runs = []
+
+    def job(name, fail=False):
+        def run():
+            runs.append(name)
+            if fail:
+                raise ValueError(name)
+        return run
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with parallel.Crew(2) as crew:
+            for i in range(500):
+                crew.run(_call, [job(("first", i)), job(("second", i))])
+            assert sorted(runs) == sorted([("first", i) for i in range(500)]
+                                          + [("second", i) for i in range(500)])
+            for first, second, want in ((True, False, "a"), (False, True, "b"),
+                                        (True, True, "a")):
+                runs.clear()
+                with pytest.raises(ValueError, match=want):
+                    crew.run(_call, [job("a", first), job("b", second)])
+                assert "a" in runs
+            crew.run(_call, [job("c"), job("d")])  # still serving after an error
+    finally:
+        sys.setswitchinterval(interval)
+    assert not crew._threads[0].is_alive()
+
+
+def test_crew_runs_a_part_under_the_callers_context_at_the_hand_off():
+    caller = threading.current_thread()
+    started = threading.Event()
+    seen = {}
+
+    def part(_):
+        if threading.current_thread() is caller:
+            started.wait(10)  # until the worker has taken the other part
+        else:
+            seen.update(under=np.geterr()["under"], thread=threading.current_thread())
+            started.set()
+
+    with parallel.Crew(2) as crew:
+        with np.errstate(under="raise"):
+            crew.run(part, range(2))
+    assert started.is_set()
+    assert seen == {"under": "raise", "thread": crew._threads[0]}
+
+
+def test_crew_starts_no_part_after_a_failure_and_raises_the_first_failing_parts_error():
+    started = []
+    fifth_failed, third_failed = threading.Event(), threading.Event()
+
+    def part(i):
+        started.append(i)
+        if i == 3:  # fails only once part 5 has
+            fifth_failed.wait(10)
+            third_failed.set()
+            raise ValueError("part 3")
+        if i == 5:
+            fifth_failed.set()
+            raise ValueError("part 5")
+        if i > 5:  # held until both failures: a runner that goes on starts every part
+            third_failed.wait(10)
+
+    with parallel.Crew(4) as crew, pytest.raises(ValueError, match="^part 3$"):
+        crew.run(part, range(12))
+    assert fifth_failed.is_set()
+    # up to the failure of part 5, two threads hold parts 3 and 5 and the
+    # other two at most one part each after it
+    assert sorted(started)[:6] == [0, 1, 2, 3, 4, 5] and max(started) <= 7
+
+
+def test_caller_runs_every_part_when_the_worker_has_not_woken(monkeypatch):
+    caller = threading.current_thread()
+    wake = threading.Event()
+    timed_out = []
+    take = parallel._take
+
+    def held(lock):
+        if threading.current_thread() is not caller:  # the worker, waiting for work
+            timed_out.append(not wake.wait(10))
+        take(lock)
+
+    monkeypatch.setattr(parallel, "_take", held)
+    ran = []
+    with parallel.Crew(2) as crew:
+        crew.run(lambda i: ran.append((i, threading.current_thread())), range(6))
+        wake.set()  # run() has returned without the worker
+    assert ran == [(i, caller) for i in range(6)]
+    assert timed_out and not any(timed_out)
+    assert not crew._threads[0].is_alive()
+

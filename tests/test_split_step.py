@@ -4,7 +4,6 @@ same bits; errors are those of the first failing half; the worker thread
 sees the caller's numpy error state and never outlives `train`."""
 
 import gc
-import sys
 import threading
 from dataclasses import replace
 
@@ -31,7 +30,7 @@ def split_small(monkeypatch):
 
 
 def _threads(monkeypatch, count):
-    monkeypatch.setattr(tr, "worker_threads", lambda: count)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: count)
 
 
 def _lanes(lanes, linear, dtype, d_in=6, hidden=8, classes=5, dim=4):
@@ -74,15 +73,15 @@ def test_one_and_two_threads_train_the_same_bits(monkeypatch, split_small, lanes
                                                  ensemble, every):
     cfg = TrainerConfig(steps=10, batch_size=7, ensemble_mode=ensemble, ema_decay=0.9,
                         bma_every=every, head="linear" if linear else "metric")
-    workers = []
-    monkeypatch.setattr(parallel.PairWorker, "__enter__",
-                        lambda self: workers.append(self) or self)
+    crews = []
+    monkeypatch.setattr(parallel.Crew, "__enter__", lambda self: crews.append(self) or self)
     _threads(monkeypatch, 1)
     serial = _train(lanes, linear, dtype, cfg)
-    assert not workers
+    assert not any(crew._threads for crew in crews)  # no worker started
+    crews.clear()
     _threads(monkeypatch, 2)
     threaded = _train(lanes, linear, dtype, cfg)
-    assert len(workers) == 1  # the step ran on a worker
+    assert [len(crew._threads) for crew in crews] == [1]  # the step ran on a worker
     _assert_same(threaded, serial)
 
 
@@ -236,49 +235,3 @@ def test_train_frees_its_step_without_the_cycle_collector(monkeypatch, split_sma
         assert gc.collect() == 0
     finally:
         gc.enable()
-
-
-def test_pair_worker_runs_each_job_once_and_raises_the_callers_error_first():
-    runs = []
-
-    def job(name, fail=False):
-        def run():
-            runs.append(name)
-            if fail:
-                raise ValueError(name)
-        return run
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with parallel.PairWorker() as worker:
-            for i in range(500):
-                worker.run(job(("mine", i)), job(("theirs", i)))
-            assert sorted(runs) == sorted([("mine", i) for i in range(500)]
-                                          + [("theirs", i) for i in range(500)])
-            for mine, theirs, want in ((True, False, "a"), (False, True, "b"),
-                                       (True, True, "a")):
-                runs.clear()
-                with pytest.raises(ValueError, match=want):
-                    worker.run(job("a", mine), job("b", theirs))
-                assert "a" in runs
-            worker.run(job("c"), job("d"))  # still serving after an error
-    finally:
-        sys.setswitchinterval(interval)
-    assert not worker._thread.is_alive()
-
-
-def test_pair_worker_runs_a_job_under_the_callers_context_at_the_hand_off():
-    started = threading.Event()
-    seen = {}
-
-    def theirs():
-        seen.update(under=np.geterr()["under"], thread=threading.current_thread())
-        started.set()
-
-    with parallel.PairWorker() as worker:
-        with np.errstate(under="raise"):
-            # the caller waits until the worker has taken the job
-            worker.run(lambda: started.wait(10), theirs)
-    assert started.is_set()
-    assert seen == {"under": "raise", "thread": worker._thread}
