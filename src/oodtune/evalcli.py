@@ -12,10 +12,12 @@ Run file layout (little-endian):
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import struct
 import sys
+from collections.abc import Iterator, Sequence
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -43,6 +45,64 @@ def harmonic_mean(acc_base: float, acc_new: float) -> float:
     return 2.0 * acc_base * acc_new / total
 
 
+# (id, probability) pairs that a block of top-k rows holds at most, when a
+# report's rows are built or serialized: their Python objects stay this size
+# whatever the report's N
+REPORT_BLOCK_PAIRS = 1 << 14
+
+
+def _block_rows(k: int) -> int:
+    return max(1, REPORT_BLOCK_PAIRS // max(k, 1))
+
+
+class TopK(Sequence):
+    """The top-k rows of a report, over three arrays: `samples` (N sample
+    indices), `ids` (N x k class ids, best first) and `probs` (their N x k
+    probabilities).
+
+    A row is `(sample, [(id, prob), ...])` of Python ints and floats.
+    Indexing, slicing (to a list) and iteration build rows on demand, a
+    block of at most REPORT_BLOCK_PAIRS pairs at a time; the arrays are
+    read-only views. Equal to any sequence of equal rows.
+    """
+
+    __slots__ = ("samples", "ids", "probs")
+
+    def __init__(self, samples: np.ndarray, ids: np.ndarray, probs: np.ndarray):
+        if ids.ndim != 2 or probs.shape != ids.shape or samples.shape != ids.shape[:1]:
+            raise ShapeError(f"top-k arrays of shapes {samples.shape}, {ids.shape} and "
+                             f"{probs.shape}; expected N, N x k and N x k")
+        self.samples, self.ids, self.probs = samples.view(), ids.view(), probs.view()
+        for arr in (self.samples, self.ids, self.probs):
+            arr.flags.writeable = False
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    def _rows(self, index: slice) -> list[tuple[int, list[tuple[int, float]]]]:
+        return [(sample, list(zip(ids, probs))) for sample, ids, probs in
+                zip(self.samples[index].tolist(), self.ids[index].tolist(),
+                    self.probs[index].tolist())]
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return self._rows(index)
+        i = range(len(self))[index]  # IndexError out of range; negative from the end
+        return self._rows(slice(i, i + 1))[0]
+
+    def __iter__(self):
+        step = _block_rows(self.ids.shape[1])
+        for start in range(0, len(self), step):
+            yield from self._rows(slice(start, start + step))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(a == b for a, b in zip(self, other))
+
+    __hash__ = None
+
+
 @dataclass
 class EvalReport:
     acc_base: float
@@ -51,9 +111,12 @@ class EvalReport:
     per_domain: dict[int, float]
     per_class: dict[int, float]
     config: dict = field(default_factory=dict)
-    topk: list[tuple[int, list[tuple[int, float]]]] | None = None
+    # a TopK from evaluate; from_json and hand-built reports hold a list
+    topk: Sequence[tuple[int, list[tuple[int, float]]]] | None = None
 
-    def to_json(self) -> str:
+    def json_chunks(self) -> Iterator[str]:
+        """The report's JSON text in pieces, the "topk" rows a block at a
+        time, so the whole text is never held; `to_json` joins them."""
         payload = {
             "acc_base": self.acc_base,
             "acc_new": self.acc_new,
@@ -64,16 +127,25 @@ class EvalReport:
         }
         text = json.dumps(payload, sort_keys=True, separators=(",", ":"))
         if self.topk is None:
-            return text
+            yield text
+            return
         # "topk" sorts after every other key, so its rows are appended as
         # text, in json.dumps' form, without a nested payload of N x k lists;
         # repr gives json's float text but for nan and +-inf, which no int
         # or finite float text contains
-        rows = ",".join(["[%d,[%s]]" % (sample, ",".join(["[%d,%r]" % (c, float(p))
-                                                          for c, p in ranked]))
-                         for sample, ranked in self.topk])
-        rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
-        return f'{text[:-1]},"topk":[{rows}]}}'
+        yield f'{text[:-1]},"topk":['
+        topk = self.topk
+        step = _block_rows(len(topk[0][1])) if len(topk) else 1
+        for start in range(0, len(topk), step):
+            rows = ",".join(["[%d,[%s]]" % (sample, ",".join(["[%d,%r]" % (c, float(p))
+                                                              for c, p in ranked]))
+                             for sample, ranked in topk[start:start + step]])
+            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+            yield f",{rows}" if start else rows
+        yield "]}"
+
+    def to_json(self) -> str:
+        return "".join(self.json_chunks())
 
     @classmethod
     def from_json(cls, text: str) -> "EvalReport":
@@ -174,15 +246,19 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         ids = np.argsort(-scores, axis=1, kind="stable")[:, :k]
         return ids, np.take_along_axis(scores, ids, axis=1)
     if ranking == "partial":
-        neg = -scores
+        # negated in place and back, which is exact, so that a block holds
+        # no second copy of its scores beside the partition's indices
+        neg = np.negative(scores, out=scores)
         part = np.argpartition(neg, k, axis=1)
         # ids ascending, then a stable sort by score: the order of a stable
         # argsort among the k
         top = np.sort(part[:, :k], axis=1)
+        next_best = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
+        del part
         order = np.argsort(np.take_along_axis(neg, top, axis=1), axis=1, kind="stable")
         ids = np.take_along_axis(top, order, axis=1)
+        np.negative(neg, out=scores)
         vals = np.take_along_axis(scores, ids, axis=1)
-        next_best = np.take_along_axis(neg, part[:, k:k + 1], axis=1)[:, 0]
         redo = np.flatnonzero(~(-vals[:, -1] < next_best))
     else:
         work = np.ascontiguousarray(scores)
@@ -237,6 +313,10 @@ def evaluate(
     `topk` the prediction is the first top-k id, which is the argmax on every
     row without a NaN score (only an overflowing linear head gives one).
     `tau` must be finite and positive.
+
+    With `topk` the report's `topk` is a `TopK` over the N x k id and
+    probability arrays the blocks fill and the subset's indices: no
+    per-sample Python object is built, and its rows are made on demand.
 
     Blocks are scored on a `parallel.Crew` of up to
     `parallel.worker_threads()` threads, the caller's among them, one block
@@ -301,21 +381,14 @@ def evaluate(
     acc_base = _share(correct, is_base)
     acc_new = _share(correct, ~is_base)
 
-    topk_list = None
-    if topk is not None:
-        # one flat list of (id, probability) pairs, k of them per sample
-        pairs = list(zip(top_ids.ravel().tolist(), top_probs.ravel().tolist()))
-        topk_list = [(sample, pairs[start:start + k])
-                     for sample, start in zip(np.asarray(subset.indices).tolist(),
-                                              range(0, n * k, k))]
-
     return EvalReport(
         acc_base=acc_base,
         acc_new=acc_new,
         acc_h=harmonic_mean(acc_base, acc_new),
         per_domain=_accuracy_by(np.asarray(subset.domains, dtype=np.int64), correct),
         per_class=_accuracy_by(labels, correct),
-        topk=topk_list,
+        topk=None if topk is None else TopK(np.asarray(subset.indices, dtype=np.int64),
+                                            top_ids, top_probs),
     )
 
 
@@ -537,6 +610,17 @@ def _check_shots(shots: int | None) -> None:
         raise UsageError(f"--shots must be >= 1, got {shots}")
 
 
+@contextlib.contextmanager
+def _sized_by(what: str, args, *flags: str):
+    """Turn a MemoryError inside into a ValueError (exit 2) that names the
+    size flags, with their values, at which `what` did not fit."""
+    try:
+        yield
+    except MemoryError:
+        sizes = ", ".join(f"{flag} {getattr(args, flag[2:].replace('-', '_'))}" for flag in flags)
+        raise ValueError(f"{what} does not fit in memory at {sizes}") from None
+
+
 def _cmd_gen(args) -> int:
     _check_shots(args.shots)
     spec = db.BenchmarkSpec(
@@ -552,7 +636,10 @@ def _cmd_gen(args) -> int:
         seed=args.seed,
         shots=args.shots,
     )
-    db.save(db.generate(spec), args.out)
+    with _sized_by("the archive", args, "--classes", "--domains", "--per-class", "--embed-dim",
+                   "--input-dim"):
+        archive = db.generate(spec)
+    db.save(archive, args.out)
     print(f"wrote {args.out}")
     return 0
 
@@ -598,9 +685,10 @@ def _cmd_train(args) -> int:
     archive = db.load(args.data)
     cfg, echo = _train_config(args, archive)
     splits = _splits(archive, args.base_fraction, args.test_domain, args.seed, args.shots)
-    encoder, head = _init_model(archive, args.seed, args.hidden, args.head)
-    result = tr.train(encoder, archive.bank,
-                      tr.TrainSet(splits.train.features, splits.train.labels), cfg, head=head)
+    with _sized_by("training", args, "--batch", "--hidden"):
+        encoder, head = _init_model(archive, args.seed, args.hidden, args.head)
+        result = tr.train(encoder, archive.bank,
+                          tr.TrainSet(splits.train.features, splits.train.labels), cfg, head=head)
     save_run(args.out, echo, result.loss_curve, result.final_params, result.ensemble_params)
     print(f"wrote {args.out} (final loss {result.loss_curve[-1]:.4f})")
     return 0
@@ -641,7 +729,9 @@ def _cmd_eval(args) -> int:
                       tau=config["tau"], head=head, topk=args.topk)
     report.config = dict(config, split=args.split, params=args.params)
     if args.json:
-        print(report.to_json())
+        for chunk in report.json_chunks():
+            sys.stdout.write(chunk)
+        sys.stdout.write("\n")
     else:
         print(f"split={args.split} params={args.params}")
         print(f"  base accuracy: {report.acc_base:.4f}")
@@ -715,11 +805,12 @@ def _cmd_ablate(args) -> int:
         if value < 1:
             raise UsageError(f"{flag} must be >= 1, got {value}")
     archive = db.load(args.data)
-    results = run_ablation(
-        archive, seeds=list(range(args.seeds)), steps=args.steps,
-        lr=args.lr, batch=args.batch, hidden=args.hidden,
-        base_fraction=args.base_fraction, test_domain=args.test_domain,
-    )
+    with _sized_by("the sweep", args, "--seeds", "--batch", "--hidden"):
+        results = run_ablation(
+            archive, seeds=list(range(args.seeds)), steps=args.steps,
+            lr=args.lr, batch=args.batch, hidden=args.hidden,
+            base_fraction=args.base_fraction, test_domain=args.test_domain,
+        )
     if args.json:
         print(json.dumps(results, sort_keys=True, separators=(",", ":")))
     else:

@@ -1,9 +1,12 @@
+import hashlib
 import json
 import os
 import struct
 import subprocess
 import sys
 import threading
+import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +19,7 @@ from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import (
     EvalReport,
     RunFileError,
+    TopK,
     UsageError,
     evaluate,
     harmonic_mean,
@@ -306,6 +310,114 @@ def test_report_json_appends_topk_rows_as_the_nested_payload_would_dump_them():
     report.topk = []
     payload["topk"] = []
     assert report.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+def _old_topk_rows(top):
+    """The rows as evaluate built them before reports held arrays: one flat
+    list of (id, probability) pairs, k of them per sample."""
+    n, k = top.ids.shape
+    pairs = list(zip(top.ids.ravel().tolist(), top.probs.ravel().tolist()))
+    return [(sample, pairs[start:start + k])
+            for sample, start in zip(top.samples.tolist(), range(0, n * k, k))]
+
+
+def test_topk_rows_equal_the_list_built_the_old_way(monkeypatch):
+    spec = BenchmarkSpec(num_classes=30, samples_per_class_per_domain=4, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    subset = splits.test_both
+    enc = Encoder.init(spec.input_dim, 16, spec.embed_dim, np.random.default_rng(3))
+    report = evaluate(enc, archive.bank, subset, splits.base_classes, topk=3)
+    top = report.topk
+    assert isinstance(top, TopK)
+    n = subset.labels.size
+    assert top.ids.shape == top.probs.shape == (n, 3)
+    assert (top.samples.dtype, top.ids.dtype, top.probs.dtype) == (np.int64, np.int64, np.float64)
+    assert np.array_equal(top.samples, subset.indices)
+    old = _old_topk_rows(top)
+    text = report.to_json()
+    # blocks of seven rows, the last one short
+    monkeypatch.setattr(evalcli, "REPORT_BLOCK_PAIRS", 21)
+    assert n % 7 and len(top) == n
+    assert list(top) == old
+    first, *_, last = top
+    assert (first, last) == (old[0], old[-1])
+    sample, ranked = top[0]
+    assert type(sample) is int and all(type(c) is int and type(p) is float for c, p in ranked)
+    for i in (0, 1, n // 2, n - 1, -1, -2, -n, np.int64(4)):
+        assert top[i] == old[i]
+    for index in (slice(None), slice(3, 11), slice(-5, None), slice(None, None, 3),
+                  slice(n - 2, n + 5), slice(5, 2), slice(None, None, -4)):
+        assert top[index] == old[index]
+    for i in (n, -n - 1):
+        with pytest.raises(IndexError):
+            top[i]
+    assert top == old and old == top and top == top[:]
+    assert top != old[:-1] and top != old[::-1]
+    assert report == replace(report, topk=old) and replace(report, topk=old) == report
+    assert report.to_json() == replace(report, topk=old).to_json() == text
+    assert EvalReport.from_json(text) == report
+    with pytest.raises(ValueError):
+        top.ids[0, 0] = 1  # the arrays are read-only
+
+
+# sha256 of evaluate(...).to_json() on _pinned_case, as the N x k tuple
+# reports wrote them; one k per ranking method, one above C, and a linear head
+PINNED_REPORTS = [
+    (5, False, "a295166aa55b864c959334032332e822f290e2be94fbdfaa71970abc4ac86d17"),
+    (64, False, "92f255768d90d92fc36b4dfe23af0da2e8766b09d5d0375ddb04da4d3fdd6bc0"),
+    (640, False, "b0039bf556c61a6ae139ed7fc570436703cc83860b33894a343c95a6242c1df6"),
+    (1500, False, "86ec58ab0fe9428396c28d18c8c6e3f2e4ff72b7211da8bd67694a36c59ac516"),
+    (7, True, "a6e5468595ba4040af230ebc0f20383b70d68efea4ea2c34a9a11adf0308673c"),
+]
+
+
+@pytest.fixture(scope="module")
+def _pinned_case():
+    spec = BenchmarkSpec(num_classes=1000, embed_dim=64, input_dim=96,
+                         samples_per_class_per_domain=1, seed=7)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    both = splits.test_both
+    rows = slice(0, 300)  # two score blocks
+    subset = db.SplitSubset(features=both.features[rows], labels=both.labels[rows],
+                            domains=both.domains[rows], indices=both.indices[rows])
+    enc = Encoder.init(spec.input_dim, 32, spec.embed_dim, np.random.default_rng([7, 0]))
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng([7, 1]))
+    return archive, subset, splits.base_classes, enc, head
+
+
+def test_pinned_reports_cover_every_ranking():
+    assert [evalcli._ranking(min(k, 1000), 1000) for k, _, _ in PINNED_REPORTS] == \
+        ["sweeps", "partial", "argsort", "argsort", "sweeps"]
+
+
+@pytest.mark.parametrize("k, linear, digest", PINNED_REPORTS)
+def test_report_bytes_are_pinned(_pinned_case, k, linear, digest):
+    archive, subset, base, enc, head = _pinned_case
+    report = evaluate(enc, archive.bank, subset, base, head=head if linear else None, topk=k)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("threads", [1, 2, 4])
+def test_top_k_evaluate_memory_is_its_arrays_and_its_score_blocks(monkeypatch, threads):
+    spec = BenchmarkSpec(num_classes=200, samples_per_class_per_domain=20, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    subset = splits.test_both
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
+    monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
+    n, k = subset.labels.size, 50
+    assert n == 4000
+    tracemalloc.start()
+    try:
+        evaluate(enc, archive.bank, subset, splits.base_classes, topk=k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # the N x k ids and probabilities, and the blocks being scored; the
+    # 200k (id, prob) tuples of a list report took about 23 MB
+    assert peak < 2 * (n * k * 16 + threads * evalcli.SCORE_BLOCK_ELEMENTS * 8)
 
 
 def test_run_file_round_trip(tmp_path):
@@ -606,6 +718,51 @@ def test_cli_eval_text_prints_the_topk_report(tmp_path, capsys):
     # the ranking follows the accuracy lines
     assert lines.index(samples[0]) > max(i for i, line in enumerate(lines)
                                          if line.startswith("  domain "))
+
+
+def test_cli_eval_json_streams_the_report_text(tmp_path, capsys, monkeypatch):
+    data, run = _trained_run(tmp_path)
+    capsys.readouterr()
+    to_json = EvalReport.to_json
+    monkeypatch.setattr(evalcli, "REPORT_BLOCK_PAIRS", 4)  # one row per piece
+    with monkeypatch.context() as patched:
+        patched.setattr(EvalReport, "to_json", lambda self: pytest.fail("whole text built"))
+        assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open",
+                     "--topk", "3", "--json"]) == 0
+    out = capsys.readouterr().out
+    archive, saved = db.load(data), load_run(run)
+    config = saved.config
+    splits = evalcli._splits(archive, config["base_fraction"], config["test_domain"],
+                             config["seed"])
+    enc, _ = evalcli._init_model(archive, config["seed"], config["hidden"], config["head"])
+    enc.set_flat(saved.ensemble_params)
+    report = evaluate(enc, archive.bank, splits.test_open, splits.base_classes,
+                      tau=config["tau"], topk=3)
+    report.config = dict(config, split="open", params="ensemble")
+    assert len(report.topk) > 1
+    assert out == to_json(report) + "\n"
+
+
+def test_cli_sizes_that_do_not_fit_in_memory_exit_two(tmp_path, capsys):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    huge = str(10**12)  # every allocation is larger than a 47-bit address space
+    out = tmp_path / "huge.emba"
+    gen = _gen_args(out)
+    gen[gen.index("--per-class") + 1] = huge
+    train = ["train", "--data", str(data), "--out", str(run), "--steps", "2"]
+    cases = [(gen, "--per-class", out),
+             (train + ["--batch", huge], "--batch", run),
+             (train + ["--hidden", huge], "--hidden", run),
+             (["ablate", "--data", str(data), "--steps", "2", "--seeds", "1", "--batch", huge],
+              "--batch", None)]
+    capsys.readouterr()
+    for argv, flag, written in cases:
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{flag} {huge}" in err and "does not fit in memory" in err
+        assert written is None or not written.exists()
 
 
 def _trained_run(tmp_path):

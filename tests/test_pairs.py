@@ -1,0 +1,118 @@
+"""The pair runner's summary arithmetic, on recorded fake perfbench
+outputs; no perfbench job runs here."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "tools" / "pairs.py"
+_SPEC = importlib.util.spec_from_file_location("pairs", _PATH)
+pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(pairs)
+
+END_TO_END = [
+    {"name": "setup_s", "unit": "s", "better": "lower", "bound": 0.25},
+    {"name": "job_s", "unit": "s", "better": "lower", "bound": 0.15},
+    {"name": "peak_rss_mb", "unit": "MB", "better": "lower", "bound": 0.1},
+]
+
+
+def _stdout(setup_s, job_s, peak_rss_mb, failed=0, seed=1):
+    """A perfbench run's standard output: report lines, then the result."""
+    env = {"numpy": "2.4.0", "nproc": 2, "seed": seed, "workload": "open-eval"}
+    metrics = {"setup_s": {"value": setup_s, "unit": "s"},
+               "job_s": {"value": job_s, "unit": "s"},
+               "peak_rss_mb": {"value": peak_rss_mb, "unit": "MB"}}
+    result = {"correct": failed == 0, "attempted": 40, "failed": failed, "metrics": metrics}
+    return "\n".join([f"env {json.dumps(env)}", f"metric job_s {job_s!r} s",
+                      json.dumps(result)]) + "\n"
+
+
+def _pairs(parent_rows, change_rows):
+    out = []
+    for i, (a, b) in enumerate(zip(parent_rows, change_rows)):
+        out.append({"seed": 1 + i, "first": "parent" if i % 2 == 0 else "change",
+                    "parent": pairs.parse_run(_stdout(*a, seed=1 + i)),
+                    "change": pairs.parse_run(_stdout(*b, seed=1 + i))})
+    return out
+
+
+def test_parse_run_reads_the_result_line_and_the_environment():
+    run = pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=7))
+    assert run["correct"] and run["failed"] == 0 and run["attempted"] == 40
+    assert run["metrics"]["peak_rss_mb"] == {"value": 300.0, "unit": "MB"}
+    assert run["environment"]["seed"] == 7
+    with pytest.raises(ValueError):
+        pairs.parse_run("")
+
+
+def test_summary_medians_quartiles_wins_and_verdict():
+    parent_rss = [300.0, 296.0, 298.0, 292.0, 294.0, 299.0, 291.0, 297.0, 295.0, 293.0]
+    change_rss = [246.0, 244.0, 245.0, 247.0, 243.0, 250.0, 242.0, 248.0, 249.0, 296.0]
+    parent_job = [0.40, 0.42, 0.44, 0.41, 0.43, 0.45, 0.44, 0.46, 0.42, 0.41]
+    change_job = [0.40, 0.43, 0.40, 0.40, 0.40, 0.40, 0.40, 0.40, 0.40, 0.40]
+    setup = [0.2] * 10
+    summary = pairs.summarize(
+        _pairs(zip(setup, parent_job, parent_rss), zip(setup, change_job, change_rss)),
+        END_TO_END)
+
+    rss = summary["peak_rss_mb"]
+    assert rss["parent"] == {"median": 295.5, "q1": 293.25, "q3": 297.75}
+    assert rss["change"] == {"median": 246.5, "q1": 244.25, "q3": 248.75}
+    assert rss["change_lower_in"] == "9/10"  # 296 > 293 in the last pair
+    assert rss["change_higher_in"] == "1/10"
+    assert rss["parent_iqr"] == 4.5
+    assert rss["median_ratio"] == 246.5 / 295.5
+    assert rss["claim_holds"] and not rss["worse_than_bound"]
+
+    # one tie and one loss: 8 wins of 10 is below nine tenths
+    job = summary["job_s"]
+    assert job["change_lower_in"] == "8/10" and job["change_higher_in"] == "1/10"
+    assert not job["claim_holds"] and not job["worse_than_bound"]
+
+    # all ties: no win, no loss, no claim
+    assert summary["setup_s"]["change_lower_in"] == "0/10"
+    assert summary["setup_s"]["change_higher_in"] == "0/10"
+    assert not summary["setup_s"]["claim_holds"]
+
+
+def test_claim_needs_the_medians_apart_by_more_than_the_parents_quartile_distance():
+    # the change wins every pair, by less than the parent's own spread
+    parent_job = [1.0, 1.2, 1.4, 1.6, 1.8, 1.1, 1.3, 1.5, 1.7, 1.9]
+    change_job = [v - 0.01 for v in parent_job]
+    rows = [(0.2, j, 100.0) for j in parent_job], [(0.2, j, 100.0) for j in change_job]
+    job = pairs.summarize(_pairs(*rows), END_TO_END)["job_s"]
+    assert job["change_lower_in"] == "10/10"
+    assert job["parent_iqr"] > 0.01 and not job["claim_holds"]
+
+
+def test_worse_than_bound_is_relative_to_the_parents_median():
+    parent = [(0.2, 1.0, 100.0)] * 5
+    summary = pairs.summarize(_pairs(parent, [(0.2, 1.15, 110.5)] * 5), END_TO_END)
+    assert not summary["job_s"]["worse_than_bound"]  # +15% is at the 0.15 bound
+    assert summary["peak_rss_mb"]["worse_than_bound"]  # +10.5% is beyond 0.1
+    assert summary["peak_rss_mb"]["change_higher_in"] == "5/5"
+
+
+def test_higher_better_metric_counts_higher_runs_as_wins():
+    spec = [{"name": "job_s", "unit": "s", "better": "higher", "bound": 0.1}]
+    rows = [(0.2, 1.0 + i, 1.0) for i in range(10)], [(0.2, 11.0 + i, 1.0) for i in range(10)]
+    job = pairs.summarize(_pairs(*rows), spec)["job_s"]
+    assert job["change_higher_in"] == "10/10" and job["claim_holds"]
+
+
+def test_record_keeps_each_pair_and_flags_failed_runs():
+    runs = _pairs([(0.2, 0.4, 300.0), (0.21, 0.41, 301.0)],
+                  [(0.2, 0.3, 250.0), (0.2, 0.3, 251.0)])
+    runs[1]["change"] = pairs.parse_run(_stdout(0.2, 0.3, 251.0, failed=1, seed=2))
+    rec = pairs.record("open-eval", "abc1234", False, 20, runs, END_TO_END)
+    assert [p["seed"] for p in rec["pairs"]] == [1, 2]
+    assert [p["first"] for p in rec["pairs"]] == ["parent", "change"]
+    assert rec["pairs"][0]["parent"] == {"correct": True, "failed": 0, "attempted": 40,
+                                         "setup_s": 0.2, "job_s": 0.4, "peak_rss_mb": 300.0}
+    assert rec["pairs"][1]["change"]["failed"] == 1
+    assert not rec["all_correct"]
+    assert rec["environment"] == {"numpy": "2.4.0", "nproc": 2, "workload": "open-eval"}
+    assert set(rec["metrics"]) == {"setup_s", "job_s", "peak_rss_mb"}

@@ -1,0 +1,188 @@
+"""Alternating parent/change pairs of perfbench runs, with the summary a
+perf claim is judged by.
+
+    python3 tools/pairs.py --workload open-eval --pairs 10 [--parent HEAD] [--aa]
+
+The parent side runs from a checkout of `--parent` (default HEAD: the last
+commit, while the change is not committed yet) in a temporary directory,
+removed when the runs end; the change side runs from this working tree.
+Each pair runs both sides at one seed, a fresh seed for each pair, and the
+side that runs first swaps from pair to pair. Every run is
+`perfbench/run.py --trace 0` for the `run_seconds` of BENCHMARK.json.
+With `--aa` both sides run the parent, which measures the noise floor a
+claim must clear.
+
+The record goes to `bench/BENCH_pairs_<workload>.json` (`..._aa.json` for
+an A/A run): each pair's end-to-end metrics, `correct` and
+`failed`/`attempted`; each side's median and quartiles per metric; how
+many pairs the change wins, ties counting for neither; the verdict of the
+pair rule (the change wins at least nine tenths of the pairs and the
+medians differ by more than the parent's quartile distance); whether the
+change's median is worse than the parent's by more than the metric's
+bound; and perfbench's environment record.
+"""
+
+from __future__ import annotations
+
+import argparse
+import io
+import json
+import math
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+from statistics import median, quantiles
+
+ROOT = Path(__file__).resolve().parent.parent
+OUT = ROOT / "bench"
+# the share of pairs the change must win for a claimed gain
+WIN_SHARE = 0.9
+
+
+def parse_args(argv):
+    p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    p.add_argument("--workload", required=True)
+    p.add_argument("--pairs", type=int, required=True)
+    p.add_argument("--parent", default="HEAD", help="git revision of the parent side")
+    p.add_argument("--first-seed", type=int, default=1,
+                   help="seed of the first pair; pair i runs at first-seed + i")
+    p.add_argument("--aa", action="store_true", help="run the parent against itself")
+    args = p.parse_args(argv)
+    if args.pairs < 1:
+        p.error(f"--pairs must be >= 1, got {args.pairs}")
+    return args
+
+
+def checkout(rev: str, dest: Path) -> None:
+    """Write the files of `rev` into `dest`, from this repository's git."""
+    tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
+                         check=True, capture_output=True).stdout
+    with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
+        archive.extractall(dest, filter="data")
+
+
+def parse_run(stdout: str) -> dict:
+    """perfbench's result (its last line) and environment (its `env` line)."""
+    lines = stdout.strip().splitlines()
+    if not lines:
+        raise ValueError("perfbench printed nothing")
+    result = json.loads(lines[-1])
+    for line in lines:
+        if line.startswith("env "):
+            result["environment"] = json.loads(line[4:])
+    return result
+
+
+def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
+    cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
+    if done.returncode != 0:
+        raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+    return parse_run(done.stdout)
+
+
+def _spread(values: list[float]) -> dict:
+    q1, _, q3 = quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
+    return {"median": median(values), "q1": q1, "q3": q3}
+
+
+def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
+    """The per-metric summary of pairs of results: each pair is
+    {"seed", "first", "parent": result, "change": result}, where a result
+    holds perfbench's "metrics" ({name: {"value", "unit"}}); end_to_end is
+    BENCHMARK.json's list of {"name", "better", "bound"}."""
+    out = {}
+    for metric in end_to_end:
+        name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
+        both = [(p["parent"]["metrics"][name]["value"], p["change"]["metrics"][name]["value"])
+                for p in pairs
+                if name in p["parent"]["metrics"] and name in p["change"]["metrics"]]
+        if not both:
+            continue
+        parent = _spread([a for a, _ in both])
+        change = _spread([b for _, b in both])
+        lower = sum(b < a for a, b in both)
+        higher = sum(b > a for a, b in both)
+        wins = lower if sign > 0 else higher
+        # how far the change's median is better than the parent's
+        gain = sign * (parent["median"] - change["median"])
+        out[name] = {
+            "unit": pairs[0]["parent"]["metrics"][name]["unit"],
+            "better": metric["better"],
+            "parent": parent,
+            "change": change,
+            "change_lower_in": f"{lower}/{len(both)}",
+            "change_higher_in": f"{higher}/{len(both)}",
+            "median_ratio": change["median"] / parent["median"] if parent["median"] else None,
+            "parent_iqr": parent["q3"] - parent["q1"],
+            "claim_holds": wins >= math.ceil(WIN_SHARE * len(both))
+            and gain > parent["q3"] - parent["q1"],
+            "worse_than_bound": -gain > metric["bound"] * abs(parent["median"]),
+        }
+    return out
+
+
+def record(workload: str, parent_rev: str, aa: bool, seconds: float, pairs: list[dict],
+           end_to_end: list[dict]) -> dict:
+    def runs_ok(side):
+        return all(p[side]["correct"] and p[side]["failed"] == 0 for p in pairs)
+
+    return {
+        "workload": workload,
+        "parent": parent_rev,
+        "change": "parent (A/A)" if aa else "working tree",
+        "seconds": seconds,
+        "pairs": [{"seed": p["seed"], "first": p["first"],
+                   **{side: {"correct": p[side]["correct"], "failed": p[side]["failed"],
+                             "attempted": p[side]["attempted"],
+                             **{k: v["value"] for k, v in p[side]["metrics"].items()}}
+                      for side in ("parent", "change")}}
+                  for p in pairs],
+        "all_correct": runs_ok("parent") and runs_ok("change"),
+        "metrics": summarize(pairs, end_to_end),
+        "environment": {k: v for k, v in pairs[0]["parent"].get("environment", {}).items()
+                        if k != "seed"},
+    }
+
+
+def main(argv=None) -> int:
+    args = parse_args(argv)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    if args.workload not in {w["name"] for w in spec["workloads"]}:
+        print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
+        return 1
+    seconds = spec["run_seconds"]
+    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
+                         check=True, capture_output=True, text=True).stdout.strip()
+    pairs = []
+    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
+        parent_root = Path(tmp)
+        checkout(rev, parent_root)
+        roots = {"parent": parent_root, "change": parent_root if args.aa else ROOT}
+        for i in range(args.pairs):
+            seed = args.first_seed + i
+            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            pair = {"seed": seed, "first": order[0]}
+            for side in order:
+                pair[side] = run_side(roots[side], args.workload, seed, seconds)
+                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
+                      + " ".join(f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()),
+                      flush=True)
+            pairs.append(pair)
+    rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"])
+    OUT.mkdir(exist_ok=True)
+    path = OUT / f"BENCH_pairs_{args.workload}{'_aa' if args.aa else ''}.json"
+    path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
+    for name, m in rec["metrics"].items():
+        print(f"{name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
+              f"lower in {m['change_lower_in']} claim_holds={m['claim_holds']} "
+              f"worse_than_bound={m['worse_than_bound']}")
+    print(f"wrote {path}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
