@@ -647,6 +647,11 @@ def _cmd_gen(args) -> int:
 def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig, dict]:
     margin_mode, fixed_m = _parse_margin(args.margin)
     ensemble_mode, ema_decay = _parse_ensemble(args.ensemble)
+    # the config rejects this too, but as a ValueError (exit 2); a --steps
+    # below 1 is left to the config's own message
+    if ensemble_mode in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG) and args.bma_every > args.steps >= 1:
+        raise UsageError(f"--bma-every {args.bma_every} exceeds --steps {args.steps}: "
+                         f"the {ensemble_mode} ensemble would get no update")
     cfg = tr.TrainerConfig(
         steps=args.steps,
         batch_size=args.batch,
@@ -661,9 +666,6 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
         bma_every=args.bma_every,
         head=args.head,
     )
-    if ensemble_mode in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG) and cfg.bma_every > cfg.steps:
-        raise UsageError(f"--bma-every {cfg.bma_every} exceeds --steps {cfg.steps}: "
-                         f"the {ensemble_mode} ensemble would get no update")
     # the run config echo: the config's fields with the loss fields inlined
     # and lam named lambda, plus the model, archive and split fields
     echo = asdict(cfg)

@@ -12,14 +12,16 @@ order, the numpy operations that `tensor.Tape` would replay for the same
 loss, so `Tape` stays the gradient oracle the tests compare it against
 bit for bit, and every lane equals its own one-lane run bit for bit.
 
-A step whose work reaches SPLIT_WORK runs as two halves: two blocks of
-batch rows (forward, loss and backward to the hidden layer), then two
-ranges of the parameters (their gradients, AdamW and the ensemble update).
-Where the cores allow (`parallel.worker_threads`), the halves run on a
-`parallel.Crew`, the caller's thread and a worker that `train` starts and
-joins. The halves are fixed by the shapes alone, so the loop is fully
-deterministic under its seeds and gives the same bits at every thread
-count.
+Each step runs in parts: blocks of batch rows (forward, loss and backward
+to the hidden layer), each writing its rows of the whole batch's
+activation buffers, then ranges of the parameters (their gradients from
+those buffers, AdamW and the ensemble update). A step whose work reaches
+SPLIT_WORK has two of each, a smaller one one of each; both run the same
+code. Where the cores allow (`parallel.worker_threads`), the parts run on
+a `parallel.Crew` of one thread per part, the caller's among them, whose
+worker `train` starts and joins. The parts are fixed by the shapes alone,
+so the loop is fully deterministic under its seeds and gives the same bits
+at every thread count.
 """
 
 from __future__ import annotations
@@ -96,6 +98,9 @@ class TrainerConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.bma_every < 1:
             raise ValueError(f"bma_every must be >= 1, got {self.bma_every}")
+        if self.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG) and self.bma_every > self.steps:
+            raise ValueError(f"bma_every {self.bma_every} exceeds steps {self.steps}: the "
+                             f"{self.ensemble_mode} ensemble would get no update")
 
 
 def cosine_lr(t: int, total_steps: int, base_lr: float) -> float:
@@ -202,13 +207,15 @@ class FusedStep:
 
     A call runs in two phases, each split into the parts `parts` gives. A
     row part runs forward, loss terms and backward down to the hidden
-    layer's gradient for one block of batch rows; a range part computes
-    the gradients of one range of the columns of `params` from the whole
-    batch, then calls `update(part)`, which `train` uses to step the
-    optimizer and the ensemble on that range. The losses are checked
-    between the phases, before any parameter moves. Inside `threads` the
-    two parts of a phase run on two threads; the parts do not depend on the
-    thread count, so neither do the results.
+    layer's gradient for one block of batch rows, writing its rows of the
+    whole batch's activation buffers; a range part computes the gradients
+    of one range of the columns of `params` from those buffers, then calls
+    `update(part)`, which `train` uses to step the optimizer and the
+    ensemble on that range. One block and two blocks fill the same
+    buffers, kept per batch size, and run the same code. The losses are
+    checked between the phases, before any parameter moves. Inside
+    `threads(count)` the parts of a phase run on `count` threads; the parts
+    do not depend on the thread count, so neither do the results.
 
     The encoder and head tensors are only read at construction:
     `write_back` copies each lane's parameters into them.
@@ -307,15 +314,9 @@ class FusedStep:
         """What a call with `batch_size` rows runs, kept per batch size.
 
         The row blocks of `parts`; for each of its ranges the tensors it
-        covers, as (index, rows or None for all of them, the view of those
-        rows of `grads`); and the dict of the whole batch's arrays that the
-        row parts leave for the range parts. With two blocks it holds
-        buffers that each block fills with its rows. With one it holds the
-        block's own arrays, each kept until the next call replaces it:
-        dropping them all at the end of each call made glibc hand the top
-        of the heap back to the system and fault it in again in the next
-        one (desk size, 5 lanes: up to 84 minor page faults per step against
-        0.5, and steps up to 29% slower).
+        covers, as (index, its rows in the range, the view of those rows of
+        `grads`); and the whole batch's arrays that the row parts leave for
+        the range parts, each block filling its own rows of them.
         """
         plan = self._plans.get(batch_size)
         if plan is None:
@@ -327,15 +328,12 @@ class FusedStep:
                     lo, hi = max(cols.start, start), min(cols.stop, start + size)
                     if lo < hi:
                         rows = slice((lo - start) // row, (hi - start) // row)
-                        covered[-1].append((k, None if hi - lo == size else rows,
-                                            self._g[k][:, rows]))
-            act = {}
-            if len(blocks) > 1:
-                s, (hidden, d, c) = self.params.shape[0], self._dims
-                act.update(picked=np.empty((s, batch_size)), h=np.empty((s, batch_size, hidden)),
-                           g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
-                if self._linear:
-                    act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
+                        covered[-1].append((k, rows, self._g[k][:, rows]))
+            s, (hidden, d, c) = self.params.shape[0], self._dims
+            act = dict(picked=np.empty((s, batch_size)), h=np.empty((s, batch_size, hidden)),
+                       g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
+            if self._linear:
+                act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
             plan = self._plans[batch_size] = (blocks, covered, act)
         return plan
 
@@ -376,35 +374,18 @@ class FusedStep:
         self._x = self._labels = None
         return losses
 
-    def _out(self, name: str, rows: slice) -> np.ndarray | None:
-        """Where a row block computes its rows of a whole-batch array: in a
-        new array (None) when it is the whole batch, else in its rows of the
-        whole batch's buffer."""
-        return None if len(self._blocks) == 1 else self._act[name][:, rows]
-
-    def _keep(self, rows: slice, **arrays: np.ndarray) -> None:
-        """Record a row block's arrays: as they are when it is the whole
-        batch, else copied into its rows of the whole batch's buffers."""
-        if len(self._blocks) == 1:
-            self._act.update(arrays)
-        else:
-            for name, value in arrays.items():
-                self._act[name][:, rows] = value
-
     def _rows(self, part: int) -> None:
         """Forward, loss terms and backward down to g_h for one block of
-        batch rows of every lane."""
-        rows = self._blocks[part]
+        batch rows of every lane, into its rows of the whole batch's arrays."""
+        rows, act = self._blocks[part], self._act
         w1, b1, w2, b2 = self._p[:4]
-        x, labels = self._x, self._labels
-        if len(self._blocks) > 1:
-            x, labels = x[:, rows], labels[:, rows]
+        x, labels = self._x[:, rows], self._labels[:, rows]
         s, b = labels.shape
         scale = 1.0 / self._labels.shape[1]
         # the row-wise softmax part runs on (S*b) x C views, indexed as in 2-D
         picks = (np.arange(s * b), labels.reshape(-1))
 
-        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity, self._out("h", rows))
+        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity, act["h"][:, rows])
         if self._linear:
             logits = (r @ self._w_t).reshape(s * b, -1)
         else:
@@ -416,8 +397,8 @@ class FusedStep:
             logits *= self._inv_tau
         log_probs = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
         log_probs -= np.log(np.add.reduce(np.exp(log_probs), axis=-1, keepdims=True))
-        picked = log_probs[picks].reshape(s, b)
-        self._keep(rows, picked=picked)
+        picked = act["picked"][:, rows]
+        picked[...] = log_probs[picks].reshape(s, b)
         if not np.logical_and.reduce(np.isfinite(picked), axis=None):
             return  # the caller raises on the loss before the backward is used
 
@@ -429,21 +410,20 @@ class FusedStep:
         g[picks] -= scale
         g = g.reshape(s, b, -1)
         if self._linear:
-            g_r = np.matmul(g, self._w_t.transpose(0, 2, 1), out=self._out("g_r", rows))
-            self._keep(rows, r=r, g=g)
+            g_r = np.matmul(g, self._w_t.transpose(0, 2, 1), out=act["g_r"][:, rows])
+            act["r"][:, rows] = r
+            act["g"][:, rows] = g
         else:
             g *= self._inv_tau
             g_z = g @ self._bank_t.T
             dot = np.add.reduce(z * g_z, axis=-1, keepdims=True)
-            g_r = np.divide(g_z - z * dot, denom, out=self._out("g_r", rows))
+            g_r = np.divide(g_z - z * dot, denom, out=act["g_r"][:, rows])
             guarded = norms < NORM_EPS  # below eps the map is linear: r / eps
             if guarded.any():
                 g_r[...] = np.where(guarded, g_z / denom, g_r)
-        g_h = np.matmul(g_r, self._w2_t, out=self._out("g_h", rows))
+        g_h = np.matmul(g_r, self._w2_t, out=act["g_h"][:, rows])
         if not self._skip_nonlinearity:
             g_h *= 1.0 - h ** 2
-        if len(self._blocks) == 1:
-            self._act.update(h=h, g_r=g_r, g_h=g_h)
 
     def _range(self, part: int) -> None:
         """Every lane's gradients in one column range of `grads`, from the
@@ -451,18 +431,15 @@ class FusedStep:
         act = self._act
         for k, rows, out in self._covered[part]:
             if k == 0:  # w1
-                x = self._x if rows is None else self._x[:, :, rows]
-                np.matmul(x.transpose(0, 2, 1), act["g_h"], out=out)
+                np.matmul(self._x[:, :, rows].transpose(0, 2, 1), act["g_h"], out=out)
             elif k == 1:  # b1
                 np.add.reduce(act["g_h"], axis=1, keepdims=True, out=out)
             elif k == 2:  # w2
-                h = act["h"] if rows is None else act["h"][:, :, rows]
-                np.matmul(h.transpose(0, 2, 1), act["g_r"], out=out)
+                np.matmul(act["h"][:, :, rows].transpose(0, 2, 1), act["g_r"], out=out)
             elif k == 3:  # b2
                 np.add.reduce(act["g_r"], axis=1, keepdims=True, out=out)
             else:  # the linear head's weights, C x d, as the Tape forms them
-                g = act["g"] if rows is None else act["g"][:, :, rows]
-                out[...] = (act["r"].transpose(0, 2, 1) @ g).transpose(0, 2, 1)
+                out[...] = (act["r"].transpose(0, 2, 1) @ act["g"][:, :, rows]).transpose(0, 2, 1)
         if self._update is not None:
             self._update(part)
 
@@ -546,6 +523,8 @@ def train(
                                  f"lane 0 has {shared[name]!r}")
     if cfg.head == HEAD_LINEAR and any(h is None for h in heads):
         raise ValueError("linear head mode requires a LinearHead")
+    if cfg.head == HEAD_METRIC and any(h is not None for h in heads):
+        raise ValueError("metric head mode takes no LinearHead")
 
     sets = _checked_sets(datasets, bank.num_classes, encoders[0].d_in)
 
@@ -553,14 +532,12 @@ def train(
         """AdamW and the ensemble on one column range of the parameters."""
         theta, grad, opt, bma_part, ema_part = states[part]
         adamw_step(theta, grad, opt, lr, cfg.weight_decay)
-        if bma_part is not None and (t + 1) % cfg.bma_every == 0 \
-                and bma_part.step < bma_part.total_steps:
+        if bma_part is not None and (t + 1) % cfg.bma_every == 0:
             bma_update(bma_part, theta)
         elif ema_part is not None:
             ema_update(ema_part, theta, cfg.ema_decay)
 
-    step = FusedStep(encoders, bank, cfg.loss, heads if cfg.head == HEAD_LINEAR else None,
-                     update=update)
+    step = FusedStep(encoders, bank, cfg.loss, heads, update=update)
     params = step.params
     # each lane draws its rows from its own stream and gathers them into its
     # row of one batch buffer, in the features' dtype; float32 batches are
@@ -572,12 +549,11 @@ def train(
               x_row, y_row)
              for c, (features, labels), x_row, y_row in zip(cfgs, sets, xs, ys)]
 
-    ensemble_updates = cfg.steps // cfg.bma_every
     bma: BmaState | None = None
     ema_avg: np.ndarray | None = None
-    if cfg.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG) and ensemble_updates >= 1:
+    if cfg.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG):
         beta = cfg.beta if cfg.ensemble_mode == ENSEMBLE_BMA else 1.0
-        bma = bma_init(params, ensemble_updates, beta)
+        bma = bma_init(params, cfg.steps // cfg.bma_every, beta)
     elif cfg.ensemble_mode == ENSEMBLE_EMA:
         ema_avg = params.copy()
     # each range of the parameters updates its own views of the gradients
@@ -594,7 +570,7 @@ def train(
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
-    with step.threads(parallel.worker_threads() if len(blocks) > 1 else 1):
+    with step.threads(min(len(blocks), parallel.worker_threads())):
         for t in range(cfg.steps):
             chunk_step = t % BATCH_DRAW_STEPS
             if chunk_step == 0:

@@ -29,7 +29,7 @@ from oodtune.evalcli import (
 )
 from oodtune.model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits,
                            similarities)
-from oodtune.tensor import NonFiniteError, Tensor
+from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
 from helpers import identity_encoder
 
@@ -272,6 +272,19 @@ def test_evaluate_rejects_empty_split():
         evaluate(identity_encoder(16), archive.bank, empty, [0])
 
 
+def test_evaluate_rejects_shapes_that_do_not_fit():
+    archive = generate(NOISELESS)
+    subset = split(archive, NOISELESS).test_open
+    rng = np.random.default_rng(0)
+    with pytest.raises(ShapeError, match="encoder expects N x 12 features"):
+        evaluate(Encoder.init(12, 8, 16, rng), archive.bank, subset, [0])
+    with pytest.raises(ShapeError, match="encoder output dim 10 vs bank dim 16"):
+        evaluate(Encoder.init(16, 8, 10, rng), archive.bank, subset, [0])
+    head = LinearHead.init(archive.bank.num_classes, 10, rng)
+    with pytest.raises(ShapeError, match="linear head input dim 10 vs encoder output dim 16"):
+        evaluate(identity_encoder(16), archive.bank, subset, [0], head=head)
+
+
 def test_report_json_round_trip():
     report = EvalReport(
         acc_base=0.5,
@@ -432,6 +445,13 @@ def test_run_file_round_trip(tmp_path):
     np.testing.assert_array_equal(run.loss_curve, curve)
     np.testing.assert_array_equal(run.final_params, final)
     np.testing.assert_array_equal(run.ensemble_params, ens)
+
+
+def test_save_run_rejects_final_and_ensemble_vectors_of_different_lengths(tmp_path):
+    path = tmp_path / "r.run"
+    with pytest.raises(ValueError, match="differ in length"):
+        save_run(path, {}, np.zeros(2, dtype=np.float32), np.zeros(3), np.zeros(4))
+    assert not path.exists()
 
 
 def test_run_file_bad_magic_and_truncation(tmp_path):
@@ -612,6 +632,16 @@ def test_cli_train_config_echo_bytes(tmp_path, capsys, flags, echo):
     assert raw[9:9 + clen] == echo.encode()
 
 
+def test_cli_train_margin_none_is_echoed(tmp_path, capsys):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data, per_class=4)) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                 "--batch", "4", "--hidden", "8", "--margin", "none"]) == 0
+    capsys.readouterr()
+    config = load_run(run).config
+    assert config["margin_mode"] == "none" and config["fixed_margin"] == 0.0
+
+
 def test_cli_zero_lr_train_equals_zero_shot(tmp_path, capsys):
     data = tmp_path / "bench.emba"
     run = tmp_path / "run.bin"
@@ -654,6 +684,20 @@ def test_cli_ablate_json_is_run_ablation_over_the_seed_lanes(tmp_path, capsys):
     want = evalcli.run_ablation(db.load(data), [0, 1, 2], steps=4, batch=4, hidden=8)
     assert payload == want
     assert list(payload) == sorted(want)  # printed with sorted keys
+
+
+def test_cli_ablate_text_prints_a_header_and_run_ablations_rows(tmp_path, capsys):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data, per_class=4)) == 0
+    capsys.readouterr()
+    assert main(["ablate", "--data", str(data), "--seeds", "2", "--steps", "4",
+                 "--batch", "4", "--hidden", "8"]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["variant", "base", "new", "H"]
+    want = evalcli.run_ablation(db.load(data), [0, 1], steps=4, batch=4, hidden=8)
+    assert [row.split() for row in rows] == [
+        [name] + [f"{want[name][key]:.4f}" for key in ("acc_base", "acc_new", "acc_h")]
+        for name in (f"{m}+{e}" for m, e in evalcli.ABLATION_GRID)]
 
 
 def test_cli_sizes_below_one(tmp_path, capsys):

@@ -1,5 +1,5 @@
-"""The pair runner's summary arithmetic, on recorded fake perfbench
-outputs; no perfbench job runs here."""
+"""The pair runner's summary arithmetic and its record of a failed run, on
+recorded fake perfbench outputs; no perfbench job runs here."""
 
 import importlib.util
 import json
@@ -116,3 +116,43 @@ def test_record_keeps_each_pair_and_flags_failed_runs():
     assert not rec["all_correct"]
     assert rec["environment"] == {"numpy": "2.4.0", "nproc": 2, "workload": "open-eval"}
     assert set(rec["metrics"]) == {"setup_s", "job_s", "peak_rss_mb"}
+
+
+def test_a_failing_run_keeps_the_pairs_done_and_names_the_failure(monkeypatch, tmp_path, capsys):
+    calls = []
+
+    def run_side(root, workload, seed, seconds):
+        calls.append(seed)
+        if len(calls) == 4:  # pair 2's second side
+            raise pairs.RunFailed(["run.py"], 3, "".join(f"line {i}\n" for i in range(30)))
+        return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    assert pairs.main(["--workload", "open-eval", "--pairs", "5", "--first-seed", "11"]) == 1
+    assert calls == [11, 11, 12, 12]
+    rec = json.loads((tmp_path / "BENCH_pairs_open-eval.json").read_text())
+    assert [p["seed"] for p in rec["pairs"]] == [11]
+    assert rec["metrics"]["job_s"]["change_lower_in"] == "0/1"
+    tail = "\n".join(f"line {i}" for i in range(30 - pairs.STDERR_TAIL_LINES, 30))
+    # pair 2 runs the change first, so the parent side failed
+    assert rec["failure"] == {"side": "parent", "seed": 12, "exit_code": 3, "stderr_tail": tail}
+    assert not rec["all_correct"]
+    err = capsys.readouterr().err
+    assert "the parent run at seed 12 exited 3" in err and "line 29" in err
+
+
+def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys):
+    def run_side(root, workload, seed, seconds):
+        raise pairs.RunFailed(["run.py"], 1, "Traceback\nboom\n")
+
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    assert pairs.main(["--workload", "desk-train", "--pairs", "2", "--aa"]) == 1
+    rec = json.loads((tmp_path / "BENCH_pairs_desk-train_aa.json").read_text())
+    assert rec["pairs"] == [] and rec["metrics"] == {} and rec["environment"] == {}
+    assert rec["failure"] == {"side": "parent", "seed": 1, "exit_code": 1,
+                              "stderr_tail": "Traceback\nboom"}
+    capsys.readouterr()

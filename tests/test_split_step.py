@@ -85,6 +85,24 @@ def test_one_and_two_threads_train_the_same_bits(monkeypatch, split_small, lanes
     _assert_same(threaded, serial)
 
 
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("split", [True, False])
+def test_the_steps_crew_has_no_thread_past_its_parts(monkeypatch, linear, split):
+    if split:
+        monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    cfg = TrainerConfig(steps=6, batch_size=7, head="linear" if linear else "metric")
+    _threads(monkeypatch, 2)
+    two = _train(2, linear, np.float64, cfg)
+    counts = []
+    init = parallel.Crew.__init__
+    monkeypatch.setattr(parallel.Crew, "__init__",
+                        lambda self, count: counts.append(count) or init(self, count))
+    _threads(monkeypatch, 4)
+    four = _train(2, linear, np.float64, cfg)
+    assert max(counts) == (2 if split else 1)  # one thread per part, not per core
+    _assert_same(four, two)
+
+
 def test_halves_split_the_batch_rows_and_the_parameters_at_a_matrix_row(split_small):
     bank, built = _lanes(2, True, np.float64)
     step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), [h for _, h, _ in built])
@@ -231,7 +249,7 @@ def test_train_frees_its_step_without_the_cycle_collector(monkeypatch, split_sma
     gc.collect()
     gc.disable()
     try:
-        _train(2, True, np.float64, TrainerConfig(steps=3, batch_size=7))
+        _train(2, True, np.float64, TrainerConfig(steps=3, batch_size=7, head="linear"))
         assert gc.collect() == 0
     finally:
         gc.enable()

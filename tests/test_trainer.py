@@ -7,7 +7,7 @@ from oodtune import tensor as T
 from oodtune import trainer as tr
 from oodtune.ensemble import temporal_ensemble
 from oodtune.losses import LossConfig, metric_softmax_loss
-from oodtune.model import Encoder, embed, similarities
+from oodtune.model import Encoder, LinearHead, embed, similarities
 from oodtune.tensor import Tensor
 from oodtune.trainer import (
     AdamWState,
@@ -233,6 +233,40 @@ def test_trainer_config_validation():
         for field in ("beta", "base_lr", "weight_decay", "ema_decay"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TrainerConfig(**{field: bad})
+
+
+@pytest.mark.parametrize("mode", ["bma", "avg"])
+def test_trainer_config_rejects_an_ensemble_that_would_get_no_update(mode):
+    with pytest.raises(ValueError, match=f"bma_every 4 exceeds steps 3: the {mode} ensemble"):
+        TrainerConfig(steps=3, bma_every=4, ensemble_mode=mode)
+    assert TrainerConfig(steps=3, bma_every=3, ensemble_mode=mode).bma_every == 3
+
+
+@pytest.mark.parametrize("mode", ["ema", "none"])
+def test_ema_and_no_ensemble_ignore_bma_every(mode):
+    rng = np.random.default_rng(12)
+    bank, data = _toy_task(rng)
+    enc = Encoder.init(4, 5, 4, rng)
+    result = train(enc, bank, data, TrainerConfig(steps=3, batch_size=4, bma_every=4,
+                                                  ensemble_mode=mode))
+    assert result.loss_curve.shape == (3,)
+
+
+def test_train_rejects_a_head_the_config_mode_does_not_match():
+    rng = np.random.default_rng(13)
+    bank, data = _toy_task(rng)
+    enc = Encoder.init(4, 5, 4, rng)
+    head = LinearHead.init(bank.num_classes, 4, rng)
+    with pytest.raises(ValueError, match="metric head mode takes no LinearHead"):
+        train(enc, bank, data, TrainerConfig(steps=1), head=head)
+    with pytest.raises(ValueError, match="metric head mode takes no LinearHead"):
+        train([enc], bank, [data], [TrainerConfig(steps=1)], head=[head])
+    with pytest.raises(ValueError, match="linear head mode requires a LinearHead"):
+        train(enc, bank, data, TrainerConfig(steps=1, head="linear"))
+    with pytest.raises(ValueError, match="linear head mode requires a LinearHead"):
+        train([enc, enc], bank, [data, data],
+              [TrainerConfig(steps=1, head="linear", seed=i) for i in range(2)],
+              head=[head, None])
 
 
 def test_batches_drawn_in_chunks_equal_a_replay_drawing_one_step_at_a_time(monkeypatch):

@@ -19,7 +19,10 @@ many pairs the change wins, ties counting for neither; the verdict of the
 pair rule (the change wins at least nine tenths of the pairs and the
 medians differ by more than the parent's quartile distance); whether the
 change's median is worse than the parent's by more than the metric's
-bound; and perfbench's environment record.
+bound; and perfbench's environment record. When a run exits non-zero the
+pairs stop: the record keeps the pairs done so far and names the failing
+side, its seed, its exit code and the tail of its standard error, and the
+script exits 1.
 """
 
 from __future__ import annotations
@@ -39,6 +42,8 @@ ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "bench"
 # the share of pairs the change must win for a claimed gain
 WIN_SHARE = 0.9
+# lines of a failing run's standard error kept in the record
+STDERR_TAIL_LINES = 20
 
 
 def parse_args(argv):
@@ -75,13 +80,44 @@ def parse_run(stdout: str) -> dict:
     return result
 
 
+class RunFailed(RuntimeError):
+    """A perfbench run that exited non-zero, with its exit code and standard error."""
+
+    def __init__(self, cmd: list[str], code: int, stderr: str):
+        super().__init__(f"{' '.join(cmd)} exited {code}:\n{stderr}")
+        self.code, self.stderr = code, stderr
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if done.returncode != 0:
-        raise RuntimeError(f"{' '.join(cmd)} exited {done.returncode}:\n{done.stderr}")
+        raise RunFailed(cmd, done.returncode, done.stderr)
     return parse_run(done.stdout)
+
+
+def run_pairs(roots: dict, workload: str, first_seed: int, count: int,
+              seconds: float) -> tuple[list[dict], dict | None]:
+    """Run `count` alternating pairs; return the pairs done and, once a run
+    exits non-zero, what failed (None when every run succeeded)."""
+    pairs = []
+    for i in range(count):
+        seed = first_seed + i
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {"seed": seed, "first": order[0]}
+        for side in order:
+            try:
+                pair[side] = run_side(roots[side], workload, seed, seconds)
+            except RunFailed as exc:
+                tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL_LINES:])
+                return pairs, {"side": side, "seed": seed, "exit_code": exc.code,
+                               "stderr_tail": tail}
+            print(f"pair {i + 1}/{count} seed {seed} {side}: "
+                  + " ".join(f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()),
+                  flush=True)
+        pairs.append(pair)
+    return pairs, None
 
 
 def _spread(values: list[float]) -> dict:
@@ -126,10 +162,11 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
 
 
 def record(workload: str, parent_rev: str, aa: bool, seconds: float, pairs: list[dict],
-           end_to_end: list[dict]) -> dict:
+           end_to_end: list[dict], failure: dict | None = None) -> dict:
     def runs_ok(side):
         return all(p[side]["correct"] and p[side]["failed"] == 0 for p in pairs)
 
+    env = pairs[0]["parent"].get("environment", {}) if pairs else {}
     return {
         "workload": workload,
         "parent": parent_rev,
@@ -141,10 +178,10 @@ def record(workload: str, parent_rev: str, aa: bool, seconds: float, pairs: list
                              **{k: v["value"] for k, v in p[side]["metrics"].items()}}
                       for side in ("parent", "change")}}
                   for p in pairs],
-        "all_correct": runs_ok("parent") and runs_ok("change"),
+        "all_correct": failure is None and runs_ok("parent") and runs_ok("change"),
         "metrics": summarize(pairs, end_to_end),
-        "environment": {k: v for k, v in pairs[0]["parent"].get("environment", {}).items()
-                        if k != "seed"},
+        "environment": {k: v for k, v in env.items() if k != "seed"},
+        "failure": failure,
     }
 
 
@@ -157,22 +194,12 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                          check=True, capture_output=True, text=True).stdout.strip()
-    pairs = []
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
         parent_root = Path(tmp)
         checkout(rev, parent_root)
         roots = {"parent": parent_root, "change": parent_root if args.aa else ROOT}
-        for i in range(args.pairs):
-            seed = args.first_seed + i
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
-            pair = {"seed": seed, "first": order[0]}
-            for side in order:
-                pair[side] = run_side(roots[side], args.workload, seed, seconds)
-                print(f"pair {i + 1}/{args.pairs} seed {seed} {side}: "
-                      + " ".join(f"{k}={v['value']:.4g}" for k, v in pair[side]["metrics"].items()),
-                      flush=True)
-            pairs.append(pair)
-    rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"])
+        pairs, failure = run_pairs(roots, args.workload, args.first_seed, args.pairs, seconds)
+    rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"], failure)
     OUT.mkdir(exist_ok=True)
     path = OUT / f"BENCH_pairs_{args.workload}{'_aa' if args.aa else ''}.json"
     path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
@@ -181,6 +208,10 @@ def main(argv=None) -> int:
               f"lower in {m['change_lower_in']} claim_holds={m['claim_holds']} "
               f"worse_than_bound={m['worse_than_bound']}")
     print(f"wrote {path}")
+    if failure is not None:
+        print(f"error: the {failure['side']} run at seed {failure['seed']} exited "
+              f"{failure['exit_code']}:\n{failure['stderr_tail']}", file=sys.stderr)
+        return 1
     return 0
 
 
