@@ -6,6 +6,11 @@ distorts each domain with its own random orthogonal rotation plus an
 offset scaled by domain_strength. Class geometry is preserved, so the
 task stays solvable while marginal distributions move across domains.
 
+`split` cuts an archive into the protocol cells. It draws the class split
+and marks every cell's rows at once, but copies a cell's rows out of the
+archive only when the cell is first read, so a job pays for the cells it
+uses.
+
 EMBA file layout (little-endian):
     magic "EMBA" | version 0x01 | u32 N, d_in, d, C, M
     N*d_in f32 features (row-major) | N u32 labels | N u32 domains
@@ -18,6 +23,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -25,6 +31,9 @@ from .model import ClassBank
 
 MAGIC = b"EMBA"
 VERSION = 1
+# float64 noise values `generate` draws at a time (whole rows, and whole
+# classes where they fit)
+NOISE_BLOCK_ELEMENTS = 1 << 17
 
 
 class ArchiveFormatError(ValueError):
@@ -184,13 +193,23 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     lifted = bank.embeddings @ lift.T  # C x d_in
     c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
     features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
+    # a block is k whole classes, or r rows of one class when a class does
+    # not fit; the blocks follow the C order of one (c, n, d_in) draw per
+    # domain, and draws split into blocks give the same stream as one draw
+    r = min(n, max(1, NOISE_BLOCK_ELEMENTS // d_in))
+    k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
+    noise = np.empty(min(k, c) * r * d_in)
     for m in range(spec.num_domains):
         base_points = lifted @ rotations[m].T + offsets[m]
-        # one draw per domain gives the float64 normals of C draws of n rows
-        points = rng.standard_normal((c, n, d_in))
-        points *= spec.noise_sigma
-        points += base_points[:, None, :]
-        features[m] = points
+        for c0 in range(0, c, k):
+            c1 = min(c, c0 + k)
+            for r0 in range(0, n, r):
+                r1 = min(n, r0 + r)
+                points = noise[: (c1 - c0) * (r1 - r0) * d_in].reshape(c1 - c0, r1 - r0, d_in)
+                rng.standard_normal(out=points)
+                points *= spec.noise_sigma
+                points += base_points[c0:c1, None, :]
+                features[m, c0:c1, r0:r1] = points
 
     return EmbeddingArchive(
         features=features.reshape(-1, d_in),
@@ -208,14 +227,42 @@ class SplitSubset:
     indices: np.ndarray  # row positions in the source archive
 
 
-@dataclass
 class Splits:
-    base_classes: np.ndarray
-    new_classes: np.ndarray
-    train: SplitSubset
-    test_domain_shift: SplitSubset
-    test_open: SplitSubset
-    test_both: SplitSubset
+    """The protocol cells of an archive: `train` (base classes outside the
+    test domain), `test_domain_shift` (base classes in it), `test_open`
+    (new classes in every domain) and `test_both` (every class in the test
+    domain).
+
+    `split` marks each cell's rows; a cell's rows are copied from the
+    archive's arrays the first time the cell is read, and that
+    `SplitSubset` is kept, so every later read returns the same object. A
+    write to the archive's arrays before a cell's first read shows in the
+    cell; one after it does not. A `Splits` keeps a reference to its
+    archive.
+    """
+
+    def __init__(self, archive: EmbeddingArchive, base_classes: np.ndarray,
+                 new_classes: np.ndarray, masks: dict[str, np.ndarray]):
+        self.base_classes = base_classes
+        self.new_classes = new_classes
+        self._archive = archive
+        self._masks = masks  # cell name -> boolean row mask over the archive
+
+    @cached_property
+    def train(self) -> SplitSubset:
+        return _subset(self._archive, self._masks["train"])
+
+    @cached_property
+    def test_domain_shift(self) -> SplitSubset:
+        return _subset(self._archive, self._masks["test_domain_shift"])
+
+    @cached_property
+    def test_open(self) -> SplitSubset:
+        return _subset(self._archive, self._masks["test_open"])
+
+    @cached_property
+    def test_both(self) -> SplitSubset:
+        return _subset(self._archive, self._masks["test_both"])
 
 
 def _subset(archive: EmbeddingArchive, mask: np.ndarray) -> SplitSubset:
@@ -234,6 +281,10 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     Base classes are the first floor(C * base_fraction) ids after a
     seeded shuffle. Evaluation always scores against the full bank;
     this only controls which samples land in which cell.
+
+    The class split, every cell's row mask and the `shots` thinning are
+    done here; each cell's rows are copied out of the archive at the
+    cell's first read (see `Splits`).
     """
     if spec.test_domain >= archive.num_domains:
         raise ValueError(
@@ -252,14 +303,12 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     if spec.shots is not None:
         train_mask = _thin_to_shots(archive, train_mask, spec, rng)
 
-    return Splits(
-        base_classes=base,
-        new_classes=new,
-        train=_subset(archive, train_mask),
-        test_domain_shift=_subset(archive, is_base & is_test_domain),
-        test_open=_subset(archive, ~is_base),
-        test_both=_subset(archive, is_test_domain),
-    )
+    return Splits(archive, base, new, {
+        "train": train_mask,
+        "test_domain_shift": is_base & is_test_domain,
+        "test_open": ~is_base,
+        "test_both": is_test_domain,
+    })
 
 
 def _thin_to_shots(archive, train_mask, spec, rng) -> np.ndarray:
@@ -273,6 +322,12 @@ def _thin_to_shots(archive, train_mask, spec, rng) -> np.ndarray:
     return kept
 
 
+def _raw(array: np.ndarray, dtype: str) -> memoryview:
+    """The bytes of `array` stored as `dtype`, with no copy when it already
+    is one contiguous array of that dtype."""
+    return memoryview(np.ascontiguousarray(array, dtype=dtype).reshape(-1)).cast("B")
+
+
 def save(archive: EmbeddingArchive, path) -> None:
     n, d_in = archive.features.shape
     c, d = archive.bank.embeddings.shape
@@ -281,10 +336,10 @@ def save(archive: EmbeddingArchive, path) -> None:
         fh.write(MAGIC)
         fh.write(bytes([VERSION]))
         fh.write(struct.pack("<5I", n, d_in, d, c, m))
-        fh.write(np.ascontiguousarray(archive.features, dtype="<f4").tobytes())
-        fh.write(np.ascontiguousarray(archive.labels, dtype="<u4").tobytes())
-        fh.write(np.ascontiguousarray(archive.domains, dtype="<u4").tobytes())
-        fh.write(archive.bank.embeddings.astype("<f4").tobytes())
+        fh.write(_raw(archive.features, "<f4"))
+        fh.write(_raw(archive.labels, "<u4"))
+        fh.write(_raw(archive.domains, "<u4"))
+        fh.write(_raw(archive.bank.embeddings, "<f4"))
         for name in archive.bank.class_names:
             raw = name.encode("utf-8")
             fh.write(struct.pack("<H", len(raw)))

@@ -481,6 +481,11 @@ def _parse_ensemble(text: str) -> tuple[str, float]:
     raise UsageError(f"bad --ensemble value {text!r}; use bma, ema:<decay>, avg or none")
 
 
+# eval --split choices and the protocol cell each scores
+_SPLIT_CELLS = {"domain": "test_domain_shift", "open": "test_open", "both": "test_both",
+                "train": "train"}
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="oodtune", description="Synthetic OOD fine-tuning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -528,7 +533,7 @@ def build_parser() -> _Parser:
     ev = sub.add_parser("eval", help="evaluate a run file on a protocol split")
     ev.add_argument("--run", required=True)
     ev.add_argument("--data", required=True)
-    ev.add_argument("--split", choices=["domain", "open", "both", "train"], default="both")
+    ev.add_argument("--split", choices=list(_SPLIT_CELLS), default="both")
     ev.add_argument("--params", choices=["ensemble", "final", "zero"], default="ensemble")
     ev.add_argument("--topk", type=int, default=None)
     ev.add_argument("--json", action="store_true")
@@ -714,12 +719,7 @@ def _cmd_eval(args) -> int:
                                f"{expected} for the run config's model")
     splits = _splits(archive, config["base_fraction"], config["test_domain"], config["seed"],
                      config.get("shots"))
-    subset = {
-        "domain": splits.test_domain_shift,
-        "open": splits.test_open,
-        "both": splits.test_both,
-        "train": splits.train,
-    }[args.split]
+    subset = getattr(splits, _SPLIT_CELLS[args.split])  # gathers that cell alone
 
     encoder, head = _init_model(archive, config["seed"], config["hidden"], config["head"])
     if args.params != "zero":  # "zero" keeps the seeded initialization
@@ -772,8 +772,8 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
         splits = _splits(archive, base_fraction, test_domain, seed)
         trainsets.append(tr.TrainSet(splits.train.features, splits.train.labels))
         bases.append(splits.base_classes)
-    # the held-out-domain cell does not depend on the seed; the last seed's
-    # other cells are not kept
+    # the held-out-domain cell does not depend on the seed: only the last
+    # seed's is gathered, and no seed's other test cells are
     test = splits.test_both
     del splits
     accs = {}

@@ -8,6 +8,7 @@ learnable class-vector matrix, optionally initialized from the bank).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -27,7 +28,9 @@ class ClassBank:
 
     Rows within NORM_TOLERANCE of unit norm are re-normalized on
     construction; anything further off is rejected. The arrays are
-    marked read-only so training can never mutate them.
+    marked read-only so training can never mutate them. The C x C margin
+    matrix is built on its first read and then kept: only the adaptive
+    margin loss reads it, so loading or scoring never pays for it.
     """
 
     def __init__(self, embeddings: np.ndarray, class_names: list[str]):
@@ -47,17 +50,19 @@ class ClassBank:
                 f"more than {NORM_TOLERANCE} from 1"
             )
         emb /= norms[:, None]
+        emb.setflags(write=False)
+        self.embeddings = emb
+        self.class_names = list(class_names)
 
+    @cached_property
+    def margin_matrix(self) -> np.ndarray:
+        emb = self.embeddings
         sims = emb @ emb.T
         sims = (sims + sims.T) / 2.0  # enforce exact symmetry
         margins = 1.0 - sims
         np.fill_diagonal(margins, 0.0)
-
-        emb.setflags(write=False)
         margins.setflags(write=False)
-        self.embeddings = emb
-        self.margin_matrix = margins
-        self.class_names = list(class_names)
+        return margins
 
     @property
     def num_classes(self) -> int:

@@ -1,4 +1,5 @@
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -339,3 +340,103 @@ def test_batched_noise_draws_write_the_archive_bytes_of_the_row_by_row_loop(tmp_
     db.save(generate(spec), tmp_path / "batched.emba")
     db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
     assert (tmp_path / "batched.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
+
+
+@pytest.mark.parametrize("block, fields", [
+    (64, dict(num_classes=6, num_domains=2, embed_dim=8, input_dim=8,
+              samples_per_class_per_domain=3, test_domain=1, seed=4)),  # two whole classes a block
+    (20, dict(num_classes=5, num_domains=3, embed_dim=8, input_dim=8,
+              samples_per_class_per_domain=7, seed=9)),  # two rows of one class a block
+    (3, dict(num_classes=3, num_domains=2, embed_dim=4, input_dim=5,
+             samples_per_class_per_domain=2, test_domain=1, seed=1)),  # a row longer than the block
+])
+def test_noise_drawn_in_blocks_writes_the_bytes_of_one_draw_per_class(tmp_path, monkeypatch,
+                                                                      block, fields):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", block)
+    spec = BenchmarkSpec(**fields)
+    db.save(generate(spec), tmp_path / "blocks.emba")
+    db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
+    assert (tmp_path / "blocks.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
+
+
+def test_save_writes_the_archive_arrays_without_copying_them(tmp_path):
+    archive = generate(BenchmarkSpec(samples_per_class_per_domain=200, input_dim=64))
+    assert archive.features.nbytes > 700_000
+    tracemalloc.start()
+    try:
+        db.save(archive, tmp_path / "x.emba")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < archive.features.nbytes // 4
+    assert archives_equal(db.load(tmp_path / "x.emba"), archive)
+
+
+CELLS = ("train", "test_domain_shift", "test_open", "test_both")
+
+
+def _eager_split(archive, spec):
+    """`split` as it was before its cells were gathered lazily: every cell
+    copied at once; kept as the reference for the lazy cells."""
+    rng = np.random.default_rng([spec.seed, 1])
+    order = rng.permutation(spec.num_classes)
+    base = np.sort(order[: spec.num_base])
+    is_base = np.isin(archive.labels, base)
+    is_test_domain = archive.domains == spec.test_domain
+    train_mask = is_base & ~is_test_domain
+    if spec.shots is not None:
+        train_mask = db._thin_to_shots(archive, train_mask, spec, rng)
+    masks = (train_mask, is_base & is_test_domain, ~is_base, is_test_domain)
+    return base, {cell: db._subset(archive, mask) for cell, mask in zip(CELLS, masks)}
+
+
+@pytest.mark.parametrize("fields", [
+    dict(samples_per_class_per_domain=5, seed=11),
+    dict(samples_per_class_per_domain=5, seed=11, shots=3),
+    dict(samples_per_class_per_domain=5, seed=2, test_domain=0),
+    dict(samples_per_class_per_domain=4, seed=6, num_domains=4, test_domain=1),
+])
+def test_lazy_cells_equal_the_eager_gather(fields):
+    spec = BenchmarkSpec(**fields)
+    archive = generate(spec)
+    base, eager = _eager_split(archive, spec)
+    splits = split(archive, spec)
+    np.testing.assert_array_equal(splits.base_classes, base)
+    for cell in CELLS:
+        lazy, want = getattr(splits, cell), eager[cell]
+        assert isinstance(lazy, db.SplitSubset)
+        for name in ("features", "labels", "domains", "indices"):
+            got, ref = getattr(lazy, name), getattr(want, name)
+            assert got.dtype == ref.dtype and got.shape == ref.shape, (cell, name)
+            assert got.flags.c_contiguous and ref.flags.c_contiguous, (cell, name)
+            np.testing.assert_array_equal(got, ref)
+        assert not np.shares_memory(lazy.features, archive.features)
+
+
+def test_reading_a_cell_gathers_that_cell_alone_and_keeps_it(monkeypatch):
+    archive = generate(SMALL)
+    gathered = []
+    real = db._subset
+
+    def counted(arch, mask):
+        gathered.append(int(mask.sum()))
+        return real(arch, mask)
+
+    monkeypatch.setattr(db, "_subset", counted)
+    splits = split(archive, SMALL)
+    assert gathered == []
+    train = splits.train
+    assert gathered == [train.labels.size]
+    assert splits.train is train and gathered == [train.labels.size]
+    for cell in CELLS:
+        assert getattr(splits, cell) is getattr(splits, cell)
+    assert len(gathered) == len(CELLS)
+
+
+def test_a_cell_shows_archive_writes_made_before_its_first_read():
+    archive = generate(SMALL)
+    splits = split(archive, SMALL)
+    before = splits.test_open.features.copy()
+    archive.features[:] = 7.0
+    np.testing.assert_array_equal(splits.test_open.features, before)  # gathered already
+    assert np.all(splits.test_both.features == 7.0)  # first read after the write

@@ -1348,3 +1348,24 @@ def test_score_threads_are_the_usable_cores_over_the_blas_threads(monkeypatch, e
     assert parallel.worker_threads() == want
     monkeypatch.setattr(os, "cpu_count", lambda: None)  # unknown: one core
     assert parallel.worker_threads() == 1
+
+
+@pytest.mark.parametrize("choice, cell", [("domain", "test_domain_shift"), ("train", "train")])
+def test_cli_eval_gathers_the_split_cell_alone(tmp_path, capsys, monkeypatch, choice, cell):
+    data, run = _trained_run(tmp_path)
+    gathered = []
+    real = db._subset
+
+    def counted(archive, mask):
+        gathered.append(np.flatnonzero(mask))
+        return real(archive, mask)
+
+    monkeypatch.setattr(db, "_subset", counted)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data), "--split", choice,
+                 "--json"]) == 0
+    config = load_run(run).config
+    splits = evalcli._splits(db.load(data), config["base_fraction"], config["test_domain"],
+                             config["seed"])
+    assert len(gathered) == 1
+    np.testing.assert_array_equal(gathered[0], getattr(splits, cell).indices)

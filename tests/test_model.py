@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from oodtune import databench as db
 from oodtune import tensor as T
+from oodtune.evalcli import evaluate
 from oodtune.model import (
     BankNormError,
     ClassBank,
@@ -178,3 +180,24 @@ def test_init_rejects_sizes_below_one():
     for sizes, name in (((0, 3), "num_classes"), ((6, 0), "d_in")):
         with pytest.raises(ValueError, match=f"linear head {name} must be >= 1"):
             LinearHead.init(*sizes, rng)
+
+
+def test_bank_margin_matrix_is_built_on_first_read_and_kept(tmp_path):
+    spec = db.BenchmarkSpec(samples_per_class_per_domain=5, seed=4)
+    archive = db.generate(spec)
+    assert "margin_matrix" not in vars(archive.bank)
+    db.save(archive, tmp_path / "a.emba")
+    loaded = db.load(tmp_path / "a.emba")
+    splits = db.split(loaded, spec)
+    enc = Encoder.init(loaded.input_dim, 8, loaded.bank.dim, np.random.default_rng(0))
+    evaluate(enc, loaded.bank, splits.test_both, splits.base_classes, topk=3)
+    assert "margin_matrix" not in vars(loaded.bank)
+
+    bank = loaded.bank
+    emb = bank.embeddings
+    brute = np.array([[0.0 if y == c else 1.0 - (emb[y] @ emb[c] + emb[c] @ emb[y]) / 2.0
+                       for c in range(bank.num_classes)] for y in range(bank.num_classes)])
+    margins = bank.margin_matrix
+    np.testing.assert_allclose(margins, brute, rtol=0, atol=1e-15)
+    assert np.array_equal(margins, margins.T) and not margins.flags.writeable
+    assert bank.margin_matrix is margins and vars(bank)["margin_matrix"] is margins

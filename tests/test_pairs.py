@@ -132,7 +132,9 @@ def test_a_failing_run_keeps_the_pairs_done_and_names_the_failure(monkeypatch, t
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "5", "--first-seed", "11"]) == 1
     assert calls == [11, 11, 12, 12]
-    rec = json.loads((tmp_path / "BENCH_pairs_open-eval.json").read_text())
+    (path,) = tmp_path.iterdir()
+    rec = json.loads(path.read_text())
+    assert path.name == f"BENCH_pairs_open-eval_{rec['parent']}.json"
     assert [p["seed"] for p in rec["pairs"]] == [11]
     assert rec["metrics"]["job_s"]["change_lower_in"] == "0/1"
     tail = "\n".join(f"line {i}" for i in range(30 - pairs.STDERR_TAIL_LINES, 30))
@@ -151,8 +153,38 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
     monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "desk-train", "--pairs", "2", "--aa"]) == 1
-    rec = json.loads((tmp_path / "BENCH_pairs_desk-train_aa.json").read_text())
+    (path,) = tmp_path.iterdir()
+    rec = json.loads(path.read_text())
+    assert path.name == f"BENCH_pairs_desk-train_{rec['parent']}_aa.json"
     assert rec["pairs"] == [] and rec["metrics"] == {} and rec["environment"] == {}
     assert rec["failure"] == {"side": "parent", "seed": 1, "exit_code": 1,
                               "stderr_tail": "Traceback\nboom"}
     capsys.readouterr()
+
+
+def test_record_name_carries_the_parent_revision(monkeypatch, tmp_path):
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    assert pairs.record_path("mid-train", "4e3afa1", False) == \
+        tmp_path / "BENCH_pairs_mid-train_4e3afa1.json"
+    assert pairs.record_path("open-eval", "4e3afa1", True) == \
+        tmp_path / "BENCH_pairs_open-eval_4e3afa1_aa.json"
+
+
+def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
+    earlier = {name: f"{{\"old\": \"{name}\"}}\n" for name in
+               ("BENCH_pairs_open-eval.json", "BENCH_pairs_open-eval_0000000.json",
+                "BENCH_pairs_open-eval_0000000_aa.json")}
+    for name, text in earlier.items():
+        (tmp_path / name).write_text(text)
+    monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
+                        pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
+    for name, text in earlier.items():
+        assert (tmp_path / name).read_text() == text
+    (new,) = set(tmp_path.iterdir()) - {tmp_path / name for name in earlier}
+    rec = json.loads(new.read_text())
+    assert new == pairs.record_path("open-eval", rec["parent"], False)
+    assert [p["seed"] for p in rec["pairs"]] == [1, 2] and rec["all_correct"]
+    assert f"wrote {new}" in capsys.readouterr().out

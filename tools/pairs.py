@@ -12,17 +12,18 @@ side that runs first swaps from pair to pair. Every run is
 With `--aa` both sides run the parent, which measures the noise floor a
 claim must clear.
 
-The record goes to `bench/BENCH_pairs_<workload>.json` (`..._aa.json` for
-an A/A run): each pair's end-to-end metrics, `correct` and
-`failed`/`attempted`; each side's median and quartiles per metric; how
-many pairs the change wins, ties counting for neither; the verdict of the
-pair rule (the change wins at least nine tenths of the pairs and the
-medians differ by more than the parent's quartile distance); whether the
-change's median is worse than the parent's by more than the metric's
-bound; and perfbench's environment record. When a run exits non-zero the
-pairs stop: the record keeps the pairs done so far and names the failing
-side, its seed, its exit code and the tail of its standard error, and the
-script exits 1.
+The record goes to `bench/BENCH_pairs_<workload>_<rev>.json`, where rev
+is the parent's short revision (`..._<rev>_aa.json` for an A/A run), so
+the records of earlier changes stay beside it. It holds each pair's
+end-to-end metrics, `correct` and `failed`/`attempted`; each side's median
+and quartiles per metric; how many pairs the change wins, ties counting
+for neither; the verdict of the pair rule (the change wins at least nine
+tenths of the pairs and the medians differ by more than the parent's
+quartile distance); whether the change's median is worse than the
+parent's by more than the metric's bound; and perfbench's environment
+record. When a run exits non-zero the pairs stop: the record keeps the
+pairs done so far and names the failing side, its seed, its exit code and
+the tail of its standard error, and the script exits 1.
 """
 
 from __future__ import annotations
@@ -66,6 +67,11 @@ def checkout(rev: str, dest: Path) -> None:
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def record_path(workload: str, rev: str, aa: bool) -> Path:
+    """Where the record of a pair run against parent revision `rev` goes."""
+    return OUT / f"BENCH_pairs_{workload}_{rev}{'_aa' if aa else ''}.json"
 
 
 def parse_run(stdout: str) -> dict:
@@ -201,7 +207,7 @@ def main(argv=None) -> int:
         pairs, failure = run_pairs(roots, args.workload, args.first_seed, args.pairs, seconds)
     rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"], failure)
     OUT.mkdir(exist_ok=True)
-    path = OUT / f"BENCH_pairs_{args.workload}{'_aa' if args.aa else ''}.json"
+    path = record_path(args.workload, rev, args.aa)
     path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     for name, m in rec["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
