@@ -129,18 +129,15 @@ class EvalReport:
         if self.topk is None:
             yield text
             return
-        # "topk" sorts after every other key, so its rows are appended as
-        # text, in json.dumps' form, without a nested payload of N x k lists;
-        # repr gives json's float text but for nan and +-inf, which no int
-        # or finite float text contains
+        # "topk" sorts after every other key, so its rows are appended a
+        # block at a time, each block's list text without its brackets;
+        # numpy scalars in hand-built rows are written as their Python values
         yield f'{text[:-1]},"topk":['
         topk = self.topk
         step = _block_rows(len(topk[0][1])) if len(topk) else 1
         for start in range(0, len(topk), step):
-            rows = ",".join(["[%d,[%s]]" % (sample, ",".join(["[%d,%r]" % (c, float(p))
-                                                              for c, p in ranked]))
-                             for sample, ranked in topk[start:start + step]])
-            rows = rows.replace("nan", "NaN").replace("inf", "Infinity")
+            rows = json.dumps(topk[start:start + step], separators=(",", ":"),
+                              default=lambda v: v.item())[1:-1]
             yield f",{rows}" if start else rows
         yield "]}"
 
@@ -461,13 +458,21 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _suffix_number(flag: str, text: str) -> float:
+    """The number after the colon of a `<kind>:<number>` flag value."""
+    try:
+        return float(text.split(":", 1)[1])
+    except ValueError:
+        raise UsageError(f"bad {flag} value {text!r}: expected a number after the colon") from None
+
+
 def _parse_margin(text: str) -> tuple[str, float]:
     if text == "adaptive":
         return L.MARGIN_ADAPTIVE, 0.0
     if text == "none":
         return L.MARGIN_NONE, 0.0
     if text.startswith("fixed:"):
-        return L.MARGIN_FIXED, float(text.split(":", 1)[1])
+        return L.MARGIN_FIXED, _suffix_number("--margin", text)
     raise UsageError(f"bad --margin value {text!r}; use adaptive, fixed:<m> or none")
 
 
@@ -475,7 +480,7 @@ def _parse_ensemble(text: str) -> tuple[str, float]:
     if text in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG, tr.ENSEMBLE_NONE):
         return text, 0.999
     if text.startswith("ema:"):
-        return tr.ENSEMBLE_EMA, float(text.split(":", 1)[1])
+        return tr.ENSEMBLE_EMA, _suffix_number("--ensemble", text)
     if text == "ema":
         return tr.ENSEMBLE_EMA, 0.999
     raise UsageError(f"bad --ensemble value {text!r}; use bma, ema:<decay>, avg or none")

@@ -17,18 +17,18 @@ to the hidden layer), each writing its rows of the whole batch's
 activation buffers, then ranges of the parameters (their gradients from
 those buffers, AdamW and the ensemble update). A step whose work reaches
 SPLIT_WORK has two of each, a smaller one one of each; both run the same
-code. Where the cores allow (`parallel.worker_threads`), the parts run on
-a `parallel.Crew` of one thread per part, the caller's among them, whose
-worker `train` starts and joins. The parts are fixed by the shapes alone,
-so the loop is fully deterministic under its seeds and gives the same bits
-at every thread count.
+code. `FusedStep` fixes its parts when it is built for the run's batch
+size, and `train` runs its loop inside the step's `with` block, where the
+parts run on a `parallel.Crew` of one thread per part, the caller's among
+them, as far as the cores allow (`parallel.worker_threads`). The parts
+are fixed by the shapes alone, so the loop is fully deterministic under
+its seeds and gives the same bits at every thread count.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -178,16 +178,6 @@ class RunResult:
     trajectory: list[ParamVector] | None = None
 
 
-def _lane_views(block: np.ndarray, shapes: list[tuple[int, ...]]) -> list[np.ndarray]:
-    """Views of an S x P block as S-stacks of the given shapes, in order."""
-    out, offset = [], 0
-    for shape in shapes:
-        n = math.prod(shape)
-        out.append(block[:, offset:offset + n].reshape((block.shape[0],) + shape))
-        offset += n
-    return out
-
-
 class FusedStep:
     """Loss and gradient of one batch per lane, forward and backward
     written by hand.
@@ -205,17 +195,25 @@ class FusedStep:
     numpy matmul, which calls per lane the same BLAS routine a 2-D product
     would.
 
-    A call runs in two phases, each split into the parts `parts` gives. A
-    row part runs forward, loss terms and backward down to the hidden
-    layer's gradient for one block of batch rows, writing its rows of the
-    whole batch's activation buffers; a range part computes the gradients
-    of one range of the columns of `params` from those buffers, then calls
+    A step is built for batches of `batch_size` rows, and everything that
+    depends on it is fixed at construction: the row blocks `blocks` and the
+    column ranges `ranges` of `params` that a call runs as its parts, and
+    the whole batch's activation buffers. Below SPLIT_WORK there is one
+    block and one range; from it on, two halves of each, the ranges cut at
+    a row boundary of a weight matrix. They depend on the shapes alone: a
+    row-split matmul need not round like the whole product, so the thread
+    count must not choose the split.
+
+    A call runs in two phases. A row part runs forward, loss terms and
+    backward down to the hidden layer's gradient for one block of batch
+    rows, writing its rows of the activation buffers; a range part
+    computes the gradients of one range from those buffers, then calls
     `update(part)`, which `train` uses to step the optimizer and the
-    ensemble on that range. One block and two blocks fill the same
-    buffers, kept per batch size, and run the same code. The losses are
-    checked between the phases, before any parameter moves. Inside
-    `threads(count)` the parts of a phase run on `count` threads; the parts
-    do not depend on the thread count, so neither do the results.
+    ensemble on that range. The losses are checked between the phases,
+    before any parameter moves. Inside a `with step:` block the parts of a
+    phase run on a `parallel.Crew` of one thread per part, as many as
+    `parallel.worker_threads` allows; outside it, on the caller alone. The
+    parts do not depend on the thread count, so neither do the results.
 
     The encoder and head tensors are only read at construction:
     `write_back` copies each lane's parameters into them.
@@ -227,7 +225,7 @@ class FusedStep:
     """
 
     def __init__(self, encoders: list[Encoder], bank: ClassBank, loss_cfg: L.LossConfig,
-                 heads: list[LinearHead] | None = None,
+                 batch_size: int, heads: list[LinearHead] | None = None,
                  update: Callable[[int], None] | None = None):
         heads = [None] * len(encoders) if heads is None else heads
         if not encoders or len(heads) != len(encoders):
@@ -261,31 +259,52 @@ class FusedStep:
         self._update = update
         self.params = np.stack([flatten_params(t) for t in self._tensors])
         self.grads = np.zeros_like(self.params)
-        tensor_shapes = [p.shape for p in self._tensors[0]]
-        # biases as S x 1 x n, so they broadcast over the batch axis
-        shapes = [(1,) + shape if len(shape) == 1 else shape for shape in tensor_shapes]
-        self._p = _lane_views(self.params, shapes)
-        self._g = _lane_views(self.grads, shapes)
-        self._w2_t = self._p[2].transpose(0, 2, 1)
-        # each tensor's offset in a lane's row, size and row length: a range
-        # of the row covers whole rows of each matrix and whole biases
-        self._spans, offset = [], 0
-        for shape in tensor_shapes:
-            size = math.prod(shape)
-            self._spans.append((offset, size, shape[-1] if len(shape) == 2 else size))
+        s, p = self.params.shape
+        # each tensor's S-stacked views of params and grads, biases as
+        # S x 1 x n so they broadcast over the batch axis; and its offset in
+        # a lane's row, size and row length: a range of the row covers whole
+        # rows of each matrix and whole biases
+        self._p, grad_views, spans, offset = [], [], [], 0
+        for tensor in self._tensors[0]:
+            size = math.prod(tensor.shape)
+            view = (s, 1, size) if len(tensor.shape) == 1 else (s,) + tensor.shape
+            self._p.append(self.params[:, offset:offset + size].reshape(view))
+            grad_views.append(self.grads[:, offset:offset + size].reshape(view))
+            spans.append((offset, size, view[-1]))
             offset += size
-        # the halves' cut: the row boundary nearest the middle of a lane's row
-        # in the tensor holding it, or either end of a bias
-        start, size, row = next(span for span in self._spans if 2 * (span[0] + span[1]) > offset)
-        self._cut = start + (offset - 2 * start + row) // (2 * row) * row
-        self._plans: dict[int, tuple] = {}
+        self._w2_t = self._p[2].transpose(0, 2, 1)
         d_in, hidden = first.w1.shape
+        d, c = first.d_out, bank.num_classes
         # per batch row: 2 flops per multiply-add of the matmuls, forward
         # (x @ w1, h @ w2, the logits) and backward (the logits' input
         # gradient, g_h and the weight gradients)
-        self._dims = (hidden, first.d_out, bank.num_classes)
-        self._row_flops = 2 * (2 * d_in * hidden + 3 * hidden * first.d_out
-                               + (3 if linear else 2) * first.d_out * bank.num_classes)
+        row_flops = 2 * (2 * d_in * hidden + 3 * hidden * d + (3 if linear else 2) * d * c)
+        # the halves' cut: the row boundary nearest the middle of a lane's row
+        # in the tensor holding it, or either end of a bias
+        start, size, row = next(span for span in spans if 2 * (span[0] + span[1]) > p)
+        cut = start + (p - 2 * start + row) // (2 * row) * row
+        if s * (batch_size * row_flops + p) < SPLIT_WORK or batch_size < 2 or not 0 < cut < p:
+            self.blocks, self.ranges = [slice(0, batch_size)], [slice(0, p)]
+        else:
+            half = (batch_size + 1) // 2
+            self.blocks = [slice(0, half), slice(half, batch_size)]
+            self.ranges = [slice(0, cut), slice(cut, p)]
+        # for each range the tensors it covers, as (index, its rows in the
+        # range, the view of those rows of grads)
+        self._covered = []
+        for cols in self.ranges:
+            self._covered.append([])
+            for k, (start, size, row) in enumerate(spans):
+                lo, hi = max(cols.start, start), min(cols.stop, start + size)
+                if lo < hi:
+                    rows = slice((lo - start) // row, (hi - start) // row)
+                    self._covered[-1].append((k, rows, grad_views[k][:, rows]))
+        # the whole batch's arrays that the row parts leave for the range
+        # parts, each block filling its own rows of them
+        self._act = dict(picked=np.empty((s, batch_size)), h=np.empty((s, batch_size, hidden)),
+                         g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
+        if linear:
+            self._act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
         self._crew = parallel.Crew(1)
 
     def write_back(self) -> None:
@@ -293,76 +312,35 @@ class FusedStep:
         for tensors, flat in zip(self._tensors, self.params):
             unflatten_params(tensors, flat)
 
-    def parts(self, batch_size: int) -> tuple[list[slice], list[slice]]:
-        """The row blocks of a batch of `batch_size` rows and the column
-        ranges of `params` that a call runs as its parts.
+    def __enter__(self) -> "FusedStep":
+        """Open the crew the parts run on; its workers are stopped and
+        joined on exit."""
+        self._crew = parallel.Crew(min(len(self.blocks), parallel.worker_threads())).__enter__()
+        return self
 
-        Below SPLIT_WORK, one block and one range; from it on, two halves of
-        each, the ranges cut at a row boundary of a weight matrix. They
-        depend on the shapes alone: a row-split matmul need not round like
-        the whole product, so the thread count must not choose the split.
-        """
-        s, p = self.params.shape
-        if (s * (batch_size * self._row_flops + p) < SPLIT_WORK or batch_size < 2
-                or not 0 < self._cut < p):
-            return [slice(0, batch_size)], [slice(0, p)]
-        half = (batch_size + 1) // 2
-        return ([slice(0, half), slice(half, batch_size)],
-                [slice(0, self._cut), slice(self._cut, p)])
-
-    def _plan(self, batch_size: int) -> tuple[list[slice], list[list[tuple]], dict]:
-        """What a call with `batch_size` rows runs, kept per batch size.
-
-        The row blocks of `parts`; for each of its ranges the tensors it
-        covers, as (index, its rows in the range, the view of those rows of
-        `grads`); and the whole batch's arrays that the row parts leave for
-        the range parts, each block filling its own rows of them.
-        """
-        plan = self._plans.get(batch_size)
-        if plan is None:
-            blocks, ranges = self.parts(batch_size)
-            covered = []
-            for cols in ranges:
-                covered.append([])
-                for k, (start, size, row) in enumerate(self._spans):
-                    lo, hi = max(cols.start, start), min(cols.stop, start + size)
-                    if lo < hi:
-                        rows = slice((lo - start) // row, (hi - start) // row)
-                        covered[-1].append((k, rows, self._g[k][:, rows]))
-            s, (hidden, d, c) = self.params.shape[0], self._dims
-            act = dict(picked=np.empty((s, batch_size)), h=np.empty((s, batch_size, hidden)),
-                       g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
-            if self._linear:
-                act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
-            plan = self._plans[batch_size] = (blocks, covered, act)
-        return plan
-
-    @contextmanager
-    def threads(self, count: int):
-        """Inside the block, run the parts of each phase on a
-        `parallel.Crew` of `count` threads, the caller's among them. Its
-        workers are stopped and joined on exit."""
-        with parallel.Crew(count) as self._crew:
-            try:
-                yield
-            finally:
-                self._crew = parallel.Crew(1)
+    def __exit__(self, *exc) -> None:
+        crew, self._crew = self._crew, parallel.Crew(1)
+        crew.__exit__(*exc)
 
     def __call__(self, x: np.ndarray, labels: np.ndarray) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
         and return the list of S losses.
 
         Labels must lie in [0, C); train() checks them once per run.
-        Raises NonFiniteError on a non-finite pre-activation or loss,
-        naming the lane when there is more than one; of two row blocks
-        failing, the first one's error.
+        Raises ShapeError on batches of another shape than the step's, and
+        NonFiniteError on a non-finite pre-activation or loss, naming the
+        lane when there is more than one; of two row blocks failing, the
+        first one's error.
         """
-        s, b = labels.shape
+        want = self._act["picked"].shape
+        if labels.shape != want or x.shape[:2] != want:
+            raise ShapeError(f"step built for {want[0]} x {want[1]} batches, got "
+                             f"features {x.shape} and labels {labels.shape}")
+        s, b = want
         self._x, self._labels = x, labels
-        self._blocks, self._covered, self._act = self._plan(b)
         if self._linear:
             self._w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
-        self._crew.run(self._rows, range(len(self._blocks)))
+        self._crew.run(self._rows, self.blocks)
         # per lane in Python floats: the same IEEE operations as on numpy scalars
         losses = [total / b * -1.0
                   for total in np.add.reduce(self._act["picked"], axis=-1).tolist()]
@@ -374,10 +352,10 @@ class FusedStep:
         self._x = self._labels = None
         return losses
 
-    def _rows(self, part: int) -> None:
+    def _rows(self, rows: slice) -> None:
         """Forward, loss terms and backward down to g_h for one block of
         batch rows of every lane, into its rows of the whole batch's arrays."""
-        rows, act = self._blocks[part], self._act
+        act = self._act
         w1, b1, w2, b2 = self._p[:4]
         x, labels = self._x[:, rows], self._labels[:, rows]
         s, b = labels.shape
@@ -537,7 +515,7 @@ def train(
         elif ema_part is not None:
             ema_update(ema_part, theta, cfg.ema_decay)
 
-    step = FusedStep(encoders, bank, cfg.loss, heads, update=update)
+    step = FusedStep(encoders, bank, cfg.loss, cfg.batch_size, heads, update=update)
     params = step.params
     # each lane draws its rows from its own stream and gathers them into its
     # row of one batch buffer, in the features' dtype; float32 batches are
@@ -560,17 +538,16 @@ def train(
     # and the optimizer and ensemble state; the ranges' step counters and
     # weight sums advance in lockstep. The closure holds these views, not
     # the step, which holds the closure.
-    blocks, ranges = step.parts(cfg.batch_size)
     m, v = np.zeros_like(params), np.zeros_like(params)
     states = [(params[:, cols], step.grads[:, cols], AdamWState(m=m[:, cols], v=v[:, cols]),
                None if bma is None else replace(bma, avg=bma.avg[:, cols]),
                None if ema_avg is None else ema_avg[:, cols])
-              for cols in ranges]
+              for cols in step.ranges]
 
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
-    with step.threads(min(len(blocks), parallel.worker_threads())):
+    with step:
         for t in range(cfg.steps):
             chunk_step = t % BATCH_DRAW_STEPS
             if chunk_step == 0:

@@ -83,6 +83,13 @@ def test_bma_rejects_extra_updates():
         bma_update(state, np.ones(2))
 
 
+def test_bma_rejects_a_snapshot_of_another_shape():
+    state = bma_init(np.zeros(2), 2, 0.5)
+    with pytest.raises(ValueError, match=r"snapshot shape \(3,\) != \(2,\)"):
+        bma_update(state, np.ones(3))
+    assert state.step == 0
+
+
 def test_bma_matches_temporal_ensemble_oracle():
     rng = np.random.default_rng(0)
     trajectory = [rng.standard_normal(1) for _ in range(101)]

@@ -272,6 +272,13 @@ def test_evaluate_rejects_empty_split():
         evaluate(identity_encoder(16), archive.bank, empty, [0])
 
 
+def test_evaluate_rejects_topk_below_one():
+    archive = generate(NOISELESS)
+    subset = split(archive, NOISELESS).test_open
+    with pytest.raises(ValueError, match="topk must be >= 1, got 0"):
+        evaluate(identity_encoder(16), archive.bank, subset, [0], topk=0)
+
+
 def test_evaluate_rejects_shapes_that_do_not_fit():
     archive = generate(NOISELESS)
     subset = split(archive, NOISELESS).test_open
@@ -550,7 +557,13 @@ def test_cli_bad_margin_and_ensemble_exit_one(tmp_path, capsys):
                  "--steps", "1", "--margin", "wat"]) == 1
     assert main(["train", "--data", str(data), "--out", str(run),
                  "--steps", "1", "--ensemble", "wat"]) == 1
-    capsys.readouterr()
+    for flag, value in (("--margin", "fixed:abc"), ("--margin", "fixed:"),
+                        ("--ensemble", "ema:abc"), ("--ensemble", "ema:")):
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run),
+                     "--steps", "1", flag, value]) == 1, (flag, value)
+        assert f"usage error: bad {flag} value {value!r}" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_cli_data_errors_exit_two(tmp_path, capsys):
@@ -946,6 +959,12 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
         capsys.readouterr()
         assert main(["eval", "--run", str(run), "--data", str(data)]) == 2, key
         assert message in capsys.readouterr().err
+
+    save_run(run, list(saved.config), saved.loss_curve, saved.final_params,
+             saved.ensemble_params)
+    capsys.readouterr()
+    assert main(["eval", "--run", str(run), "--data", str(data)]) == 2
+    assert "run config is not a JSON object" in capsys.readouterr().err
 
     config = dict(saved.config)
     del config["shots"]  # optional: no cap on the train split

@@ -7,7 +7,7 @@ import pytest
 from oodtune import losses as L
 from oodtune import tensor as T
 from oodtune.model import Encoder, LinearHead, embed, linear_head_logits, similarities
-from oodtune.tensor import NonFiniteError
+from oodtune.tensor import NonFiniteError, ShapeError
 from oodtune.trainer import (
     AdamWState,
     FusedStep,
@@ -68,7 +68,7 @@ def test_fused_step_equals_tape_bit_for_bit(linear, skip, zero_row, tau, margin)
                                  MARGINS.index(margin)])
     for _ in range(10):
         enc, bank, head, x, labels, cfg = _instance(rng, linear, skip, zero_row, tau, margin)
-        step = FusedStep([enc], bank, cfg, None if head is None else [head])
+        step = FusedStep([enc], bank, cfg, len(labels), None if head is None else [head])
         loss = step(x[None], labels[None])[0]
         want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, labels, cfg, head)
         assert loss == want_loss
@@ -87,7 +87,8 @@ def test_fused_gradients_match_finite_differences(linear):
             head = LinearHead.init(6, 3, rng) if linear else None
             x = rng.standard_normal((3, 4))
             labels = rng.integers(0, 6, size=3)
-            step = FusedStep([enc], bank, L.LossConfig(tau=tau), None if head is None else [head])
+            step = FusedStep([enc], bank, L.LossConfig(tau=tau), len(labels),
+                             None if head is None else [head])
             step(x[None], labels[None])
             grads = step.grads[0].copy()
 
@@ -98,6 +99,25 @@ def test_fused_gradients_match_finite_differences(linear):
             fd = central_diff(f, step.params[0].copy(), step=1e-5)
             worst = max(worst, max_rel_err(grads, fd))
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("linear", [False, True])
+def test_a_step_takes_only_batches_of_the_size_it_was_built_for(linear):
+    rng = np.random.default_rng(205)
+    enc = Encoder.init(4, 5, 3, rng)
+    bank = random_bank(rng, 6, 3)
+    heads = [LinearHead.init(6, 3, rng)] if linear else None
+    x, labels = rng.standard_normal((1, 5, 4)), rng.integers(0, 6, size=(1, 5))
+    step = FusedStep([enc], bank, L.LossConfig(), 5, heads)
+    loss = step(x, labels)
+    fewer = (x[:, :4], labels[:, :4])
+    more = (np.concatenate([x, x], 1), np.concatenate([labels, labels], 1))
+    mismatched = (x, labels[:, :4])
+    two_lanes = (np.concatenate([x, x]), np.concatenate([labels, labels]))
+    for bad_x, bad_labels in (fewer, more, mismatched, two_lanes):
+        with pytest.raises(ShapeError, match="step built for 1 x 5 batches"):
+            step(bad_x, bad_labels)
+    assert step(x, labels) == loss
 
 
 def _tape_train(enc, bank, data, cfg, head=None):

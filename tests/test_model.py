@@ -182,6 +182,15 @@ def test_init_rejects_sizes_below_one():
             LinearHead.init(*sizes, rng)
 
 
+def test_set_flat_rejects_a_vector_of_the_wrong_length():
+    enc = Encoder.init(4, 5, 3, np.random.default_rng(11))
+    flat = enc.get_flat()
+    for bad in (flat[:-1], np.append(flat, 0.0), flat.reshape(1, -1)):
+        with pytest.raises(ShapeError, match=f"expected {flat.size}"):
+            enc.set_flat(bad + 1.0)
+    np.testing.assert_array_equal(enc.get_flat(), flat)  # nothing assigned
+
+
 def test_bank_margin_matrix_is_built_on_first_read_and_kept(tmp_path):
     spec = db.BenchmarkSpec(samples_per_class_per_domain=5, seed=4)
     archive = db.generate(spec)

@@ -105,29 +105,48 @@ def test_the_steps_crew_has_no_thread_past_its_parts(monkeypatch, linear, split)
 
 def test_halves_split_the_batch_rows_and_the_parameters_at_a_matrix_row(split_small):
     bank, built = _lanes(2, True, np.float64)
-    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), [h for _, h, _ in built])
-    blocks, ranges = step.parts(7)
-    assert blocks == [slice(0, 4), slice(4, 7)]
+    encoders, heads = [e for e, _, _ in built], [h for _, h, _ in built]
+    step = FusedStep(encoders, bank, tr.L.LossConfig(), 7, heads)
+    assert step.blocks == [slice(0, 4), slice(4, 7)]
     p = step.params.shape[1]  # w1 6x8, b1 8, w2 8x4, b2 4, head 5x4: P = 112
-    assert ranges == [slice(0, 56), slice(56, p)] and p == 112
-    assert step.parts(1) == ([slice(0, 1)], [slice(0, p)])
+    assert step.ranges == [slice(0, 56), slice(56, p)] and p == 112
+    one = FusedStep(encoders, bank, tr.L.LossConfig(), 1, heads)
+    assert (one.blocks, one.ranges) == ([slice(0, 1)], [slice(0, p)])
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
 @pytest.mark.parametrize("linear", [False, True])
 def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, linear):
     bank, built = _lanes(lanes, linear, np.float64)
-    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(),
-                     [h for _, h, _ in built] if linear else None)
+
+    def build():
+        return FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), 9,
+                         [h for _, h, _ in built] if linear else None)
+
     rng = np.random.default_rng(6)
     x, labels = rng.standard_normal((lanes, 9, 6)), rng.integers(0, 5, size=(lanes, 9))
-    whole = step(x, labels), step.grads.copy()
+    whole = build()
+    assert len(whole.blocks) == len(whole.ranges) == 1
+    whole_losses = whole(x, labels)
     monkeypatch.setattr(tr, "SPLIT_WORK", 0)
-    assert len(step.parts(9)[0]) == 2
-    with step.threads(2):
-        halves = step(x, labels), step.grads.copy()
-    np.testing.assert_allclose(halves[0], whole[0], rtol=1e-13, atol=0)
-    np.testing.assert_allclose(halves[1], whole[1], rtol=1e-12, atol=1e-15)
+    halves = build()
+    assert len(halves.blocks) == len(halves.ranges) == 2
+    # each row block waits until the other has started, so the two run on
+    # two threads at once: one of them a worker
+    both_started, ran_on, rows = threading.Barrier(2, timeout=10), set(), halves._rows
+
+    def meeting(block):
+        ran_on.add(threading.get_ident())
+        both_started.wait()
+        rows(block)
+
+    monkeypatch.setattr(halves, "_rows", meeting)
+    _threads(monkeypatch, 2)
+    with halves:
+        halves_losses = halves(x, labels)
+    assert len(ran_on) == 2 and threading.get_ident() in ran_on
+    np.testing.assert_allclose(halves_losses, whole_losses, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(halves.grads, whole.grads, rtol=1e-12, atol=1e-15)
 
 
 def _mid(lanes=1, batch=256):
@@ -149,11 +168,11 @@ def test_benchmark_shapes_get_their_halves(lanes, batch, halves):
         encoders = [Encoder.init(48, 64, 32, np.random.default_rng(i)) for i in range(lanes)]
     else:
         bank, encoders = _mid(lanes)
-    blocks, ranges = FusedStep(encoders, bank, tr.L.LossConfig()).parts(batch)
-    assert len(blocks) == len(ranges) == halves
+    step = FusedStep(encoders, bank, tr.L.LossConfig(), batch)
+    assert len(step.blocks) == len(step.ranges) == halves
     if halves == 2:
         # w1 is 256 x 256 and P = 98,688: the cut is w1's row 193
-        assert ranges[0] == slice(0, 193 * 256)
+        assert step.ranges[0] == slice(0, 193 * 256)
 
 
 def test_mid_size_halves_agree_with_one_block(monkeypatch):
@@ -178,26 +197,27 @@ def test_mid_size_halves_agree_with_one_block(monkeypatch):
         np.testing.assert_allclose(got, want, rtol=0, atol=AGREE_ATOL)
 
 
-def _fail(step, x, labels, threads):
-    with step.threads(threads), pytest.raises(NonFiniteError) as info:
+def _fail(monkeypatch, step, x, labels, threads):
+    _threads(monkeypatch, threads)
+    with step, pytest.raises(NonFiniteError) as info:
         step(x, labels)
     return str(info.value)
 
 
-def test_a_failing_second_block_raises_the_serial_error(split_small):
+def test_a_failing_second_block_raises_the_serial_error(monkeypatch, split_small):
     bank, built = _lanes(3, False, np.float64)
-    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig())
+    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), 7)
     rng = np.random.default_rng(2)
     x, labels = rng.standard_normal((3, 7, 6)), rng.integers(0, 5, size=(3, 7))
-    (first, second), _ = step.parts(7)
+    first, second = step.blocks
     nan = x.copy()
     nan[2, second.start + 1, 3] = np.nan  # lane 2, second block
-    assert _fail(step, nan, labels, 1) == _fail(step, nan, labels, 2) == \
-        "lane 2: non-finite pre-activation x @ w1 + b1"
+    assert _fail(monkeypatch, step, nan, labels, 1) == _fail(monkeypatch, step, nan, labels, 2) \
+        == "lane 2: non-finite pre-activation x @ w1 + b1"
     both = nan.copy()
     both[1, first.start, 0] = np.inf  # lane 1, first block
-    assert _fail(step, both, labels, 1) == _fail(step, both, labels, 2) == \
-        "lane 1: non-finite pre-activation x @ w1 + b1"
+    assert _fail(monkeypatch, step, both, labels, 1) == _fail(monkeypatch, step, both, labels, 2) \
+        == "lane 1: non-finite pre-activation x @ w1 + b1"
 
 
 def test_an_overflowing_pre_activation_names_the_step_at_every_thread_count(monkeypatch,
@@ -214,19 +234,20 @@ def test_an_overflowing_pre_activation_names_the_step_at_every_thread_count(monk
     assert messages[0].startswith("step 1: lane 0: ")
 
 
-def test_the_worker_runs_under_the_callers_error_state(split_small):
+def test_the_worker_runs_under_the_callers_error_state(monkeypatch, split_small):
     # a linear map and a large second block: only its rows' softmax underflows
     bank, built = _lanes(1, True, np.float64)
     enc, head, _ = built[0]
     enc.skip_nonlinearity = True
-    step = FusedStep([enc], bank, tr.L.LossConfig(), [head])
+    step = FusedStep([enc], bank, tr.L.LossConfig(), 8, [head])
     rng = np.random.default_rng(4)
     x, labels = rng.standard_normal((1, 8, 6)), rng.integers(0, 5, size=(1, 8))
-    (_, second), _ = step.parts(8)
+    _, second = step.blocks
     x[:, second] *= 1e5
     step(x, labels)  # ignored underflow: no error
     for threads in (1, 2):
-        with step.threads(threads), np.errstate(under="raise"), \
+        _threads(monkeypatch, threads)
+        with step, np.errstate(under="raise"), \
                 pytest.raises(FloatingPointError, match="underflow"):
             step(x, labels)
 

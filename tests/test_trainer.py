@@ -218,6 +218,15 @@ def test_train_rejects_bad_data():
     with pytest.raises(ValueError, match="features"):
         train(enc, bank, TrainSet(data.features[:, :3], data.labels),
               TrainerConfig(steps=1, seed=0))
+    n = data.labels.size
+    with pytest.raises(T.ShapeError, match=rf"\({n - 1},\) labels for {n} feature rows"):
+        train(enc, bank, TrainSet(data.features, data.labels[1:]), TrainerConfig(steps=1, seed=0))
+    with pytest.raises(T.ShapeError, match="encoder output dim 3 vs bank dim 4"):
+        train(Encoder.init(4, 5, 3, rng), bank, data, TrainerConfig(steps=1, seed=0))
+    wide = LinearHead.init(bank.num_classes + 1, 4, rng)
+    with pytest.raises(T.ShapeError, match=f"linear head is {bank.num_classes + 1}x4, expected "
+                                           f"{bank.num_classes}x4"):
+        train(enc, bank, data, TrainerConfig(steps=1, seed=0, head="linear"), head=wide)
 
 
 def test_trainer_config_validation():
@@ -229,6 +238,9 @@ def test_trainer_config_validation():
         TrainerConfig(ensemble_mode="bogus")
     with pytest.raises(ValueError):
         TrainerConfig(head="bogus")
+    for field, value in (("base_lr", -1e-3), ("weight_decay", -0.1), ("bma_every", 0)):
+        with pytest.raises(ValueError, match=f"{field} must be >= "):
+            TrainerConfig(**{field: value})
     for bad in (math.nan, math.inf, -math.inf):
         for field in ("beta", "base_lr", "weight_decay", "ema_decay"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
