@@ -15,6 +15,7 @@ import argparse
 import contextlib
 import json
 import math
+import os
 import struct
 import sys
 from collections.abc import Iterator, Sequence
@@ -297,7 +298,7 @@ def evaluate(
     bank: ClassBank,
     subset: SplitSubset,
     base_classes,
-    tau: float = 0.01,
+    tau: float = L.LossConfig.tau,
     head: LinearHead | None = None,
     topk: int | None = None,
 ) -> EvalReport:
@@ -458,32 +459,16 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _suffix_number(flag: str, text: str) -> float:
-    """The number after the colon of a `<kind>:<number>` flag value."""
-    try:
-        return float(text.split(":", 1)[1])
-    except ValueError:
-        raise UsageError(f"bad {flag} value {text!r}: expected a number after the colon") from None
-
-
-def _parse_margin(text: str) -> tuple[str, float]:
-    if text == "adaptive":
-        return L.MARGIN_ADAPTIVE, 0.0
-    if text == "none":
-        return L.MARGIN_NONE, 0.0
-    if text.startswith("fixed:"):
-        return L.MARGIN_FIXED, _suffix_number("--margin", text)
-    raise UsageError(f"bad --margin value {text!r}; use adaptive, fixed:<m> or none")
-
-
-def _parse_ensemble(text: str) -> tuple[str, float]:
-    if text in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG, tr.ENSEMBLE_NONE):
-        return text, 0.999
-    if text.startswith("ema:"):
-        return tr.ENSEMBLE_EMA, _suffix_number("--ensemble", text)
-    if text == "ema":
-        return tr.ENSEMBLE_EMA, 0.999
-    raise UsageError(f"bad --ensemble value {text!r}; use bma, ema:<decay>, avg or none")
+def _kind_number(flag: str, text: str, kinds: tuple[str, ...], numbered: str,
+                 default: float) -> tuple[str, float]:
+    """Read a `<kind>` or `<numbered>:<number>` flag value as (kind, number);
+    a value without a number gives `default`."""
+    kind, colon, number = text.partition(":")
+    if kind in kinds and (kind == numbered or not colon):
+        with contextlib.suppress(ValueError):
+            return kind, float(number) if colon else default
+    raise UsageError(f"bad {flag} value {text!r}; use {numbered}:<number> or one of "
+                     f"{', '.join(kinds)}")
 
 
 # eval --split choices and the protocol cell each scores
@@ -495,52 +480,52 @@ def build_parser() -> _Parser:
     parser = _Parser(prog="oodtune", description="Synthetic OOD fine-tuning toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # defaults that a config field holds are read from its class
+    spec, cfg, loss = db.BenchmarkSpec, tr.TrainerConfig, L.LossConfig
     gen = sub.add_parser("gen", help="generate a synthetic embedding archive")
-    gen.add_argument("--classes", type=int, default=20)
-    gen.add_argument("--domains", type=int, default=3)
-    gen.add_argument("--embed-dim", type=int, default=32)
-    gen.add_argument("--input-dim", type=int, default=48)
-    gen.add_argument("--per-class", type=int, default=50)
-    gen.add_argument("--base-fraction", type=float, default=0.5)
-    gen.add_argument("--test-domain", type=int, default=2)
-    gen.add_argument("--noise-sigma", type=float, default=0.1)
-    gen.add_argument("--domain-strength", type=float, default=0.5)
-    gen.add_argument("--shots", type=int, default=None,
-                     help="per-class-per-domain cap on train samples")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--classes", type=int, default=spec.num_classes)
+    gen.add_argument("--domains", type=int, default=spec.num_domains)
+    gen.add_argument("--embed-dim", type=int, default=spec.embed_dim)
+    gen.add_argument("--input-dim", type=int, default=spec.input_dim)
+    gen.add_argument("--per-class", type=int, default=spec.samples_per_class_per_domain)
+    gen.add_argument("--test-domain", type=int, default=spec.test_domain,
+                     help="only checked against --domains: the archive holds every domain")
+    gen.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
+    gen.add_argument("--domain-strength", type=float, default=spec.domain_strength)
+    gen.add_argument("--seed", type=int, default=spec.seed)
     gen.add_argument("--out", required=True)
 
     # the flags train and ablate share
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--data", required=True)
-    common.add_argument("--lr", type=float, default=3e-3)
-    common.add_argument("--batch", type=int, default=36)
+    common.add_argument("--lr", type=float, default=cfg.base_lr)
+    common.add_argument("--batch", type=int, default=cfg.batch_size)
     common.add_argument("--hidden", type=int, default=64)
-    common.add_argument("--base-fraction", type=float, default=0.5)
-    common.add_argument("--test-domain", type=int, default=None,
+    common.add_argument("--base-fraction", type=float, default=spec.base_fraction)
+    common.add_argument("--test-domain", type=int,
                         help="held-out domain; defaults to the last one")
 
     train = sub.add_parser("train", parents=[common],
                            help="fine-tune on the base-class training domains")
     train.add_argument("--out", required=True)
-    train.add_argument("--lambda", dest="lam", type=float, default=0.3)
-    train.add_argument("--beta", type=float, default=0.5)
-    train.add_argument("--tau", type=float, default=0.01)
-    train.add_argument("--steps", type=int, default=5000)
-    train.add_argument("--weight-decay", type=float, default=0.1)
-    train.add_argument("--seed", type=int, default=0)
-    train.add_argument("--margin", default="adaptive")
-    train.add_argument("--ensemble", default="bma")
-    train.add_argument("--head", choices=[tr.HEAD_METRIC, tr.HEAD_LINEAR], default=tr.HEAD_METRIC)
-    train.add_argument("--bma-every", type=int, default=1)
-    train.add_argument("--shots", type=int, default=None)
+    train.add_argument("--lambda", dest="lam", type=float, default=loss.lam)
+    train.add_argument("--beta", type=float, default=cfg.beta)
+    train.add_argument("--tau", type=float, default=loss.tau)
+    train.add_argument("--steps", type=int, default=cfg.steps)
+    train.add_argument("--weight-decay", type=float, default=cfg.weight_decay)
+    train.add_argument("--seed", type=int, default=cfg.seed)
+    train.add_argument("--margin", default=loss.margin_mode)
+    train.add_argument("--ensemble", default=cfg.ensemble_mode)
+    train.add_argument("--head", choices=[tr.HEAD_METRIC, tr.HEAD_LINEAR], default=cfg.head)
+    train.add_argument("--bma-every", type=int, default=cfg.bma_every)
+    train.add_argument("--shots", type=int)
 
     ev = sub.add_parser("eval", help="evaluate a run file on a protocol split")
     ev.add_argument("--run", required=True)
     ev.add_argument("--data", required=True)
     ev.add_argument("--split", choices=list(_SPLIT_CELLS), default="both")
     ev.add_argument("--params", choices=["ensemble", "final", "zero"], default="ensemble")
-    ev.add_argument("--topk", type=int, default=None)
+    ev.add_argument("--topk", type=int)
     ev.add_argument("--json", action="store_true")
 
     ab = sub.add_parser("ablate", parents=[common],
@@ -552,7 +537,7 @@ def build_parser() -> _Parser:
 
 
 def _splits(archive: db.EmbeddingArchive, base_fraction: float, test_domain: int | None,
-            seed: int, shots: int | None = None) -> db.Splits:
+            seed: int, shots: int | None = db.BenchmarkSpec.shots) -> db.Splits:
     """The protocol cells of the archive for one seed; a test_domain of None
     holds out the last domain."""
     m = archive.num_domains
@@ -615,9 +600,15 @@ def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
                 f"run config field {key!r} is {config[key]}, the archive has {actual}")
 
 
-def _check_shots(shots: int | None) -> None:
-    if shots is not None and shots < 1:
-        raise UsageError(f"--shots must be >= 1, got {shots}")
+def _check_out(path: str) -> None:
+    """Raise OSError (exit 2) if no file can be written at `path`."""
+    folder = os.path.dirname(path) or "."  # of "a/b/" it is a/b: a trailing slash is no file
+    problem = ("is a directory" if os.path.isdir(path) else
+               "is in a missing directory" if not os.path.isdir(folder) else
+               "is in a directory that is not writable" if not os.access(folder, os.W_OK) else
+               None)
+    if problem is not None:
+        raise OSError(f"--out {path} {problem}")
 
 
 @contextlib.contextmanager
@@ -632,19 +623,17 @@ def _sized_by(what: str, args, *flags: str):
 
 
 def _cmd_gen(args) -> int:
-    _check_shots(args.shots)
+    _check_out(args.out)
     spec = db.BenchmarkSpec(
         num_classes=args.classes,
         num_domains=args.domains,
         embed_dim=args.embed_dim,
         input_dim=args.input_dim,
         samples_per_class_per_domain=args.per_class,
-        base_fraction=args.base_fraction,
         test_domain=args.test_domain,
         noise_sigma=args.noise_sigma,
         domain_strength=args.domain_strength,
         seed=args.seed,
-        shots=args.shots,
     )
     with _sized_by("the archive", args, "--classes", "--domains", "--per-class", "--embed-dim",
                    "--input-dim"):
@@ -655,8 +644,10 @@ def _cmd_gen(args) -> int:
 
 
 def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig, dict]:
-    margin_mode, fixed_m = _parse_margin(args.margin)
-    ensemble_mode, ema_decay = _parse_ensemble(args.ensemble)
+    margin_mode, fixed_m = _kind_number("--margin", args.margin, L.MARGIN_MODES, L.MARGIN_FIXED,
+                                        L.LossConfig.fixed_margin)
+    ensemble_mode, ema_decay = _kind_number("--ensemble", args.ensemble, tr.ENSEMBLE_MODES,
+                                            tr.ENSEMBLE_EMA, tr.TrainerConfig.ema_decay)
     # the config rejects this too, but as a ValueError (exit 2); a --steps
     # below 1 is left to the config's own message
     if ensemble_mode in (tr.ENSEMBLE_BMA, tr.ENSEMBLE_AVG) and args.bma_every > args.steps >= 1:
@@ -691,9 +682,7 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
 
 
 def _cmd_train(args) -> int:
-    if args.hidden < 1:
-        raise UsageError(f"--hidden must be >= 1, got {args.hidden}")
-    _check_shots(args.shots)
+    _check_out(args.out)
     archive = db.load(args.data)
     cfg, echo = _train_config(args, archive)
     splits = _splits(archive, args.base_fraction, args.test_domain, args.seed, args.shots)
@@ -707,8 +696,6 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    if args.topk is not None and args.topk < 1:
-        raise UsageError(f"--topk must be >= 1, got {args.topk}")
     archive = db.load(args.data)
     run = load_run(args.run)
     config = run.config
@@ -760,8 +747,9 @@ ABLATION_GRID = [
 
 
 def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
-                 lr: float = 3e-3, batch: int = 36, hidden: int = 64,
-                 base_fraction: float = 0.5, test_domain: int | None = None) -> dict:
+                 lr: float = tr.TrainerConfig.base_lr, batch: int = tr.TrainerConfig.batch_size,
+                 hidden: int = 64, base_fraction: float = db.BenchmarkSpec.base_fraction,
+                 test_domain: int | None = None) -> dict:
     """Train every margin x ensemble variant per seed; report mean
     base/new/H on the domain+class split.
 
@@ -808,9 +796,6 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
 
 
 def _cmd_ablate(args) -> int:
-    for flag, value in (("--seeds", args.seeds), ("--hidden", args.hidden)):
-        if value < 1:
-            raise UsageError(f"{flag} must be >= 1, got {value}")
     archive = db.load(args.data)
     with _sized_by("the sweep", args, "--seeds", "--batch", "--hidden"):
         results = run_ablation(
@@ -835,6 +820,10 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
+        for flag in ("--hidden", "--shots", "--seeds", "--topk"):  # where a command takes it
+            value = getattr(args, flag[2:], None)
+            if value is not None and value < 1:
+                raise UsageError(f"{flag} must be >= 1, got {value}")
         if args.command == "gen":
             return _cmd_gen(args)
         if args.command == "train":

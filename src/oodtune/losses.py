@@ -20,6 +20,7 @@ from .tensor import ShapeError, Tensor
 MARGIN_ADAPTIVE = "adaptive"
 MARGIN_FIXED = "fixed"
 MARGIN_NONE = "none"
+MARGIN_MODES = (MARGIN_ADAPTIVE, MARGIN_FIXED, MARGIN_NONE)
 
 
 class LabelError(ValueError):
@@ -42,7 +43,7 @@ class LossConfig:
             raise ValueError(f"tau must be positive, got {self.tau}")
         if self.lam < 0:
             raise ValueError(f"lambda must be non-negative, got {self.lam}")
-        if self.margin_mode not in (MARGIN_ADAPTIVE, MARGIN_FIXED, MARGIN_NONE):
+        if self.margin_mode not in MARGIN_MODES:
             raise ValueError(f"unknown margin mode {self.margin_mode!r}")
         if self.margin_mode == MARGIN_FIXED and self.fixed_margin < 0:
             raise ValueError(f"fixed margin must be non-negative, got {self.fixed_margin}")

@@ -163,16 +163,6 @@ def tanh(a: Tensor) -> Tensor:
     return _make_out(out_data, (a,), backward)
 
 
-def relu(a: Tensor) -> Tensor:
-    mask = a.data > 0
-
-    def backward(g: np.ndarray) -> None:
-        if a.requires_grad:
-            a.accumulate_grad(g * mask)
-
-    return _make_out(np.where(mask, a.data, 0.0), (a,), backward)
-
-
 def gather_rows(a: Tensor, indices) -> Tensor:
     """Pick a[i, indices[i]] for every row i, yielding a 1-D tensor."""
     if a.data.ndim != 2:

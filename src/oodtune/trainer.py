@@ -1,6 +1,6 @@
 """Fine-tuning loop: seeded with-replacement batching, margin metric
-softmax forward/backward, AdamW with cosine learning-rate decay, and a
-per-step update of the trajectory ensemble.
+softmax forward/backward, AdamW with cosine learning-rate decay, and the
+trajectory ensemble.
 
 `train` takes one run or several runs as lanes of one loop: lists of
 encoders, datasets and configs that differ only in seed, data and initial
@@ -15,7 +15,9 @@ bit for bit, and every lane equals its own one-lane run bit for bit.
 Each step runs in parts: blocks of batch rows (forward, loss and backward
 to the hidden layer), each writing its rows of the whole batch's
 activation buffers, then ranges of the parameters (their gradients from
-those buffers, AdamW and the ensemble update). A step whose work reaches
+those buffers, AdamW, and the range's fold into the ensemble: `train`
+gives each range one fold when the run starts, BMA or the uniform average
+every `bma_every` steps, EMA every step, or none). A step whose work reaches
 SPLIT_WORK has two of each, a smaller one one of each; both run the same
 code. `FusedStep` fixes its parts when it is built for the run's batch
 size, and `train` runs its loop inside the step's `with` block, where the
@@ -30,12 +32,13 @@ from __future__ import annotations
 import math
 from collections.abc import Callable
 from dataclasses import asdict, dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
 from . import losses as L
 from . import parallel
-from .ensemble import BmaState, ParamVector, bma_init, bma_update, ema_update
+from .ensemble import ParamVector, bma_init, bma_update, ema_update
 from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward,
                     unflatten_params)
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
@@ -44,6 +47,7 @@ ENSEMBLE_BMA = "bma"
 ENSEMBLE_EMA = "ema"
 ENSEMBLE_AVG = "avg"
 ENSEMBLE_NONE = "none"
+ENSEMBLE_MODES = (ENSEMBLE_BMA, ENSEMBLE_EMA, ENSEMBLE_AVG, ENSEMBLE_NONE)
 
 HEAD_METRIC = "metric"
 HEAD_LINEAR = "linear"
@@ -92,7 +96,7 @@ class TrainerConfig:
             raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
-        if self.ensemble_mode not in (ENSEMBLE_BMA, ENSEMBLE_EMA, ENSEMBLE_AVG, ENSEMBLE_NONE):
+        if self.ensemble_mode not in ENSEMBLE_MODES:
             raise ValueError(f"unknown ensemble mode {self.ensemble_mode!r}")
         if self.head not in (HEAD_METRIC, HEAD_LINEAR):
             raise ValueError(f"unknown head {self.head!r}")
@@ -507,13 +511,11 @@ def train(
     sets = _checked_sets(datasets, bank.num_classes, encoders[0].d_in)
 
     def update(part: int) -> None:
-        """AdamW and the ensemble on one column range of the parameters."""
-        theta, grad, opt, bma_part, ema_part = states[part]
+        """AdamW on one column range of the parameters, then its ensemble fold."""
+        theta, grad, opt, fold = states[part]
         adamw_step(theta, grad, opt, lr, cfg.weight_decay)
-        if bma_part is not None and (t + 1) % cfg.bma_every == 0:
-            bma_update(bma_part, theta)
-        elif ema_part is not None:
-            ema_update(ema_part, theta, cfg.ema_decay)
+        if (t + 1) % every == 0:
+            fold(theta)
 
     step = FusedStep(encoders, bank, cfg.loss, cfg.batch_size, heads, update=update)
     params = step.params
@@ -527,22 +529,24 @@ def train(
               x_row, y_row)
              for c, (features, labels), x_row, y_row in zip(cfgs, sets, xs, ys)]
 
-    bma: BmaState | None = None
-    ema_avg: np.ndarray | None = None
+    # each range of the parameters updates its own views of the gradients,
+    # the optimizer state and the ensemble (its fold); the ranges' step
+    # counters and weight sums advance in lockstep. The closure holds these
+    # views, not the step, which holds the closure.
+    every, avg = 1, None
     if cfg.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG):
-        beta = cfg.beta if cfg.ensemble_mode == ENSEMBLE_BMA else 1.0
-        bma = bma_init(params, cfg.steps // cfg.bma_every, beta)
+        bma = bma_init(params, cfg.steps // cfg.bma_every,
+                       cfg.beta if cfg.ensemble_mode == ENSEMBLE_BMA else 1.0)
+        every, avg = cfg.bma_every, bma.avg
+        folds = [partial(bma_update, replace(bma, avg=avg[:, cols])) for cols in step.ranges]
     elif cfg.ensemble_mode == ENSEMBLE_EMA:
-        ema_avg = params.copy()
-    # each range of the parameters updates its own views of the gradients
-    # and the optimizer and ensemble state; the ranges' step counters and
-    # weight sums advance in lockstep. The closure holds these views, not
-    # the step, which holds the closure.
+        avg = params.copy()
+        folds = [partial(ema_update, avg[:, cols], decay=cfg.ema_decay) for cols in step.ranges]
+    else:
+        folds = [lambda theta: None] * len(step.ranges)
     m, v = np.zeros_like(params), np.zeros_like(params)
-    states = [(params[:, cols], step.grads[:, cols], AdamWState(m=m[:, cols], v=v[:, cols]),
-               None if bma is None else replace(bma, avg=bma.avg[:, cols]),
-               None if ema_avg is None else ema_avg[:, cols])
-              for cols in step.ranges]
+    states = [(params[:, cols], step.grads[:, cols], AdamWState(m=m[:, cols], v=v[:, cols]), fold)
+              for cols, fold in zip(step.ranges, folds)]
 
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
@@ -569,12 +573,7 @@ def train(
                 trajectory.append(params.copy())
 
     step.write_back()
-    if bma is not None:
-        ensemble = bma.avg
-    elif ema_avg is not None:
-        ensemble = ema_avg
-    else:
-        ensemble = params.copy()
+    ensemble = params.copy() if avg is None else avg
 
     results = [
         RunResult(

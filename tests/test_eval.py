@@ -566,6 +566,37 @@ def test_cli_bad_margin_and_ensemble_exit_one(tmp_path, capsys):
     assert not run.exists()
 
 
+@pytest.mark.parametrize("case,problem", [
+    ("missing", "is in a missing directory"),
+    ("slash", "is in a missing directory"),
+    ("read-only", "is in a directory that is not writable"),
+    ("directory", "is a directory"),
+])
+def test_cli_unwritable_out_exits_two_before_any_work(tmp_path, capsys, monkeypatch, case,
+                                                      problem):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data)) == 0
+    out = {"missing": tmp_path / "nope" / "x.bin", "slash": f"{tmp_path}/nope/",
+           "read-only": tmp_path / "x.bin", "directory": tmp_path}[case]
+    if case == "read-only":  # the test may run as root, whom os.access lets write anywhere
+        real = os.access
+        monkeypatch.setattr(evalcli.os, "access", lambda path, mode, **kwargs:
+                            real(path, mode, **kwargs) and Path(path) != tmp_path)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("the work began before --out was checked")
+
+    monkeypatch.setattr(evalcli.tr, "train", no_work)
+    monkeypatch.setattr(evalcli.db, "generate", no_work)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    for argv in (["train", "--data", str(data), "--out", str(out), "--steps", "2"],
+                 _gen_args(out)):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: --out {out} {problem}\n"
+    assert sorted(tmp_path.rglob("*")) == before
+
+
 def test_cli_data_errors_exit_two(tmp_path, capsys):
     missing = tmp_path / "nope.emba"
     run = tmp_path / "r.bin"
@@ -655,6 +686,23 @@ def test_cli_train_margin_none_is_echoed(tmp_path, capsys):
     assert config["margin_mode"] == "none" and config["fixed_margin"] == 0.0
 
 
+def test_cli_kind_values_without_a_number_take_the_config_defaults(tmp_path, capsys):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data, per_class=4)) == 0
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                 "--batch", "4", "--hidden", "8", "--margin", "fixed", "--ensemble", "ema"]) == 0
+    config = load_run(run).config
+    assert (config["margin_mode"], config["fixed_margin"]) == ("fixed", 0.0)
+    assert (config["ensemble_mode"], config["ema_decay"]) == ("ema", 0.999)
+    # only fixed and ema take a number
+    for flag, value in (("--margin", "adaptive:0.1"), ("--margin", "none:0"),
+                        ("--ensemble", "bma:3"), ("--ensemble", "avg:0.5"), ("--ensemble", "")):
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "1",
+                     flag, value]) == 1, (flag, value)
+        assert f"usage error: bad {flag} value {value!r}" in capsys.readouterr().err
+
+
 def test_cli_zero_lr_train_equals_zero_shot(tmp_path, capsys):
     data = tmp_path / "bench.emba"
     run = tmp_path / "run.bin"
@@ -730,9 +778,11 @@ def test_cli_sizes_below_one(tmp_path, capsys):
                      "--shots", shots]) == 1
         assert "--shots must be >= 1" in capsys.readouterr().err
         assert not run.exists()
-        out = tmp_path / "shots.emba"
-        assert main(_gen_args(out) + ["--shots", shots]) == 1
-        assert "--shots must be >= 1" in capsys.readouterr().err
+    # gen draws no split: it takes neither --shots nor --base-fraction
+    for flag, value in (("--shots", "2"), ("--base-fraction", "0.3")):
+        out = tmp_path / "split.emba"
+        assert main(_gen_args(out) + [flag, value]) == 1
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not out.exists()
     for flag, name in (("--embed-dim", "embed_dim"), ("--input-dim", "input_dim"),
                        ("--per-class", "samples_per_class_per_domain")):

@@ -167,15 +167,31 @@ def test_train_loss_curve_finite():
     assert result.loss_curve.shape == (50,)
 
 
-def test_train_bma_matches_trajectory_oracle():
+@pytest.mark.parametrize("mode,every", [("bma", 1), ("bma", 3), ("avg", 1), ("avg", 3),
+                                        ("ema", 1), ("none", 1)])
+@pytest.mark.parametrize("ranges", [1, 2])
+def test_train_ensemble_matches_trajectory_oracle(monkeypatch, mode, every, ranges):
     rng = np.random.default_rng(6)
     bank, data = _toy_task(rng)
     enc = Encoder.init(4, 5, 4, rng)
-    cfg = TrainerConfig(steps=25, batch_size=8, seed=7, beta=0.5)
+    cfg = TrainerConfig(steps=25, batch_size=8, seed=7, beta=0.5, ensemble_mode=mode,
+                        bma_every=every, ema_decay=0.9)
+    if ranges == 2:
+        monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    assert len(tr.FusedStep([enc], bank, cfg.loss, cfg.batch_size).ranges) == ranges
     result = train(enc, bank, data, cfg, keep_trajectory=True)
-    oracle = temporal_ensemble(result.trajectory, 0.5)
-    rel = np.abs(result.ensemble_params - oracle) / np.maximum(np.abs(oracle), 1e-12)
-    assert rel.max() < 1e-10
+    if mode in ("bma", "avg"):
+        # theta_0 and every `every`-th snapshot, weighted as the config says
+        oracle = temporal_ensemble(result.trajectory[::every], 0.5 if mode == "bma" else 1.0)
+        rel = np.abs(result.ensemble_params - oracle) / np.maximum(np.abs(oracle), 1e-12)
+        assert rel.max() < 1e-10
+    elif mode == "ema":
+        oracle = result.trajectory[0]
+        for theta in result.trajectory[1:]:
+            oracle = 0.9 * oracle + (1.0 - 0.9) * theta
+        np.testing.assert_array_equal(result.ensemble_params, oracle)
+    else:
+        np.testing.assert_array_equal(result.ensemble_params, result.final_params)
 
 
 def test_train_no_margin_no_ensemble_degenerates_to_metric_softmax():

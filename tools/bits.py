@@ -8,14 +8,18 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   a mid-size one (C=400, d=128, d_in=256, 25 samples per class and domain);
 - `train` at desk size (120 steps, B=36, h=64) and at mid size (12 steps,
   B=256, h=256, steps that run as two halves), for the metric and linear
-  heads, the bma, ema, avg and none ensembles, and seeds 0 and 7;
+  heads, the bma, ema, avg and none ensembles, and seeds 0 and 7; and at
+  the metric head and seed 0: at desk size `--bma-every 3` with bma and
+  with avg, `--ensemble ema:0.9`, `--margin fixed:0.2` and `--margin none`,
+  at mid size `--bma-every 3` with bma (two parameter ranges);
 - `ablate --json` over 5 seeds of the desk archive;
 - `eval --json --topk 3` of the first desk and the first mid run, on each
   `--split`.
 The digest covers every archive and run file the jobs write and the text
 they print. Without `--parent` the script prints the digest of this
-working tree. With `--parent REV` the jobs also run on the files of REV,
-written by `pairs.checkout` into a temporary directory; the script prints
+working tree. With `--parent REV` this script's jobs also run on the
+package of REV, written by `pairs.checkout` into a temporary directory, so
+both sides run the same job list; the script prints
 both digests, names each output that differs, and exits 1 if any does.
 Each side runs in its own Python process, under this process's
 environment, so set the BLAS thread variables before calling it.
@@ -45,6 +49,12 @@ SIZES = {
 HEADS = ("metric", "linear")
 ENSEMBLES = ("bma", "ema", "avg", "none")
 SEEDS = (0, 7)
+# further train flags per size, each one run at the metric head and seed 0
+EXTRA_TRAINS = {
+    "desk": [["--ensemble", "bma", "--bma-every", "3"], ["--ensemble", "avg", "--bma-every", "3"],
+             ["--ensemble", "ema:0.9"], ["--margin", "fixed:0.2"], ["--margin", "none"]],
+    "mid": [["--ensemble", "bma", "--bma-every", "3"]],
+}
 SPLITS = ("domain", "open", "both", "train")
 ABLATE_SEEDS = 5
 
@@ -89,6 +99,10 @@ def jobs(src: Path) -> list[tuple[str, bytes]]:
                                                  "--head", head, "--ensemble", ensemble,
                                                  "--seed", str(seed), *train_flags], out)
                             runs.append(out)
+                for flags in EXTRA_TRAINS[size]:
+                    out = f"{size}-{'-'.join(flag.lstrip('-') for flag in flags)}.run"
+                    run(f"train {out}", ["train", "--data", data, "--out", out, *flags,
+                                         *train_flags], out)
                 for split in SPLITS:
                     run(f"eval {runs[0]} {split}", ["eval", "--run", runs[0], "--data", data,
                                                     "--split", split, "--json", "--topk", "3"])
