@@ -18,8 +18,9 @@ import math
 import os
 import struct
 import sys
+import typing
 from collections.abc import Iterator, Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -414,12 +415,9 @@ def save_run(path, config: dict, loss_curve, final_params, ensemble_params) -> N
         fh.write(bytes([RUN_VERSION]))
         fh.write(struct.pack("<I", len(config_bytes)))
         fh.write(config_bytes)
-        fh.write(struct.pack("<I", curve.size))
-        fh.write(curve.tobytes())
-        fh.write(struct.pack("<I", final.size))
-        fh.write(final.tobytes())
-        fh.write(struct.pack("<I", ens.size))
-        fh.write(ens.tobytes())
+        for section in (curve, final, ens):
+            fh.write(struct.pack("<I", section.size))
+            fh.write(section.tobytes())
 
 
 def load_run(path) -> RunFile:
@@ -455,6 +453,12 @@ class UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises UsageError; it and its subcommands take each flag by its whole
+    name only (argparse would read `--seed` as `--seeds`)."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise UsageError(message)
 
@@ -470,6 +474,13 @@ def _kind_number(flag: str, text: str, kinds: tuple[str, ...], numbered: str,
     raise UsageError(f"bad {flag} value {text!r}; use {numbered}:<number> or one of "
                      f"{', '.join(kinds)}")
 
+
+# the least value of each integer a run records; the CLI flags of the same
+# names are held to it as usage errors
+_LEAST = {"seed": 0, "hidden": 1, "shots": 1}
+
+# the encoder's hidden width unless --hidden sets it
+DEFAULT_HIDDEN = 64
 
 # eval --split choices and the protocol cell each scores
 _SPLIT_CELLS = {"domain": "test_domain_shift", "open": "test_open", "both": "test_both",
@@ -500,7 +511,7 @@ def build_parser() -> _Parser:
     common.add_argument("--data", required=True)
     common.add_argument("--lr", type=float, default=cfg.base_lr)
     common.add_argument("--batch", type=int, default=cfg.batch_size)
-    common.add_argument("--hidden", type=int, default=64)
+    common.add_argument("--hidden", type=int, default=DEFAULT_HIDDEN)
     common.add_argument("--base-fraction", type=float, default=spec.base_fraction)
     common.add_argument("--test-domain", type=int,
                         help="held-out domain; defaults to the last one")
@@ -536,68 +547,92 @@ def build_parser() -> _Parser:
     return parser
 
 
-def _splits(archive: db.EmbeddingArchive, base_fraction: float, test_domain: int | None,
-            seed: int, shots: int | None = db.BenchmarkSpec.shots) -> db.Splits:
-    """The protocol cells of the archive for one seed; a test_domain of None
-    holds out the last domain."""
-    m = archive.num_domains
-    return db.split(archive, db.BenchmarkSpec(
-        num_classes=archive.bank.num_classes,
-        num_domains=m,
-        embed_dim=archive.bank.dim,
-        input_dim=archive.input_dim,
-        samples_per_class_per_domain=1,  # unused by split()
-        base_fraction=base_fraction,
-        test_domain=m - 1 if test_domain is None else test_domain,
-        seed=seed,
-        shots=shots,
-    ))
+def _archive_sizes(archive: db.EmbeddingArchive) -> dict[str, int]:
+    """The archive sizes a run config records, named as `BenchmarkSpec` names them."""
+    return {"input_dim": archive.input_dim, "embed_dim": archive.bank.dim,
+            "num_classes": archive.bank.num_classes, "num_domains": archive.num_domains}
 
 
-def _init_model(archive: db.EmbeddingArchive, seed: int, hidden: int,
-                head: str) -> tuple[Encoder, LinearHead | None]:
-    """The seeded initial encoder of a run on the archive, and with the
-    linear head mode its head, initialized from the class bank."""
-    rng = np.random.default_rng([seed, 0])
-    encoder = Encoder.init(archive.input_dim, hidden, archive.bank.dim, rng)
-    if head != tr.HEAD_LINEAR:
-        return encoder, None
-    linear = LinearHead.init(archive.bank.num_classes, archive.bank.dim, rng)
-    return encoder, text_head_init(linear, archive.bank)
+@dataclass(frozen=True)
+class RunSpec:
+    """The run-config fields `eval` rebuilds a run from. Each annotation is
+    the JSON type the field holds; a field with a default may be missing
+    from a run config. A run config also holds the archive sizes, which
+    `eval` checks, and the trainer config, which it does not read."""
 
+    seed: int
+    hidden: int
+    head: str
+    tau: float
+    base_fraction: float
+    test_domain: int
+    shots: int | None = None  # no cap on the train split
 
-# run-config fields that eval reads, with the JSON types each may hold
-_RUN_CONFIG_FIELDS = {
-    "seed": int, "hidden": int, "head": str, "tau": (int, float),
-    "input_dim": int, "embed_dim": int, "num_classes": int, "num_domains": int,
-    "base_fraction": (int, float), "test_domain": int, "shots": (int, type(None)),
-}
+    @classmethod
+    def from_config(cls, config, archive: db.EmbeddingArchive) -> RunSpec:
+        """The spec of a run config. RunFileError names the first field that
+        eval cannot use: missing, of the wrong type or value, or not
+        matching the archive."""
+        if not isinstance(config, dict):
+            raise RunFileError("run config is not a JSON object")
+        sizes = _archive_sizes(archive)
+        defaults = {f.name: f.default for f in fields(cls)}
+        for key, kind in (typing.get_type_hints(cls) | dict.fromkeys(sizes, int)).items():
+            if key not in config and defaults.get(key, MISSING) is MISSING:
+                raise RunFileError(f"run config lacks the field {key!r}")
+            value = config.get(key, defaults.get(key))
+            kinds = int | float if kind is float else kind  # a JSON integer is a float too
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise RunFileError(f"run config field {key!r} has the wrong type: {value!r}")
+        spec = cls(**{key: config.get(key, default) for key, default in defaults.items()})
+        if spec.head not in (tr.HEAD_METRIC, tr.HEAD_LINEAR):
+            raise RunFileError(f"run config field 'head' is unknown: {spec.head!r}")
+        if not (math.isfinite(spec.tau) and spec.tau > 0):
+            raise RunFileError(f"run config field 'tau' must be finite and positive: {spec.tau!r}")
+        for key, least in _LEAST.items():
+            value = getattr(spec, key)
+            if value is not None and value < least:
+                null = " or null" if defaults[key] is None else ""
+                raise RunFileError(f"run config field {key!r} must be >= {least}{null}: {value!r}")
+        for key, actual in sizes.items():
+            if config[key] != actual:
+                raise RunFileError(
+                    f"run config field {key!r} is {config[key]}, the archive has {actual}")
+        return spec
 
+    def echo(self, cfg: tr.TrainerConfig, archive: db.EmbeddingArchive) -> dict:
+        """The run config `train` writes: the trainer config's fields with
+        the loss fields inlined and lam named lambda, the spec's fields and
+        the archive sizes."""
+        echo = asdict(cfg)
+        echo.update(echo.pop("loss"))
+        echo["lambda"] = echo.pop("lam")
+        return echo | asdict(self) | _archive_sizes(archive)
 
-def _check_run_config(config, archive: db.EmbeddingArchive) -> None:
-    """Raise RunFileError naming the first field of a run config that eval
-    cannot use: missing, of the wrong type, or not matching the archive."""
-    if not isinstance(config, dict):
-        raise RunFileError("run config is not a JSON object")
-    for key, kinds in _RUN_CONFIG_FIELDS.items():
-        if key not in config:
-            if key == "shots":  # optional: no cap on the train split
-                continue
-            raise RunFileError(f"run config lacks the field {key!r}")
-        value = config[key]
-        if isinstance(value, bool) or not isinstance(value, kinds):
-            raise RunFileError(f"run config field {key!r} has the wrong type: {value!r}")
-    if config["head"] not in (tr.HEAD_METRIC, tr.HEAD_LINEAR):
-        raise RunFileError(f"run config field 'head' is unknown: {config['head']!r}")
-    if not (math.isfinite(config["tau"]) and config["tau"] > 0):
-        raise RunFileError(f"run config field 'tau' must be finite and positive: {config['tau']!r}")
-    if config.get("shots") is not None and config["shots"] < 1:
-        raise RunFileError(f"run config field 'shots' must be >= 1 or null: {config['shots']!r}")
-    for key, actual in (("num_classes", archive.bank.num_classes), ("embed_dim", archive.bank.dim),
-                        ("input_dim", archive.input_dim), ("num_domains", archive.num_domains)):
-        if config[key] != actual:
-            raise RunFileError(
-                f"run config field {key!r} is {config[key]}, the archive has {actual}")
+    def param_count(self, archive: db.EmbeddingArchive) -> int:
+        """Entries of the run's parameter vectors: the encoder's, and with the
+        linear head its C x d weights."""
+        d = archive.bank.dim
+        count = self.hidden * (archive.input_dim + 1 + d) + d
+        return count + archive.bank.num_classes * d if self.head == tr.HEAD_LINEAR else count
+
+    def splits(self, archive: db.EmbeddingArchive) -> db.Splits:
+        """The run's protocol cells of the archive."""
+        return db.split(archive, db.BenchmarkSpec(
+            **_archive_sizes(archive),
+            samples_per_class_per_domain=1,  # unused by split()
+            base_fraction=self.base_fraction, test_domain=self.test_domain, seed=self.seed,
+            shots=self.shots))
+
+    def model(self, archive: db.EmbeddingArchive) -> tuple[Encoder, LinearHead | None]:
+        """The seeded initial encoder of the run, and with the linear head
+        its head, initialized from the class bank."""
+        rng = np.random.default_rng([self.seed, 0])
+        encoder = Encoder.init(archive.input_dim, self.hidden, archive.bank.dim, rng)
+        if self.head != tr.HEAD_LINEAR:
+            return encoder, None
+        linear = LinearHead.init(archive.bank.num_classes, archive.bank.dim, rng)
+        return encoder, text_head_init(linear, archive.bank)
 
 
 def _check_out(path: str) -> None:
@@ -643,7 +678,9 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig, dict]:
+def _cmd_train(args) -> int:
+    _check_out(args.out)
+    archive = db.load(args.data)
     margin_mode, fixed_m = _kind_number("--margin", args.margin, L.MARGIN_MODES, L.MARGIN_FIXED,
                                         L.LossConfig.fixed_margin)
     ensemble_mode, ema_decay = _kind_number("--ensemble", args.ensemble, tr.ENSEMBLE_MODES,
@@ -667,30 +704,16 @@ def _train_config(args, archive: db.EmbeddingArchive) -> tuple[tr.TrainerConfig,
         bma_every=args.bma_every,
         head=args.head,
     )
-    # the run config echo: the config's fields with the loss fields inlined
-    # and lam named lambda, plus the model, archive and split fields
-    echo = asdict(cfg)
-    echo.update(echo.pop("loss"))
-    echo["lambda"] = echo.pop("lam")
-    m = archive.num_domains
-    echo.update(hidden=args.hidden, input_dim=archive.input_dim, embed_dim=archive.bank.dim,
-                num_classes=archive.bank.num_classes, num_domains=m,
-                base_fraction=args.base_fraction,
-                test_domain=m - 1 if args.test_domain is None else args.test_domain,
-                shots=args.shots)
-    return cfg, echo
-
-
-def _cmd_train(args) -> int:
-    _check_out(args.out)
-    archive = db.load(args.data)
-    cfg, echo = _train_config(args, archive)
-    splits = _splits(archive, args.base_fraction, args.test_domain, args.seed, args.shots)
+    held_out = archive.num_domains - 1 if args.test_domain is None else args.test_domain
+    spec = RunSpec(seed=args.seed, hidden=args.hidden, head=args.head, tau=args.tau,
+                   base_fraction=args.base_fraction, test_domain=held_out, shots=args.shots)
+    splits = spec.splits(archive)
     with _sized_by("training", args, "--batch", "--hidden"):
-        encoder, head = _init_model(archive, args.seed, args.hidden, args.head)
+        encoder, head = spec.model(archive)
         result = tr.train(encoder, archive.bank,
                           tr.TrainSet(splits.train.features, splits.train.labels), cfg, head=head)
-    save_run(args.out, echo, result.loss_curve, result.final_params, result.ensemble_params)
+    save_run(args.out, spec.echo(cfg, archive), result.loss_curve, result.final_params,
+             result.ensemble_params)
     print(f"wrote {args.out} (final loss {result.loss_curve[-1]:.4f})")
     return 0
 
@@ -698,30 +721,25 @@ def _cmd_train(args) -> int:
 def _cmd_eval(args) -> int:
     archive = db.load(args.data)
     run = load_run(args.run)
-    config = run.config
-    _check_run_config(config, archive)
+    spec = RunSpec.from_config(run.config, archive)
     # checked before the model is built, whose size the config sets
-    d_in, d, hidden = archive.input_dim, archive.bank.dim, config["hidden"]
-    expected = hidden * (d_in + 1 + d) + d
-    if config["head"] == tr.HEAD_LINEAR:
-        expected += archive.bank.num_classes * d
+    expected = spec.param_count(archive)
     for name, flat in (("final", run.final_params), ("ensemble", run.ensemble_params)):
         if flat.size != expected:
             raise RunFileError(f"the {name} parameter vector has {flat.size} entries, expected "
                                f"{expected} for the run config's model")
-    splits = _splits(archive, config["base_fraction"], config["test_domain"], config["seed"],
-                     config.get("shots"))
+    splits = spec.splits(archive)
     subset = getattr(splits, _SPLIT_CELLS[args.split])  # gathers that cell alone
 
-    encoder, head = _init_model(archive, config["seed"], config["hidden"], config["head"])
+    encoder, head = spec.model(archive)
     if args.params != "zero":  # "zero" keeps the seeded initialization
         flat = run.final_params if args.params == "final" else run.ensemble_params
         unflatten_params(encoder.parameters() + ([head.weights] if head is not None else []),
                          flat)
 
     report = evaluate(encoder, archive.bank, subset, splits.base_classes,
-                      tau=config["tau"], head=head, topk=args.topk)
-    report.config = dict(config, split=args.split, params=args.params)
+                      tau=spec.tau, head=head, topk=args.topk)
+    report.config = dict(run.config, split=args.split, params=args.params)
     if args.json:
         for chunk in report.json_chunks():
             sys.stdout.write(chunk)
@@ -748,7 +766,8 @@ ABLATION_GRID = [
 
 def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
                  lr: float = tr.TrainerConfig.base_lr, batch: int = tr.TrainerConfig.batch_size,
-                 hidden: int = 64, base_fraction: float = db.BenchmarkSpec.base_fraction,
+                 hidden: int = DEFAULT_HIDDEN,
+                 base_fraction: float = db.BenchmarkSpec.base_fraction,
                  test_domain: int | None = None) -> dict:
     """Train every margin x ensemble variant per seed; report mean
     base/new/H on the domain+class split.
@@ -760,9 +779,12 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
     """
     if not seeds:
         raise ValueError("run_ablation needs at least one seed")
+    held_out = archive.num_domains - 1 if test_domain is None else test_domain
+    specs = [RunSpec(seed=seed, hidden=hidden, head=tr.HEAD_METRIC, tau=L.LossConfig.tau,
+                     base_fraction=base_fraction, test_domain=held_out) for seed in seeds]
     trainsets, bases = [], []
-    for seed in seeds:
-        splits = _splits(archive, base_fraction, test_domain, seed)
+    for spec in specs:
+        splits = spec.splits(archive)
         trainsets.append(tr.TrainSet(splits.train.features, splits.train.labels))
         bases.append(splits.base_classes)
     # the held-out-domain cell does not depend on the seed: only the last
@@ -771,17 +793,17 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
     del splits
     accs = {}
     for margin in dict.fromkeys(m for m, _ in ABLATION_GRID):
-        cfgs = [tr.TrainerConfig(steps=steps, batch_size=batch, base_lr=lr, seed=seed,
-                                 loss=L.LossConfig(margin_mode=margin),
+        cfgs = [tr.TrainerConfig(steps=steps, batch_size=batch, base_lr=lr, seed=spec.seed,
+                                 loss=L.LossConfig(tau=spec.tau, margin_mode=margin),
                                  ensemble_mode=tr.ENSEMBLE_BMA)
-                for seed in seeds]
-        encoders = [_init_model(archive, seed, hidden, tr.HEAD_METRIC)[0] for seed in seeds]
+                for spec in specs]
+        encoders = [spec.model(archive)[0] for spec in specs]
         results = tr.train(encoders, archive.bank, trainsets, cfgs)
-        for encoder, result, base in zip(encoders, results, bases):
+        for spec, encoder, result, base in zip(specs, encoders, results, bases):
             for ensemble, flat in ((tr.ENSEMBLE_BMA, result.ensemble_params),
                                    (tr.ENSEMBLE_NONE, result.final_params)):
                 encoder.set_flat(flat)
-                report = evaluate(encoder, archive.bank, test, base, tau=cfgs[0].loss.tau)
+                report = evaluate(encoder, archive.bank, test, base, tau=spec.tau)
                 accs.setdefault(f"{margin}+{ensemble}", []).append(
                     (report.acc_base, report.acc_new, report.acc_h))
     results = {}
@@ -820,25 +842,18 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     try:
-        for flag in ("--hidden", "--shots", "--seeds", "--topk"):  # where a command takes it
-            value = getattr(args, flag[2:], None)
-            if value is not None and value < 1:
-                raise UsageError(f"{flag} must be >= 1, got {value}")
-        if args.command == "gen":
-            return _cmd_gen(args)
-        if args.command == "train":
-            return _cmd_train(args)
-        if args.command == "eval":
-            return _cmd_eval(args)
-        if args.command == "ablate":
-            return _cmd_ablate(args)
+        for key, least in (_LEAST | {"seeds": 1, "topk": 1}).items():  # where a command takes it
+            value = getattr(args, key, None)
+            if value is not None and value < least:
+                raise UsageError(f"--{key} must be >= {least}, got {value}")
+        return {"gen": _cmd_gen, "train": _cmd_train, "eval": _cmd_eval,
+                "ablate": _cmd_ablate}[args.command](args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
     except (ArchiveFormatError, RunFileError, db.GenerationError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return 1
 
 
 if __name__ == "__main__":

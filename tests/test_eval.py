@@ -6,7 +6,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
-from dataclasses import replace
+from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +15,12 @@ import pytest
 from oodtune import databench as db
 from oodtune import evalcli
 from oodtune import parallel
+from oodtune import trainer as tr
 from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import (
     EvalReport,
     RunFileError,
+    RunSpec,
     TopK,
     UsageError,
     evaluate,
@@ -566,6 +568,22 @@ def test_cli_bad_margin_and_ensemble_exit_one(tmp_path, capsys):
     assert not run.exists()
 
 
+def test_cli_flag_prefixes_are_unrecognized(tmp_path, capsys):
+    data, run = tmp_path / "bench.emba", tmp_path / "r.bin"
+    assert main(_gen_args(data, per_class=4)) == 0
+    capsys.readouterr()
+    # argparse would read --seed as --seeds, and each of these as its flag
+    for argv, extra in ((["ablate", "--data", str(data), "--steps", "2", "--json"],
+                         ["--seed", "2"]),
+                        (["train", "--data", str(data), "--out", str(run)],
+                         ["--st", "2", "--ens", "none", "--marg", "none", "--hid", "8"])):
+        assert main(argv + extra) == 1, extra
+        out = capsys.readouterr()
+        assert out.err == f"usage error: unrecognized arguments: {' '.join(extra)}\n"
+        assert out.out == ""
+    assert not run.exists()
+
+
 @pytest.mark.parametrize("case,problem", [
     ("missing", "is in a missing directory"),
     ("slash", "is in a missing directory"),
@@ -778,6 +796,10 @@ def test_cli_sizes_below_one(tmp_path, capsys):
                      "--shots", shots]) == 1
         assert "--shots must be >= 1" in capsys.readouterr().err
         assert not run.exists()
+    assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                 "--seed", "-1"]) == 1
+    assert "usage error: --seed must be >= 0, got -1" in capsys.readouterr().err
+    assert not run.exists()
     # gen draws no split: it takes neither --shots nor --base-fraction
     for flag, value in (("--shots", "2"), ("--base-fraction", "0.3")):
         out = tmp_path / "split.emba"
@@ -838,14 +860,13 @@ def test_cli_eval_json_streams_the_report_text(tmp_path, capsys, monkeypatch):
                      "--topk", "3", "--json"]) == 0
     out = capsys.readouterr().out
     archive, saved = db.load(data), load_run(run)
-    config = saved.config
-    splits = evalcli._splits(archive, config["base_fraction"], config["test_domain"],
-                             config["seed"])
-    enc, _ = evalcli._init_model(archive, config["seed"], config["hidden"], config["head"])
+    spec = RunSpec.from_config(saved.config, archive)
+    splits = spec.splits(archive)
+    enc, _ = spec.model(archive)
     enc.set_flat(saved.ensemble_params)
     report = evaluate(enc, archive.bank, splits.test_open, splits.base_classes,
-                      tau=config["tau"], topk=3)
-    report.config = dict(config, split="open", params="ensemble")
+                      tau=spec.tau, topk=3)
+    report.config = dict(saved.config, split="open", params="ensemble")
     assert len(report.topk) > 1
     assert out == to_json(report) + "\n"
 
@@ -998,7 +1019,15 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
         ("embed_dim", 13, "'embed_dim' is 13, the archive has 12"),
         ("input_dim", 17, "'input_dim' is 17, the archive has 16"),
         ("num_domains", 3, "'num_domains' is 3, the archive has 2"),
+        ("seed", -1, "'seed' must be >= 0: -1"),
+        ("hidden", -3, "'hidden' must be >= 1: -3"),
+        ("hidden", 0, "'hidden' must be >= 1: 0"),
     ]
+    # every field but the optional shots, and every archive size, is required
+    required = [f.name for f in fields(RunSpec) if f.default is MISSING]
+    assert [f.name for f in fields(RunSpec) if f.name not in required] == ["shots"]
+    cases += [(key, None, f"lacks the field {key!r}")
+              for key in required + ["input_dim", "embed_dim", "num_classes", "num_domains"]]
     for key, value, message in cases:
         config = dict(saved.config)
         if value is None:
@@ -1021,6 +1050,19 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
     save_run(run, config, saved.loss_curve, saved.final_params, saved.ensemble_params)
     assert main(["eval", "--run", str(run), "--data", str(data)]) == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("shots", [None, 5])
+@pytest.mark.parametrize("head", [tr.HEAD_METRIC, tr.HEAD_LINEAR])
+def test_run_spec_is_read_back_from_its_echo(head, shots):
+    archive = generate(NOISELESS)
+    spec = RunSpec(seed=4, hidden=8, head=head, tau=0.05, base_fraction=0.5, test_domain=0,
+                   shots=shots)
+    echo = json.loads(json.dumps(spec.echo(tr.TrainerConfig(seed=4, head=head), archive)))
+    assert RunSpec.from_config(echo, archive) == spec
+    encoder, linear = spec.model(archive)
+    params = encoder.parameters() + ([linear.weights] if linear is not None else [])
+    assert spec.param_count(archive) == sum(p.data.size for p in params)
 
 
 def test_cli_train_rejects_non_finite_hyperparameters(tmp_path, capsys):
@@ -1433,8 +1475,7 @@ def test_cli_eval_gathers_the_split_cell_alone(tmp_path, capsys, monkeypatch, ch
     capsys.readouterr()
     assert main(["eval", "--run", str(run), "--data", str(data), "--split", choice,
                  "--json"]) == 0
-    config = load_run(run).config
-    splits = evalcli._splits(db.load(data), config["base_fraction"], config["test_domain"],
-                             config["seed"])
+    archive = db.load(data)
+    splits = RunSpec.from_config(load_run(run).config, archive).splits(archive)
     assert len(gathered) == 1
     np.testing.assert_array_equal(gathered[0], getattr(splits, cell).indices)

@@ -10,11 +10,14 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   B=256, h=256, steps that run as two halves), for the metric and linear
   heads, the bma, ema, avg and none ensembles, and seeds 0 and 7; and at
   the metric head and seed 0: at desk size `--bma-every 3` with bma and
-  with avg, `--ensemble ema:0.9`, `--margin fixed:0.2` and `--margin none`,
-  at mid size `--bma-every 3` with bma (two parameter ranges);
+  with avg, `--ensemble ema:0.9`, `--margin fixed:0.2`, `--margin none`,
+  `--shots 5`, `--test-domain 0` and `--base-fraction 0.3`, at mid size
+  `--bma-every 3` with bma (two parameter ranges);
 - `ablate --json` over 5 seeds of the desk archive;
 - `eval --json --topk 3` of the first desk and the first mid run, on each
-  `--split`.
+  `--split` and, at `--split both`, with `--params final` and `zero`; and
+  of the first linear-head run and each run of further flags, at
+  `--split both`.
 The digest covers every archive and run file the jobs write and the text
 they print. Without `--parent` the script prints the digest of this
 working tree. With `--parent REV` this script's jobs also run on the
@@ -52,10 +55,13 @@ SEEDS = (0, 7)
 # further train flags per size, each one run at the metric head and seed 0
 EXTRA_TRAINS = {
     "desk": [["--ensemble", "bma", "--bma-every", "3"], ["--ensemble", "avg", "--bma-every", "3"],
-             ["--ensemble", "ema:0.9"], ["--margin", "fixed:0.2"], ["--margin", "none"]],
+             ["--ensemble", "ema:0.9"], ["--margin", "fixed:0.2"], ["--margin", "none"],
+             ["--shots", "5"], ["--test-domain", "0"], ["--base-fraction", "0.3"]],
     "mid": [["--ensemble", "bma", "--bma-every", "3"]],
 }
 SPLITS = ("domain", "open", "both", "train")
+# further eval flags, each run on the first run of each size at --split both
+EXTRA_EVALS = [["--params", "final"], ["--params", "zero"]]
 ABLATE_SEEDS = 5
 
 
@@ -99,13 +105,18 @@ def jobs(src: Path) -> list[tuple[str, bytes]]:
                                                  "--head", head, "--ensemble", ensemble,
                                                  "--seed", str(seed), *train_flags], out)
                             runs.append(out)
+                evals = [(runs[0], split, []) for split in SPLITS]
+                evals += [(runs[0], "both", flags) for flags in EXTRA_EVALS]
+                evals.append((runs[len(ENSEMBLES) * len(SEEDS)], "both", []))  # linear head
                 for flags in EXTRA_TRAINS[size]:
                     out = f"{size}-{'-'.join(flag.lstrip('-') for flag in flags)}.run"
                     run(f"train {out}", ["train", "--data", data, "--out", out, *flags,
                                          *train_flags], out)
-                for split in SPLITS:
-                    run(f"eval {runs[0]} {split}", ["eval", "--run", runs[0], "--data", data,
-                                                    "--split", split, "--json", "--topk", "3"])
+                    evals.append((out, "both", []))
+                for out, split, flags in evals:
+                    run(f"eval {' '.join([out, split, *flags])}",
+                        ["eval", "--run", out, "--data", data, "--split", split, "--json",
+                         "--topk", "3", *flags])
             run("ablate desk", ["ablate", "--data", "desk.emba", "--seeds", str(ABLATE_SEEDS),
                                 "--json"])
         finally:
