@@ -284,8 +284,14 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
 
     The class split, every cell's row mask and the `shots` thinning are
     done here; each cell's rows are copied out of the archive at the
-    cell's first read (see `Splits`).
+    cell's first read (see `Splits`). The spec's class and domain counts
+    must be the archive's.
     """
+    if (spec.num_classes, spec.num_domains) != (archive.bank.num_classes, archive.num_domains):
+        raise ValueError(
+            f"spec has {spec.num_classes} classes and {spec.num_domains} domains, the "
+            f"archive {archive.bank.num_classes} classes and {archive.num_domains} domains"
+        )
     if spec.test_domain >= archive.num_domains:
         raise ValueError(
             f"test_domain {spec.test_domain} out of range for "
@@ -415,12 +421,12 @@ def load(path) -> EmbeddingArchive:
     return EmbeddingArchive(features=features, labels=labels, domains=domains, bank=bank)
 
 
-def archives_equal(a: EmbeddingArchive, b: EmbeddingArchive, bank_atol: float = 1e-6) -> bool:
+def archives_equal(a: EmbeddingArchive, b: EmbeddingArchive) -> bool:
     """Field-by-field comparison; bank rows compared at f32 storage precision."""
     return (
         np.array_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels)
         and np.array_equal(a.domains, b.domains)
         and a.bank.class_names == b.bank.class_names
-        and np.allclose(a.bank.embeddings, b.bank.embeddings, atol=bank_atol)
+        and np.allclose(a.bank.embeddings, b.bank.embeddings, atol=1e-6)
     )

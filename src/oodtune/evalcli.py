@@ -194,8 +194,7 @@ def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
     linear-head logits. The floating-point operations are those of
     `similarities(bank, embed(encoder, x))` and `linear_head_logits`.
     """
-    _, r = mlp_forward(x, encoder.w1.data, encoder.b1.data, encoder.w2.data,
-                       encoder.b2.data, encoder.skip_nonlinearity)
+    _, r = mlp_forward(x, encoder.w1.data, encoder.b1.data, encoder.w2.data, encoder.b2.data)
     if not np.isfinite(r).all():  # a NaN in w2 or b2 passes the pre-activation check
         raise NonFiniteError("non-finite encoder output")
     if normalize:
@@ -598,6 +597,13 @@ class RunSpec:
             if config[key] != actual:
                 raise RunFileError(
                     f"run config field {key!r} is {config[key]}, the archive has {actual}")
+        try:
+            spec._benchmark(archive)
+        except ValueError as exc:  # BenchmarkSpec's messages open with the field's name
+            key = str(exc).split()[0]
+            if key not in defaults:
+                raise
+            raise RunFileError(f"run config field {key!r}: {exc}") from None
         return spec
 
     def echo(self, cfg: tr.TrainerConfig, archive: db.EmbeddingArchive) -> dict:
@@ -616,13 +622,17 @@ class RunSpec:
         count = self.hidden * (archive.input_dim + 1 + d) + d
         return count + archive.bank.num_classes * d if self.head == tr.HEAD_LINEAR else count
 
-    def splits(self, archive: db.EmbeddingArchive) -> db.Splits:
-        """The run's protocol cells of the archive."""
-        return db.split(archive, db.BenchmarkSpec(
+    def _benchmark(self, archive: db.EmbeddingArchive) -> db.BenchmarkSpec:
+        """The spec `split` cuts the run's cells of the archive by."""
+        return db.BenchmarkSpec(
             **_archive_sizes(archive),
             samples_per_class_per_domain=1,  # unused by split()
             base_fraction=self.base_fraction, test_domain=self.test_domain, seed=self.seed,
-            shots=self.shots))
+            shots=self.shots)
+
+    def splits(self, archive: db.EmbeddingArchive) -> db.Splits:
+        """The run's protocol cells of the archive."""
+        return db.split(archive, self._benchmark(archive))
 
     def model(self, archive: db.EmbeddingArchive) -> tuple[Encoder, LinearHead | None]:
         """The seeded initial encoder of the run, and with the linear head

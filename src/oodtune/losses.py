@@ -71,12 +71,12 @@ def metric_softmax_loss(sims: Tensor, labels, tau: float) -> Tensor:
     return _nll_mean(T.scale(sims, 1.0 / tau), idx)
 
 
-def margin_table(labels: np.ndarray, num_classes: int, bank: ClassBank, cfg: LossConfig) -> np.ndarray:
+def margin_table(labels: np.ndarray, bank: ClassBank, cfg: LossConfig) -> np.ndarray:
     """Per-sample margin row: lambda * D[y][c] (zero on the true class)."""
     if cfg.margin_mode == MARGIN_NONE:
-        return np.zeros((labels.shape[0], num_classes))
+        return np.zeros((labels.shape[0], bank.num_classes))
     if cfg.margin_mode == MARGIN_FIXED:
-        out = np.full((labels.shape[0], num_classes), cfg.fixed_margin)
+        out = np.full((labels.shape[0], bank.num_classes), cfg.fixed_margin)
         out[np.arange(labels.shape[0]), labels] = 0.0
         return cfg.lam * out
     return cfg.lam * bank.margin_matrix[labels]
@@ -93,7 +93,7 @@ def mms_loss(sims: Tensor, labels, bank: ClassBank, cfg: LossConfig) -> Tensor:
             f"similarity columns ({num_classes}) do not match bank size ({bank.num_classes})"
         )
     idx = _check_labels(labels, num_classes)
-    margins = Tensor(margin_table(idx, num_classes, bank, cfg))
+    margins = Tensor(margin_table(idx, bank, cfg))
     augmented = T.scale(T.add(sims, margins), 1.0 / cfg.tau)
     return _nll_mean(augmented, idx)
 

@@ -75,17 +75,12 @@ class ClassBank:
 
 @dataclass
 class Encoder:
-    """Two affine maps with an elementwise tanh between them.
-
-    `skip_nonlinearity` is a test hook that turns the encoder into a
-    pure affine composition.
-    """
+    """Two affine maps with an elementwise tanh between them."""
 
     w1: Tensor  # d_in x h
     b1: Tensor  # h
     w2: Tensor  # h x d
     b2: Tensor  # d
-    skip_nonlinearity: bool = False
 
     @classmethod
     def init(cls, d_in: int, hidden: int, d_out: int, rng: np.random.Generator) -> "Encoder":
@@ -123,9 +118,7 @@ class Encoder:
         """Encoder output before L2 normalization."""
         if x.data.ndim != 2 or x.shape[1] != self.d_in:
             raise ShapeError(f"encoder expects B x {self.d_in} input, got {x.shape}")
-        h = T.add(T.matmul(x, self.w1), self.b1)
-        if not self.skip_nonlinearity:
-            h = T.tanh(h)
+        h = T.tanh(T.add(T.matmul(x, self.w1), self.b1))
         return T.add(T.matmul(h, self.w2), self.b2)
 
     def get_flat(self) -> np.ndarray:
@@ -158,8 +151,7 @@ def unflatten_params(params: list[Tensor], flat: np.ndarray) -> None:
 
 
 def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
-                b2: np.ndarray, skip_nonlinearity: bool = False,
-                out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+                b2: np.ndarray, out: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
     """Encoder forward on plain arrays: h = tanh(x @ w1 + b1), r = h @ w2 + b2.
 
     Returns (h, r), with the same floating-point operations as
@@ -177,7 +169,7 @@ def mlp_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
             lane = int(np.flatnonzero(~np.isfinite(pre).all(axis=(1, 2)))[0])
             where = f"lane {lane}: "
         raise NonFiniteError(f"{where}non-finite pre-activation x @ w1 + b1")
-    h = pre if skip_nonlinearity else np.tanh(pre, out=pre)
+    h = np.tanh(pre, out=pre)
     r = h @ w2
     r += b2
     return h, r

@@ -198,18 +198,18 @@ def mean(a: Tensor) -> Tensor:
     return _make_out(np.asarray(a.data.mean()), (a,), backward)
 
 
-def l2_normalize(v: Tensor, eps: float = NORM_EPS) -> Tensor:
+def l2_normalize(v: Tensor) -> Tensor:
     """Normalize a vector (or each row of a matrix) to unit L2 norm.
 
-    out = v / max(||v||, eps), so the zero vector maps to itself.
+    out = v / max(||v||, NORM_EPS), so the zero vector maps to itself.
     """
     if v.data.ndim not in (1, 2) or v.data.size == 0:
         raise ShapeError(f"l2_normalize: expected non-empty 1-D or 2-D tensor, got {v.shape}")
     rowwise = v.data.ndim == 2
     norms = np.linalg.norm(v.data, axis=-1, keepdims=rowwise)
-    denom = np.maximum(norms, eps)
+    denom = np.maximum(norms, NORM_EPS)
     out_data = v.data / denom
-    guarded = norms < eps  # below eps the map is linear: v / eps
+    guarded = norms < NORM_EPS  # below the floor the map is linear: v / NORM_EPS
 
     def backward(g: np.ndarray) -> None:
         if not v.requires_grad:

@@ -68,6 +68,9 @@ BATCH_DRAW_STEPS = 256
 # contend for the interpreter lock.
 SPLIT_WORK = 30_000_000
 
+# AdamW's moment decays and the floor added to the root of the second moment
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass(frozen=True)
 class TrainerConfig:
@@ -96,6 +99,10 @@ class TrainerConfig:
             raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        if self.beta <= 0:
+            raise ValueError(f"beta must be > 0, got {self.beta}")
+        if not 0 < self.ema_decay < 1:
+            raise ValueError(f"ema_decay must lie in (0, 1), got {self.ema_decay}")
         if self.ensemble_mode not in ENSEMBLE_MODES:
             raise ValueError(f"unknown ensemble mode {self.ensemble_mode!r}")
         if self.head not in (HEAD_METRIC, HEAD_LINEAR):
@@ -119,9 +126,6 @@ class AdamWState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def init(cls, num_params: int) -> "AdamWState":
@@ -148,17 +152,17 @@ def adamw_step(
         )
     state.t += 1
     m, v = state.m, state.v
-    scratch = grads * (1.0 - state.beta1)
-    m *= state.beta1
+    scratch = grads * (1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
     m += scratch
     np.multiply(grads, grads, out=scratch)
-    scratch *= 1.0 - state.beta2
-    v *= state.beta2
+    scratch *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
     v += scratch
-    update = m / (1.0 - state.beta1 ** state.t)
-    np.divide(v, 1.0 - state.beta2 ** state.t, out=scratch)
+    update = m / (1.0 - ADAM_BETA1 ** state.t)
+    np.divide(v, 1.0 - ADAM_BETA2 ** state.t, out=scratch)
     np.sqrt(scratch, out=scratch)
-    scratch += state.eps
+    scratch += ADAM_EPS
     update /= scratch
     np.multiply(params, weight_decay, out=scratch)
     update += scratch
@@ -238,8 +242,6 @@ class FusedStep:
         for i, (enc, hd) in enumerate(zip(encoders, heads)):
             if [p.shape for p in enc.parameters()] != [p.shape for p in first.parameters()]:
                 raise ValueError(f"lane {i}: encoder shapes differ from lane 0's")
-            if enc.skip_nonlinearity != first.skip_nonlinearity:
-                raise ValueError(f"lane {i}: skip_nonlinearity differs from lane 0's")
             if (hd is not None) != linear:
                 raise ValueError(f"lane {i}: head mode differs from lane 0's")
         if not linear:
@@ -247,7 +249,7 @@ class FusedStep:
                 raise ShapeError(f"encoder output dim {first.d_out} vs bank dim {bank.dim}")
             self._bank_t = np.ascontiguousarray(bank.embeddings.T)
             classes = np.arange(bank.num_classes)
-            self._margins = L.margin_table(classes, bank.num_classes, bank, loss_cfg)
+            self._margins = L.margin_table(classes, bank, loss_cfg)
             self._inv_tau = float(1.0 / loss_cfg.tau)
         else:
             for hd in heads:
@@ -259,7 +261,6 @@ class FusedStep:
         self._tensors = [enc.parameters() + ([hd.weights] if linear else [])
                          for enc, hd in zip(encoders, heads)]
         self._linear = linear
-        self._skip_nonlinearity = first.skip_nonlinearity
         self._update = update
         self.params = np.stack([flatten_params(t) for t in self._tensors])
         self.grads = np.zeros_like(self.params)
@@ -367,7 +368,7 @@ class FusedStep:
         # the row-wise softmax part runs on (S*b) x C views, indexed as in 2-D
         picks = (np.arange(s * b), labels.reshape(-1))
 
-        h, r = mlp_forward(x, w1, b1, w2, b2, self._skip_nonlinearity, act["h"][:, rows])
+        h, r = mlp_forward(x, w1, b1, w2, b2, act["h"][:, rows])
         if self._linear:
             logits = (r @ self._w_t).reshape(s * b, -1)
         else:
@@ -404,8 +405,7 @@ class FusedStep:
             if guarded.any():
                 g_r[...] = np.where(guarded, g_z / denom, g_r)
         g_h = np.matmul(g_r, self._w2_t, out=act["g_h"][:, rows])
-        if not self._skip_nonlinearity:
-            g_h *= 1.0 - h ** 2
+        g_h *= 1.0 - h ** 2
 
     def _range(self, part: int) -> None:
         """Every lane's gradients in one column range of `grads`, from the

@@ -43,13 +43,11 @@ def random_bank(rng: np.random.Generator, num_classes: int, dim: int) -> ClassBa
 
 
 def identity_encoder(dim: int) -> Encoder:
-    """Encoder whose affine maps are identities and whose nonlinearity is
-    bypassed, so embed() reduces to rowwise L2 normalization."""
-    enc = Encoder(
+    """Encoder whose affine maps are identities, so embed(x) is
+    normalize(tanh(x)), rowwise."""
+    return Encoder(
         w1=T.Tensor(np.eye(dim), requires_grad=True),
         b1=T.Tensor(np.zeros(dim), requires_grad=True),
         w2=T.Tensor(np.eye(dim), requires_grad=True),
         b2=T.Tensor(np.zeros(dim), requires_grad=True),
-        skip_nonlinearity=True,
     )
-    return enc

@@ -1,5 +1,6 @@
 import struct
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -48,6 +49,16 @@ def test_spec_validation():
         with pytest.raises(ValueError, match="domain_strength must be finite"):
             BenchmarkSpec(domain_strength=strength)
     assert BenchmarkSpec(noise_sigma=0.0, domain_strength=-0.5).domain_strength == -0.5
+    with pytest.raises(ValueError, match="identity_lift requires input_dim == embed_dim"):
+        BenchmarkSpec(identity_lift=True)
+
+
+def test_archive_rows_must_match_the_feature_row_count():
+    archive = generate(SMALL)
+    for labels, domains in ((archive.labels[1:], archive.domains),
+                            (archive.labels, archive.domains[:-1])):
+        with pytest.raises(ValueError, match="do not match the feature row count"):
+            db.EmbeddingArchive(archive.features, labels, domains, archive.bank)
 
 
 def test_degenerate_generation_reproduces_prototypes():
@@ -184,6 +195,18 @@ def test_split_bad_test_domain():
     object.__setattr__(bad, "test_domain", 9)  # bypass ctor validation
     with pytest.raises(ValueError):
         split(archive, bad)
+
+
+@pytest.mark.parametrize("archive_sizes,shots,counts", [
+    # the class split would draw from ids 0-19 only, and list no class 20-39
+    ({"num_classes": 40}, None, "the archive 40 classes and 3 domains"),
+    # the shots thinning would keep no train row of domain 3
+    ({"num_domains": 4, "test_domain": 0}, 2, "the archive 20 classes and 4 domains"),
+])
+def test_split_rejects_a_spec_whose_sizes_differ_from_the_archives(archive_sizes, shots, counts):
+    archive = generate(replace(SMALL, **archive_sizes))
+    with pytest.raises(ValueError, match=f"spec has 20 classes and 3 domains, {counts}"):
+        split(archive, replace(SMALL, shots=shots))
 
 
 def test_save_load_round_trip(tmp_path):

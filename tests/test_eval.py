@@ -381,6 +381,10 @@ def test_topk_rows_equal_the_list_built_the_old_way(monkeypatch):
     assert EvalReport.from_json(text) == report
     with pytest.raises(ValueError):
         top.ids[0, 0] = 1  # the arrays are read-only
+    for arrays in ((top.samples[1:], top.ids, top.probs), (top.samples, top.ids, top.probs[:, 1:]),
+                   (top.samples, top.ids[:, 0], top.probs[:, 0])):
+        with pytest.raises(ShapeError, match="expected N, N x k and N x k"):
+            TopK(*arrays)
 
 
 # sha256 of evaluate(...).to_json() on _pinned_case, as the N x k tuple
@@ -779,6 +783,29 @@ def test_cli_ablate_text_prints_a_header_and_run_ablations_rows(tmp_path, capsys
         for name in (f"{m}+{e}" for m, e in evalcli.ABLATION_GRID)]
 
 
+def test_cli_train_rejects_beta_and_ema_decay_out_of_range(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data, per_class=4)) == 0
+    run = tmp_path / "r.bin"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(tr, "train", no_training)
+    for flags, message in (
+            (["--beta", "-1", "--ensemble", "none"], "beta must be > 0, got -1.0"),
+            (["--beta", "-1", "--ensemble", "avg"], "beta must be > 0, got -1.0"),
+            (["--beta", "0"], "beta must be > 0, got 0.0"),
+            (["--ensemble", "ema:1.5"], "ema_decay must lie in (0, 1), got 1.5"),
+            (["--ensemble", "ema:0"], "ema_decay must lie in (0, 1), got 0.0"),
+            (["--ensemble", "ema:-0.5"], "ema_decay must lie in (0, 1), got -0.5")):
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "2",
+                     *flags]) == 2, flags
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not run.exists()
+
+
 def test_cli_sizes_below_one(tmp_path, capsys):
     data = tmp_path / "bench.emba"
     assert main(_gen_args(data, per_class=4)) == 0
@@ -1022,6 +1049,10 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
         ("seed", -1, "'seed' must be >= 0: -1"),
         ("hidden", -3, "'hidden' must be >= 1: -3"),
         ("hidden", 0, "'hidden' must be >= 1: 0"),
+        ("test_domain", 5, "'test_domain': test_domain 5 out of range"),
+        ("test_domain", -1, "'test_domain': test_domain -1 out of range"),
+        ("base_fraction", 2.0, "'base_fraction': base_fraction must lie in (0, 1), got 2.0"),
+        ("base_fraction", 0.01, "'base_fraction': base_fraction leaves an empty base or new"),
     ]
     # every field but the optional shots, and every archive size, is required
     required = [f.name for f in fields(RunSpec) if f.default is MISSING]

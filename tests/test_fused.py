@@ -41,12 +41,11 @@ def _tape_loss_and_grad(enc, bank, x, labels, loss_cfg, head):
     return float(loss.data), np.concatenate(grads)
 
 
-def _instance(rng, linear, skip, zero_row, tau, margin):
+def _instance(rng, linear, zero_row, tau, margin):
     c = int(rng.integers(2, 9))
     d_in, hidden, d = (int(v) for v in rng.integers(2, 7, size=3))
     b = int(rng.integers(1, 7))
     enc = Encoder.init(d_in, hidden, d, rng)
-    enc.skip_nonlinearity = skip
     bank = random_bank(rng, c, d)
     head = LinearHead.init(c, d, rng) if linear else None
     x = rng.standard_normal((b, d_in))
@@ -59,15 +58,14 @@ def _instance(rng, linear, skip, zero_row, tau, margin):
 
 
 @pytest.mark.parametrize("linear", [False, True])
-@pytest.mark.parametrize("skip", [False, True])
 @pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 @pytest.mark.parametrize("margin", MARGINS)
-def test_fused_step_equals_tape_bit_for_bit(linear, skip, zero_row, tau, margin):
-    rng = np.random.default_rng([int(linear), int(skip), int(zero_row), int(tau * 100),
+def test_fused_step_equals_tape_bit_for_bit(linear, zero_row, tau, margin):
+    rng = np.random.default_rng([int(linear), int(zero_row), int(tau * 100),
                                  MARGINS.index(margin)])
     for _ in range(10):
-        enc, bank, head, x, labels, cfg = _instance(rng, linear, skip, zero_row, tau, margin)
+        enc, bank, head, x, labels, cfg = _instance(rng, linear, zero_row, tau, margin)
         step = FusedStep([enc], bank, cfg, len(labels), None if head is None else [head])
         loss = step(x[None], labels[None])[0]
         want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, labels, cfg, head)

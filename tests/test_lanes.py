@@ -25,12 +25,11 @@ def _bank():
     return random_bank(np.random.default_rng(40), 5, 4)
 
 
-def _lane(i, bank, linear, skip, d_in=6, hidden=8):
+def _lane(i, bank, linear, d_in=6, hidden=8):
     """Initial encoder, head and training set of lane i, rebuilt identically
     on every call."""
     rng = np.random.default_rng([41, i])
     enc = Encoder.init(d_in, hidden, bank.dim, rng)
-    enc.skip_nonlinearity = skip
     head = LinearHead.init(bank.num_classes, bank.dim, rng) if linear else None
     n = SIZES[i]
     features = rng.standard_normal((n, d_in))
@@ -45,19 +44,19 @@ def _tensors(enc, head):
 
 @pytest.mark.parametrize("lanes", [1, 3])
 @pytest.mark.parametrize("ensemble", ["bma", "ema", "avg", "none"])
-@pytest.mark.parametrize("linear,skip", [(False, False), (True, False), (False, True)])
-def test_every_lane_equals_its_sequential_run(lanes, ensemble, linear, skip):
+@pytest.mark.parametrize("linear", [False, True])
+def test_every_lane_equals_its_sequential_run(lanes, ensemble, linear):
     bank = _bank()
     base = TrainerConfig(steps=12, batch_size=5, ensemble_mode=ensemble, ema_decay=0.9,
                          bma_every=2, head="linear" if linear else "metric")
     cfgs = [replace(base, seed=10 + i) for i in range(lanes)]
-    built = [_lane(i, bank, linear, skip) for i in range(lanes)]
+    built = [_lane(i, bank, linear) for i in range(lanes)]
     heads = [h for _, h, _ in built] if linear else None
     got = train([e for e, _, _ in built], bank, [d for _, _, d in built], cfgs, head=heads,
                 keep_trajectory=True)
     assert isinstance(got, list) and len(got) == lanes
     for i, (result, cfg, (enc, head, _)) in enumerate(zip(got, cfgs, built)):
-        want_enc, want_head, data = _lane(i, bank, linear, skip)
+        want_enc, want_head, data = _lane(i, bank, linear)
         want = train(want_enc, bank, TrainSet(np.asarray(data.features, dtype=np.float64),
                                               data.labels),
                      cfg, head=want_head, keep_trajectory=True)
@@ -76,7 +75,7 @@ def test_without_ensemble_the_run_ends_at_the_bma_runs_final_params():
     bank = _bank()
     runs = {}
     for mode in ("bma", "none"):
-        enc, _, data = _lane(0, bank, False, False)
+        enc, _, data = _lane(0, bank, False)
         runs[mode] = train(enc, bank, data, TrainerConfig(steps=15, batch_size=6,
                                                            ensemble_mode=mode))
     assert np.array_equal(runs["none"].final_params, runs["bma"].final_params)
@@ -85,7 +84,7 @@ def test_without_ensemble_the_run_ends_at_the_bma_runs_final_params():
 
 
 def _three_lanes(bank):
-    built = [_lane(i, bank, False, False) for i in range(3)]
+    built = [_lane(i, bank, False) for i in range(3)]
     return [e for e, _, _ in built], [d for _, _, d in built]
 
 
@@ -113,7 +112,7 @@ def test_lane_with_overflowing_preactivation_is_named():
 def test_lane_with_non_finite_loss_is_named():
     # an infinite class vector gives inf - inf logits, while the encoder stays finite
     bank = _bank()
-    built = [_lane(i, bank, True, False) for i in range(3)]
+    built = [_lane(i, bank, True) for i in range(3)]
     built[1][1].weights.data[0, 0] = np.inf
     cfgs = [TrainerConfig(steps=3, batch_size=4, seed=i, head="linear") for i in range(3)]
     with np.errstate(invalid="ignore"), \
@@ -142,13 +141,16 @@ def test_lanes_must_share_model_shapes_and_list_lengths():
     bank = _bank()
     cfgs = [TrainerConfig(steps=3, batch_size=4, seed=i) for i in range(3)]
     encoders, data = _three_lanes(bank)
-    encoders[1] = _lane(1, bank, False, False, hidden=9)[0]
+    encoders[1] = _lane(1, bank, False, hidden=9)[0]
     with pytest.raises(ValueError, match="lane 1: encoder shapes"):
         train(encoders, bank, data, cfgs)
+    # train checks the heads against the config first; the step checks them too
     encoders, data = _three_lanes(bank)
-    encoders[2].skip_nonlinearity = True
-    with pytest.raises(ValueError, match="lane 2: skip_nonlinearity"):
-        train(encoders, bank, data, cfgs)
+    heads = [_lane(i, bank, True)[1] for i in range(3)]
+    with pytest.raises(ValueError, match="3 encoders and 2 heads"):
+        tr.FusedStep(encoders, bank, L.LossConfig(), 4, heads[:2])
+    with pytest.raises(ValueError, match="lane 2: head mode differs"):
+        tr.FusedStep(encoders, bank, L.LossConfig(), 4, heads[:2] + [None])
     encoders, data = _three_lanes(bank)
     with pytest.raises(ValueError, match="equal, non-empty lists"):
         train(encoders, bank, data[:2], cfgs)

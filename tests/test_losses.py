@@ -163,6 +163,17 @@ def test_mms_bank_size_mismatch():
         mms_loss(Tensor(np.zeros((2, 3))), [0, 1], bank, LossConfig())
 
 
+@pytest.mark.parametrize("loss", [
+    lambda scores: metric_softmax_loss(scores, [0], tau=1.0),
+    lambda scores: mms_loss(scores, [0], random_bank(np.random.default_rng(7), 3, 2),
+                            LossConfig()),
+    lambda scores: cross_entropy_linear(scores, [0]),
+])
+def test_losses_take_only_b_x_c_scores(loss):
+    with pytest.raises(ShapeError, match=r"must be B x C, got \(3,\)"):
+        loss(Tensor(np.zeros(3)))
+
+
 def test_loss_config_validation():
     with pytest.raises(ValueError):
         LossConfig(tau=0.0)

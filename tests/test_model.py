@@ -59,6 +59,13 @@ def test_bank_rejects_nan_rows():
         ClassBank(rows, ["a", "b", "c"])
 
 
+def test_bank_rejects_bad_shapes():
+    with pytest.raises(ShapeError, match="must be 2-D"):
+        ClassBank(np.ones(3), ["a", "b", "c"])
+    with pytest.raises(ShapeError, match="2 class names for 3 embedding rows"):
+        ClassBank(np.eye(3), ["a", "b"])
+
+
 def test_bank_is_frozen():
     bank = random_bank(np.random.default_rng(2), 4, 4)
     with pytest.raises(ValueError):
@@ -83,8 +90,18 @@ def test_embed_identity_configuration():
     enc = identity_encoder(4)
     x = rng.standard_normal((5, 4))
     out = embed(enc, Tensor(x))
-    expected = x / np.linalg.norm(x, axis=1, keepdims=True)
+    expected = np.tanh(x) / np.linalg.norm(np.tanh(x), axis=1, keepdims=True)
     np.testing.assert_allclose(out.data, expected, atol=1e-12)
+
+
+def test_zero_grad_clears_every_parameter_gradient():
+    rng = np.random.default_rng(12)
+    enc = Encoder.init(4, 5, 3, rng)
+    with T.Tape() as tape:
+        tape.backward(T.mean(embed(enc, Tensor(rng.standard_normal((2, 4))))))
+    assert all(p.grad is not None for p in enc.parameters())
+    enc.zero_grad()
+    assert all(p.grad is None for p in enc.parameters())
 
 
 def test_embed_rows_unit_norm():

@@ -235,15 +235,17 @@ def test_an_overflowing_pre_activation_names_the_step_at_every_thread_count(monk
 
 
 def test_the_worker_runs_under_the_callers_error_state(monkeypatch, split_small):
-    # a linear map and a large second block: only its rows' softmax underflows
+    # zero biases, zero first-block rows and large head weights: the first
+    # block's logits are all zero, and only the second block's softmax underflows
     bank, built = _lanes(1, True, np.float64)
     enc, head, _ = built[0]
-    enc.skip_nonlinearity = True
+    enc.b1.data[:] = enc.b2.data[:] = 0.0
+    head.weights.data *= 1e4
     step = FusedStep([enc], bank, tr.L.LossConfig(), 8, [head])
     rng = np.random.default_rng(4)
     x, labels = rng.standard_normal((1, 8, 6)), rng.integers(0, 5, size=(1, 8))
-    _, second = step.blocks
-    x[:, second] *= 1e5
+    first, _ = step.blocks
+    x[:, first] = 0.0
     step(x, labels)  # ignored underflow: no error
     for threads in (1, 2):
         _threads(monkeypatch, threads)

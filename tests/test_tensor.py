@@ -156,6 +156,21 @@ def test_add_bias_broadcast_gradcheck():
     assert max_rel_err(gb, fd_b) < 1e-6
 
 
+@pytest.mark.parametrize("build,message", [
+    (lambda: T.transpose(Tensor([1.0, 2.0])), r"transpose: expected 2-D tensor, got \(2,\)"),
+    (lambda: T.add(Tensor(np.zeros((2, 3))), Tensor(np.zeros(2))),
+     r"add: incompatible shapes \(2, 3\) and \(2,\)"),
+    (lambda: T.gather_rows(Tensor([1.0, 2.0]), [0]), "gather_rows: expected 2-D tensor"),
+    (lambda: T.gather_rows(Tensor(np.zeros((2, 2))), [0]), "gather_rows: need one index per row"),
+    (lambda: T.mean(Tensor(np.zeros(0))), "mean: empty tensor"),
+    (lambda: T.l2_normalize(Tensor(np.zeros(0))), "l2_normalize: expected non-empty"),
+    (lambda: T.l2_normalize(Tensor(np.zeros((1, 1, 2)))), "l2_normalize: expected non-empty"),
+])
+def test_primitives_reject_bad_shapes(build, message):
+    with pytest.raises(ShapeError, match=message):
+        build()
+
+
 def test_gather_rows_values_and_bad_index():
     a = Tensor([[1.0, 2.0], [3.0, 4.0]])
     np.testing.assert_array_equal(T.gather_rows(a, [1, 0]).data, [2.0, 3.0])

@@ -261,6 +261,13 @@ def test_trainer_config_validation():
         for field in ("beta", "base_lr", "weight_decay", "ema_decay"):
             with pytest.raises(ValueError, match=f"{field} must be finite"):
                 TrainerConfig(**{field: bad})
+    for beta in (0.0, -1.0):
+        with pytest.raises(ValueError, match=f"beta must be > 0, got {beta}"):
+            TrainerConfig(beta=beta)
+    for decay in (0.0, 1.0, 1.5, -0.5):
+        with pytest.raises(ValueError, match=rf"ema_decay must lie in \(0, 1\), got {decay}"):
+            TrainerConfig(ema_decay=decay)
+    assert TrainerConfig(beta=2.0, ema_decay=0.5).beta == 2.0
 
 
 @pytest.mark.parametrize("mode", ["bma", "avg"])

@@ -11,8 +11,9 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   heads, the bma, ema, avg and none ensembles, and seeds 0 and 7; and at
   the metric head and seed 0: at desk size `--bma-every 3` with bma and
   with avg, `--ensemble ema:0.9`, `--margin fixed:0.2`, `--margin none`,
-  `--shots 5`, `--test-domain 0` and `--base-fraction 0.3`, at mid size
-  `--bma-every 3` with bma (two parameter ranges);
+  `--shots 5`, `--test-domain 0`, `--base-fraction 0.3`, `--beta 1`,
+  `--beta 2`, `--lambda 0`, `--tau 0.05`, `--weight-decay 0` and
+  `--lr 0.01`, at mid size `--bma-every 3` with bma (two parameter ranges);
 - `ablate --json` over 5 seeds of the desk archive;
 - `eval --json --topk 3` of the first desk and the first mid run, on each
   `--split` and, at `--split both`, with `--params final` and `zero`; and
@@ -56,7 +57,9 @@ SEEDS = (0, 7)
 EXTRA_TRAINS = {
     "desk": [["--ensemble", "bma", "--bma-every", "3"], ["--ensemble", "avg", "--bma-every", "3"],
              ["--ensemble", "ema:0.9"], ["--margin", "fixed:0.2"], ["--margin", "none"],
-             ["--shots", "5"], ["--test-domain", "0"], ["--base-fraction", "0.3"]],
+             ["--shots", "5"], ["--test-domain", "0"], ["--base-fraction", "0.3"],
+             ["--beta", "1"], ["--beta", "2"], ["--lambda", "0"], ["--tau", "0.05"],
+             ["--weight-decay", "0"], ["--lr", "0.01"]],
     "mid": [["--ensemble", "bma", "--bma-every", "3"]],
 }
 SPLITS = ("domain", "open", "both", "train")
