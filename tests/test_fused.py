@@ -41,36 +41,45 @@ def _tape_loss_and_grad(enc, bank, x, labels, loss_cfg, head):
     return float(loss.data), np.concatenate(grads)
 
 
-def _instance(rng, linear, zero_row, tau, margin):
+def _instance(rng, lanes, linear, zero_row, tau, margin):
+    """A bank, a loss config and, for each of `lanes` lanes, an encoder, a
+    head (or None) and a batch, all lanes of equal shapes."""
     c = int(rng.integers(2, 9))
     d_in, hidden, d = (int(v) for v in rng.integers(2, 7, size=3))
     b = int(rng.integers(1, 7))
-    enc = Encoder.init(d_in, hidden, d, rng)
     bank = random_bank(rng, c, d)
-    head = LinearHead.init(c, d, rng) if linear else None
-    x = rng.standard_normal((b, d_in))
-    if zero_row:
-        # a zero second layer makes every encoder output row the zero vector
-        enc.w2.data = np.zeros_like(enc.w2.data)
-        enc.b2.data = np.zeros_like(enc.b2.data)
     cfg = L.LossConfig(tau=tau, lam=0.3, margin_mode=margin, fixed_margin=0.2)
-    return enc, bank, head, x, rng.integers(0, c, size=b), cfg
+    built = []
+    for _ in range(lanes):
+        enc = Encoder.init(d_in, hidden, d, rng)
+        head = LinearHead.init(c, d, rng) if linear else None
+        x = rng.standard_normal((b, d_in))
+        if zero_row:
+            # a zero second layer makes every encoder output row the zero vector
+            enc.w2.data = np.zeros_like(enc.w2.data)
+            enc.b2.data = np.zeros_like(enc.b2.data)
+        built.append((enc, head, x, rng.integers(0, c, size=b)))
+    return bank, cfg, built
 
 
+@pytest.mark.parametrize("lanes", [1, 2])
 @pytest.mark.parametrize("linear", [False, True])
 @pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 @pytest.mark.parametrize("margin", MARGINS)
-def test_fused_step_equals_tape_bit_for_bit(linear, zero_row, tau, margin):
-    rng = np.random.default_rng([int(linear), int(zero_row), int(tau * 100),
+def test_fused_step_equals_tape_bit_for_bit(lanes, linear, zero_row, tau, margin):
+    # each lane of a stacked step equals the Tape on that lane alone
+    rng = np.random.default_rng([lanes, int(linear), int(zero_row), int(tau * 100),
                                  MARGINS.index(margin)])
     for _ in range(10):
-        enc, bank, head, x, labels, cfg = _instance(rng, linear, zero_row, tau, margin)
-        step = FusedStep([enc], bank, cfg, len(labels), None if head is None else [head])
-        loss = step(x[None], labels[None])[0]
-        want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, labels, cfg, head)
-        assert loss == want_loss
-        assert np.array_equal(step.grads[0], want_grads)
+        bank, cfg, built = _instance(rng, lanes, linear, zero_row, tau, margin)
+        encoders, heads, xs, labels = (list(v) for v in zip(*built))
+        step = FusedStep(encoders, bank, cfg, len(labels[0]), heads if linear else None)
+        losses = step(np.stack(xs), np.stack(labels))
+        for i, (enc, head, x, y) in enumerate(built):
+            want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, y, cfg, head)
+            assert losses[i] == want_loss
+            assert np.array_equal(step.grads[i], want_grads)
 
 
 @pytest.mark.parametrize("linear", [False, True])
