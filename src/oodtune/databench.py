@@ -318,13 +318,20 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
 
 
 def _thin_to_shots(archive, train_mask, spec, rng) -> np.ndarray:
-    """Keep at most `shots` train samples per (class, domain) cell."""
+    """Keep at most `shots` train samples per (class, domain) cell.
+
+    The train rows are grouped by cell in one stable sort, so each cell
+    keeps its rows in ascending order, and the non-empty cells draw their
+    permutations in ascending (class, domain) order.
+    """
+    rows = np.flatnonzero(train_mask)
+    cells = archive.labels[rows].astype(np.int64) * spec.num_domains + archive.domains[rows]
+    order = np.argsort(cells, kind="stable")
+    rows, cells = rows[order], cells[order]
+    bounds = np.flatnonzero(np.diff(cells, prepend=-1)).tolist() + [rows.size]
     kept = np.zeros_like(train_mask)
-    for c in range(spec.num_classes):
-        for m in range(spec.num_domains):
-            cell = np.flatnonzero(train_mask & (archive.labels == c) & (archive.domains == m))
-            if cell.size:
-                kept[rng.permutation(cell)[: spec.shots]] = True
+    for lo, hi in zip(bounds, bounds[1:]):
+        kept[rng.permutation(rows[lo:hi])[: spec.shots]] = True
     return kept
 
 

@@ -498,8 +498,9 @@ def build_parser() -> _Parser:
     gen.add_argument("--embed-dim", type=int, default=spec.embed_dim)
     gen.add_argument("--input-dim", type=int, default=spec.input_dim)
     gen.add_argument("--per-class", type=int, default=spec.samples_per_class_per_domain)
-    gen.add_argument("--test-domain", type=int, default=spec.test_domain,
-                     help="only checked against --domains: the archive holds every domain")
+    gen.add_argument("--test-domain", type=int,
+                     help="only checked against --domains: the archive holds every domain; "
+                          "defaults to the last one")
     gen.add_argument("--noise-sigma", type=float, default=spec.noise_sigma)
     gen.add_argument("--domain-strength", type=float, default=spec.domain_strength)
     gen.add_argument("--seed", type=int, default=spec.seed)
@@ -675,7 +676,7 @@ def _cmd_gen(args) -> int:
         embed_dim=args.embed_dim,
         input_dim=args.input_dim,
         samples_per_class_per_domain=args.per_class,
-        test_domain=args.test_domain,
+        test_domain=args.domains - 1 if args.test_domain is None else args.test_domain,
         noise_sigma=args.noise_sigma,
         domain_strength=args.domain_strength,
         seed=args.seed,

@@ -99,6 +99,11 @@ class TrainerConfig:
             raise ValueError(f"base_lr must be >= 0, got {self.base_lr}")
         if self.weight_decay < 0:
             raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
+        # AdamW scales every parameter by 1 - lr * weight_decay each step: from
+        # a product of 2 on, that factor's magnitude is at least 1 from step 0
+        if self.base_lr * self.weight_decay >= 2:
+            raise ValueError(f"base_lr * weight_decay must be < 2, "
+                             f"got {self.base_lr * self.weight_decay}")
         if self.beta <= 0:
             raise ValueError(f"beta must be > 0, got {self.beta}")
         if not 0 < self.ema_decay < 1:
@@ -216,8 +221,8 @@ class FusedStep:
     backward down to the hidden layer's gradient for one block of batch
     rows, writing its rows of the activation buffers; a range part
     computes the gradients of one range from those buffers, then calls
-    `update(part)`, which `train` uses to step the optimizer and the
-    ensemble on that range. The losses are checked between the phases,
+    the call's `update(part)`, which `train` uses to step the optimizer and
+    the ensemble on that range. The losses are checked between the phases,
     before any parameter moves. Inside a `with step:` block the parts of a
     phase run on a `parallel.Crew` of one thread per part, as many as
     `parallel.worker_threads` allows; outside it, on the caller alone. The
@@ -233,8 +238,7 @@ class FusedStep:
     """
 
     def __init__(self, encoders: list[Encoder], bank: ClassBank, loss_cfg: L.LossConfig,
-                 batch_size: int, heads: list[LinearHead] | None = None,
-                 update: Callable[[int], None] | None = None):
+                 batch_size: int, heads: list[LinearHead] | None = None):
         heads = [None] * len(encoders) if heads is None else heads
         if not encoders or len(heads) != len(encoders):
             raise ValueError(f"{len(encoders)} encoders and {len(heads)} heads")
@@ -261,7 +265,6 @@ class FusedStep:
         self._tensors = [enc.parameters() + ([hd.weights] if linear else [])
                          for enc, hd in zip(encoders, heads)]
         self._linear = linear
-        self._update = update
         self.params = np.stack([flatten_params(t) for t in self._tensors])
         self.grads = np.zeros_like(self.params)
         s, p = self.params.shape
@@ -327,9 +330,11 @@ class FusedStep:
         crew, self._crew = self._crew, parallel.Crew(1)
         crew.__exit__(*exc)
 
-    def __call__(self, x: np.ndarray, labels: np.ndarray) -> list[float]:
+    def __call__(self, x: np.ndarray, labels: np.ndarray,
+                 update: Callable[[int], None] | None = None) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
-        and return the list of S losses.
+        call `update(part)` on each range once its gradients are in, and
+        return the list of S losses.
 
         Labels must lie in [0, C); train() checks them once per run.
         Raises ShapeError on batches of another shape than the step's, and
@@ -342,10 +347,9 @@ class FusedStep:
             raise ShapeError(f"step built for {want[0]} x {want[1]} batches, got "
                              f"features {x.shape} and labels {labels.shape}")
         s, b = want
-        self._x, self._labels = x, labels
-        if self._linear:
-            self._w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1))  # as tensor.transpose builds it
-        self._crew.run(self._rows, self.blocks)
+        # as tensor.transpose builds it
+        w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1)) if self._linear else None
+        self._crew.run(partial(self._rows, x, labels, w_t), self.blocks)
         # per lane in Python floats: the same IEEE operations as on numpy scalars
         losses = [total / b * -1.0
                   for total in np.add.reduce(self._act["picked"], axis=-1).tolist()]
@@ -353,24 +357,24 @@ class FusedStep:
             if not math.isfinite(loss):
                 where = f"lane {lane}: " if s > 1 else ""
                 raise NonFiniteError(f"{where}non-finite loss {loss}")
-        self._crew.run(self._range, range(len(self._covered)))
-        self._x = self._labels = None
+        self._crew.run(partial(self._range, x, update), range(len(self._covered)))
         return losses
 
-    def _rows(self, rows: slice) -> None:
+    def _rows(self, x: np.ndarray, labels: np.ndarray, w_t: np.ndarray | None,
+              rows: slice) -> None:
         """Forward, loss terms and backward down to g_h for one block of
         batch rows of every lane, into its rows of the whole batch's arrays."""
         act = self._act
         w1, b1, w2, b2 = self._p[:4]
-        x, labels = self._x[:, rows], self._labels[:, rows]
+        scale = 1.0 / labels.shape[1]
+        x, labels = x[:, rows], labels[:, rows]
         s, b = labels.shape
-        scale = 1.0 / self._labels.shape[1]
         # the row-wise softmax part runs on (S*b) x C views, indexed as in 2-D
         picks = (np.arange(s * b), labels.reshape(-1))
 
         h, r = mlp_forward(x, w1, b1, w2, b2, act["h"][:, rows])
         if self._linear:
-            logits = (r @ self._w_t).reshape(s * b, -1)
+            logits = (r @ w_t).reshape(s * b, -1)
         else:
             norms = np.sqrt(np.add.reduce(r * r, axis=-1, keepdims=True))
             denom = np.maximum(norms, NORM_EPS)
@@ -393,7 +397,7 @@ class FusedStep:
         g[picks] -= scale
         g = g.reshape(s, b, -1)
         if self._linear:
-            g_r = np.matmul(g, self._w_t.transpose(0, 2, 1), out=act["g_r"][:, rows])
+            g_r = np.matmul(g, w_t.transpose(0, 2, 1), out=act["g_r"][:, rows])
             act["r"][:, rows] = r
             act["g"][:, rows] = g
         else:
@@ -407,13 +411,13 @@ class FusedStep:
         g_h = np.matmul(g_r, self._w2_t, out=act["g_h"][:, rows])
         g_h *= 1.0 - h ** 2
 
-    def _range(self, part: int) -> None:
+    def _range(self, x: np.ndarray, update: Callable[[int], None] | None, part: int) -> None:
         """Every lane's gradients in one column range of `grads`, from the
-        whole batch; then the update of that range."""
+        whole batch x; then the update of that range."""
         act = self._act
         for k, rows, out in self._covered[part]:
             if k == 0:  # w1
-                np.matmul(self._x[:, :, rows].transpose(0, 2, 1), act["g_h"], out=out)
+                np.matmul(x[:, :, rows].transpose(0, 2, 1), act["g_h"], out=out)
             elif k == 1:  # b1
                 np.add.reduce(act["g_h"], axis=1, keepdims=True, out=out)
             elif k == 2:  # w2
@@ -422,8 +426,8 @@ class FusedStep:
                 np.add.reduce(act["g_r"], axis=1, keepdims=True, out=out)
             else:  # the linear head's weights, C x d, as the Tape forms them
                 out[...] = (act["r"].transpose(0, 2, 1) @ act["g"][:, :, rows]).transpose(0, 2, 1)
-        if self._update is not None:
-            self._update(part)
+        if update is not None:
+            update(part)
 
 
 def _shared_fields(cfg: TrainerConfig) -> dict:
@@ -510,14 +514,7 @@ def train(
 
     sets = _checked_sets(datasets, bank.num_classes, encoders[0].d_in)
 
-    def update(part: int) -> None:
-        """AdamW on one column range of the parameters, then its ensemble fold."""
-        theta, grad, opt, fold = states[part]
-        adamw_step(theta, grad, opt, lr, cfg.weight_decay)
-        if (t + 1) % every == 0:
-            fold(theta)
-
-    step = FusedStep(encoders, bank, cfg.loss, cfg.batch_size, heads, update=update)
+    step = FusedStep(encoders, bank, cfg.loss, cfg.batch_size, heads)
     params = step.params
     # each lane draws its rows from its own stream and gathers them into its
     # row of one batch buffer, in the features' dtype; float32 batches are
@@ -531,8 +528,7 @@ def train(
 
     # each range of the parameters updates its own views of the gradients,
     # the optimizer state and the ensemble (its fold); the ranges' step
-    # counters and weight sums advance in lockstep. The closure holds these
-    # views, not the step, which holds the closure.
+    # counters and weight sums advance in lockstep
     every, avg = 1, None
     if cfg.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG):
         bma = bma_init(params, cfg.steps // cfg.bma_every,
@@ -547,6 +543,13 @@ def train(
     m, v = np.zeros_like(params), np.zeros_like(params)
     states = [(params[:, cols], step.grads[:, cols], AdamWState(m=m[:, cols], v=v[:, cols]), fold)
               for cols, fold in zip(step.ranges, folds)]
+
+    def update(lr: float, fold_now: bool, part: int) -> None:
+        """AdamW on one column range of the parameters, then its ensemble fold."""
+        theta, grad, opt, fold = states[part]
+        adamw_step(theta, grad, opt, lr, cfg.weight_decay)
+        if fold_now:
+            fold(theta)
 
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
@@ -563,10 +566,10 @@ def train(
                 # the rows are in range; "clip" skips the buffered copy of "raise"
                 features.take(rows[chunk_step], axis=0, out=x_row, mode="clip")
                 labels.take(rows[chunk_step], out=y_row, mode="clip")
-            lr = cosine_lr(t, cfg.steps, cfg.base_lr)
             try:
-                # the step calls update() on each range of the parameters
-                losses[t] = step(xs.astype(np.float64, copy=False), ys)
+                losses[t] = step(xs.astype(np.float64, copy=False), ys,
+                                 partial(update, cosine_lr(t, cfg.steps, cfg.base_lr),
+                                         (t + 1) % every == 0))
             except NonFiniteError as exc:
                 raise NonFiniteError(f"step {t}: {exc}") from None
             if trajectory is not None:

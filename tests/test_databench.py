@@ -1,6 +1,7 @@
 import struct
 import tracemalloc
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -187,6 +188,40 @@ def test_split_shots_caps_train_cells():
                 continue
             count = int(((splits.train.labels == c) & (splits.train.domains == m)).sum())
             assert count == 2
+
+
+def _thin_cell_by_cell(archive, train_mask, spec, rng):
+    """`_thin_to_shots` as a scan of the whole archive per (class, domain)
+    cell; kept as the reference for the grouped thinning."""
+    kept = np.zeros_like(train_mask)
+    for c in range(spec.num_classes):
+        for m in range(spec.num_domains):
+            cell = np.flatnonzero(train_mask & (archive.labels == c) & (archive.domains == m))
+            if cell.size:
+                kept[rng.permutation(cell)[: spec.shots]] = True
+    return kept
+
+
+@pytest.mark.parametrize("classes,domains,shots", [
+    (20, 3, 1), (20, 4, 16), (400, 3, 16), (400, 4, 100), (1000, 3, 16), (1000, 4, 1),
+])
+def test_grouped_shots_thinning_keeps_the_rows_and_draws_of_a_scan_per_cell(classes, domains,
+                                                                            shots):
+    rng = np.random.default_rng([classes, domains, shots])
+    n = classes * domains * 12
+    archive = SimpleNamespace(labels=rng.integers(0, classes, n).astype(np.uint32),
+                              domains=rng.integers(0, domains, n).astype(np.uint32))
+    # uneven cells, some of them empty: a random half of the rows, no row of
+    # the last domain and none of every fifth class
+    train_mask = ((rng.random(n) < 0.5) & (archive.domains != domains - 1)
+                  & (archive.labels % 5 != 0))
+    spec = BenchmarkSpec(num_classes=classes, num_domains=domains, shots=shots,
+                         test_domain=domains - 1)
+    grouped, scanned = np.random.default_rng(3), np.random.default_rng(3)
+    kept = db._thin_to_shots(archive, train_mask, spec, grouped)
+    np.testing.assert_array_equal(kept, _thin_cell_by_cell(archive, train_mask, spec, scanned))
+    assert grouped.bit_generator.state == scanned.bit_generator.state
+    assert kept.dtype == train_mask.dtype and not (kept & ~train_mask).any()
 
 
 def test_split_bad_test_domain():

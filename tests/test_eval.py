@@ -528,6 +528,16 @@ def _gen_args(out, per_class=6, seed=0):
     ]
 
 
+def test_cli_gen_holds_out_the_last_domain_by_default(tmp_path):
+    flags = _gen_args(tmp_path / "given.emba")
+    assert main(flags) == 0
+    at = flags.index("--test-domain")
+    default = flags[:at] + flags[at + 2:]
+    default[default.index("--out") + 1] = str(tmp_path / "default.emba")
+    assert main(default) == 0
+    assert (tmp_path / "default.emba").read_bytes() == (tmp_path / "given.emba").read_bytes()
+
+
 def test_cli_gen_train_eval_pipeline(tmp_path, capsys):
     data = tmp_path / "bench.emba"
     run = tmp_path / "run.bin"
@@ -804,6 +814,22 @@ def test_cli_train_rejects_beta_and_ema_decay_out_of_range(tmp_path, capsys, mon
                      *flags]) == 2, flags
         assert f"error: {message}" in capsys.readouterr().err
         assert not run.exists()
+
+
+def test_cli_train_rejects_a_weight_decay_that_diverges(tmp_path, capsys, monkeypatch):
+    data = tmp_path / "bench.emba"
+    assert main(_gen_args(data, per_class=4)) == 0
+    run = tmp_path / "r.bin"
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(tr, "train", no_training)
+    capsys.readouterr()
+    assert main(["train", "--data", str(data), "--out", str(run), "--lr", "1e6",
+                 "--steps", "50"]) == 2
+    assert "error: base_lr * weight_decay must be < 2, got 100000.0" in capsys.readouterr().err
+    assert not run.exists()
 
 
 def test_cli_sizes_below_one(tmp_path, capsys):

@@ -135,10 +135,10 @@ def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, li
     # two threads at once: one of them a worker
     both_started, ran_on, rows = threading.Barrier(2, timeout=10), set(), halves._rows
 
-    def meeting(block):
+    def meeting(*args):
         ran_on.add(threading.get_ident())
         both_started.wait()
-        rows(block)
+        rows(*args)
 
     monkeypatch.setattr(halves, "_rows", meeting)
     _threads(monkeypatch, 2)
@@ -147,6 +147,48 @@ def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, li
     assert len(ran_on) == 2 and threading.get_ident() in ran_on
     np.testing.assert_allclose(halves_losses, whole_losses, rtol=1e-13, atol=0)
     np.testing.assert_allclose(halves.grads, whole.grads, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("split", [False, True])
+def test_a_call_runs_its_update_once_per_range(monkeypatch, split):
+    if split:
+        monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    bank, built = _lanes(2, False, np.float64)
+    step = FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), 7)
+    rng = np.random.default_rng(9)
+    x, labels = rng.standard_normal((2, 7, 6)), rng.integers(0, 5, size=(2, 7))
+    before = step.params.copy()
+    step(x, labels)  # no update: the parameters stay
+    np.testing.assert_array_equal(step.params, before)
+    assert len(step.ranges) == (2 if split else 1)
+    _threads(monkeypatch, 2)
+    with step:
+        for _ in range(3):
+            parts = []
+            step(x, labels, parts.append)
+            assert sorted(parts) == list(range(len(step.ranges)))
+
+
+@pytest.mark.parametrize("linear", [False, True])
+@pytest.mark.parametrize("split", [False, True])
+def test_a_failed_call_leaves_nothing_for_the_next(monkeypatch, linear, split):
+    if split:
+        monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    bank, built = _lanes(2, linear, np.float64)
+
+    def build():
+        return FusedStep([e for e, _, _ in built], bank, tr.L.LossConfig(), 7,
+                         [h for _, h, _ in built] if linear else None)
+
+    rng = np.random.default_rng(10)
+    x, labels = rng.standard_normal((2, 7, 6)), rng.integers(0, 5, size=(2, 7))
+    nan = x.copy()
+    nan[1, 6, 2] = np.nan  # the last block of lane 1
+    step, fresh = build(), build()
+    with pytest.raises(NonFiniteError):
+        step(nan, labels)
+    assert step(x, labels) == fresh(x, labels)
+    np.testing.assert_array_equal(step.grads, fresh.grads)
 
 
 def _mid(lanes=1, batch=256):
@@ -266,8 +308,8 @@ def test_no_thread_outlives_train(monkeypatch, split_small):
 
 
 def test_train_frees_its_step_without_the_cycle_collector(monkeypatch, split_small):
-    # the step holds train's update closure: a closure that held the step
-    # would keep every run's parameter blocks alive until a collection
+    # each call gets train's update, which the step does not keep: a cycle
+    # between them would keep every run's parameter blocks alive until a collection
     _threads(monkeypatch, 2)
     gc.collect()
     gc.disable()

@@ -268,6 +268,10 @@ def test_trainer_config_validation():
         with pytest.raises(ValueError, match=rf"ema_decay must lie in \(0, 1\), got {decay}"):
             TrainerConfig(ema_decay=decay)
     assert TrainerConfig(beta=2.0, ema_decay=0.5).beta == 2.0
+    with pytest.raises(ValueError, match=r"base_lr \* weight_decay must be < 2, got 2.0"):
+        TrainerConfig(base_lr=2.0, weight_decay=1.0)
+    assert TrainerConfig(base_lr=1.999, weight_decay=1.0).base_lr == 1.999
+    assert TrainerConfig(base_lr=1e308, weight_decay=0.0).base_lr == 1e308
 
 
 @pytest.mark.parametrize("mode", ["bma", "avg"])
@@ -314,9 +318,9 @@ def test_batches_drawn_in_chunks_equal_a_replay_drawing_one_step_at_a_time(monke
     seen = []
 
     class Recording(tr.FusedStep):
-        def __call__(self, xs, ys):
+        def __call__(self, xs, ys, update=None):
             seen.append(xs.copy())
-            return super().__call__(xs, ys)
+            return super().__call__(xs, ys, update)
 
     def run():
         encoders = [Encoder.init(4, 5, 4, rng) for _ in cfgs]

@@ -13,7 +13,8 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   with avg, `--ensemble ema:0.9`, `--margin fixed:0.2`, `--margin none`,
   `--shots 5`, `--test-domain 0`, `--base-fraction 0.3`, `--beta 1`,
   `--beta 2`, `--lambda 0`, `--tau 0.05`, `--weight-decay 0` and
-  `--lr 0.01`, at mid size `--bma-every 3` with bma (two parameter ranges);
+  `--lr 0.01`, at mid size `--bma-every 3` with bma (two parameter ranges)
+  and `--shots 16` (400 non-empty (class, domain) train cells to thin);
 - `ablate --json` over 5 seeds of the desk archive;
 - `eval --json --topk 3` of the first desk and the first mid run, on each
   `--split` and, at `--split both`, with `--params final` and `zero`; and
@@ -60,7 +61,7 @@ EXTRA_TRAINS = {
              ["--shots", "5"], ["--test-domain", "0"], ["--base-fraction", "0.3"],
              ["--beta", "1"], ["--beta", "2"], ["--lambda", "0"], ["--tau", "0.05"],
              ["--weight-decay", "0"], ["--lr", "0.01"]],
-    "mid": [["--ensemble", "bma", "--bma-every", "3"]],
+    "mid": [["--ensemble", "bma", "--bma-every", "3"], ["--shots", "16"]],
 }
 SPLITS = ("domain", "open", "both", "train")
 # further eval flags, each run on the first run of each size at --split both
