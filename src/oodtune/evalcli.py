@@ -174,9 +174,12 @@ SCORE_BLOCK_ELEMENTS = 1 << 18
 def _row_blocks(n: int, num_classes: int) -> list[slice]:
     """Row slices of at most SCORE_BLOCK_ELEMENTS scores, two rows at least.
 
-    A lone last row joins the block before it: numpy multiplies a one-row
-    matrix through gemv, whose sums may differ from gemm's in the last bit,
-    and each block's scores must equal the rows of the whole-matrix product.
+    The partition depends on N and C alone, so a report does not depend on
+    the thread count. A block's scores equal the `Tape`'s scores of the
+    same rows, not always the same rows of the whole-matrix product: BLAS
+    may sum a product of a few rows in another order. A lone last row joins
+    the block before it, since numpy multiplies a one-row matrix through
+    gemv, whose sums may differ from gemm's in the last bit.
     """
     rows = max(2, SCORE_BLOCK_ELEMENTS // num_classes)
     starts = list(range(0, n, rows))
@@ -185,21 +188,103 @@ def _row_blocks(n: int, num_classes: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(starts, starts[1:] + [n])]
 
 
-def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
-            normalize: bool) -> np.ndarray:
-    """Scores of the rows of x against the class columns of weights_t.
-
-    With `normalize` the encoder output is L2-normalized first (cosine
-    similarities against the bank); without, the raw output gives
-    linear-head logits. The floating-point operations are those of
-    `similarities(bank, embed(encoder, x))` and `linear_head_logits`.
+def _embed(encoder: Encoder, x: np.ndarray, normalize: bool) -> np.ndarray:
+    """The encoder output of the rows of x, L2-normalized with `normalize`
+    (for cosine similarities against the bank), raw without (for
+    linear-head logits). The floating-point operations are those of
+    `embed(encoder, x)` and `encoder.forward_raw(x)`.
     """
     _, r = mlp_forward(x, encoder.w1.data, encoder.b1.data, encoder.w2.data, encoder.b2.data)
     if not np.isfinite(r).all():  # a NaN in w2 or b2 passes the pre-activation check
         raise NonFiniteError("non-finite encoder output")
     if normalize:
         r /= np.maximum(np.linalg.norm(r, axis=-1, keepdims=True), NORM_EPS)
-    return r @ weights_t
+    return r
+
+
+def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
+            normalize: bool) -> np.ndarray:
+    """Scores of the rows of x against the class columns of weights_t, with
+    the floating-point operations of `similarities(bank, embed(encoder, x))`
+    (`normalize`) or `linear_head_logits`."""
+    return _embed(encoder, x, normalize) @ weights_t
+
+
+def _screens(num_classes: int, dim: int) -> bool:
+    """Whether `evaluate` screens a plain metric-head argmax in float32:
+    where C >= 400, d >= 32 and d^1.5 <= 4C.
+
+    A block's chance of a near tie, which scores it twice, grows about as
+    d^1.5 / C: δ grows as d, the gap between a row's two best scores
+    shrinks as 1/√d, and a block holds 2^18 / C rows. On blocks of random
+    unit rows (numpy 2.4, OpenBLAS, one thread) the screen and the float64
+    rescoring of flagged blocks took 0.59-0.95 of the float64 argmax's time
+    at 11 shapes inside the rule (C from 400 to 10,000, d from 32 to 256),
+    and 1.02-2.02 of it at C = 20 to 200 with d = 32 or 64, at C = 400
+    with d = 4 or 8, and at d^1.5 >= 10C. The rule leaves out some shapes
+    that gained less (0.80-0.93: C = 600 or 1000 with d = 4 to 16, C = 1000
+    with d = 256, C = 200 with d = 64).
+    """
+    return num_classes >= 400 and dim >= 32 and dim ** 3 <= 16 * num_classes ** 2
+
+
+def _screen_gap(bank_t: np.ndarray) -> float:
+    """2δ, with a few ulps of slack, where δ bounds |float32 score - float64
+    score| of a normalized row z from `_embed` against a column b of
+    `bank_t` (d x C, d >= 4):
+
+        δ = (2u + u² + γ_d(u)(1 + u)² + γ_d(2⁻⁵³)) A + d 2⁻¹⁴⁹
+
+    with u = 2⁻²⁴, γ_d(v) = dv / (1 - dv) and A >= max ‖z‖ max ‖b‖. The
+    two casts to float32 move z_i b_i by at most (2u + u²)|z_i b_i|; a dot
+    product of d terms, in any order, with or without fused multiply-adds,
+    errs by at most γ_d of its unit roundoff times Σ|z_i b_i| <= A, or
+    (1 + u)² A for the cast values; float32 underflow, at most 2⁻¹⁵⁰ per
+    cast or product, adds less than d 2⁻¹⁴⁹. `_embed` divides z by its
+    computed norm (or by NORM_EPS, when below it), so ‖z‖ <= 1 + (d/2 + 2)
+    2⁻⁵³; with the same allowance for the error of the columns' computed
+    norms, A = max ‖b‖ (1 + d 2⁻⁵⁰) holds. A `ClassBank` renormalizes its
+    rows, so A is about 1.
+    """
+    dim = bank_t.shape[0]
+    u = 2.0 ** -24
+
+    def gamma(v: float) -> float:
+        return dim * v / (1 - dim * v)
+
+    a = float(np.linalg.norm(bank_t, axis=0).max()) * (1 + dim * 2.0 ** -50)
+    delta = (2 * u + u * u + gamma(u) * (1 + u) ** 2 + gamma(2.0 ** -53)) * a + dim * 2.0 ** -149
+    return 2 * delta * (1 + 2.0 ** -48)
+
+
+def _screened_argmax(z: np.ndarray, bank32_t: np.ndarray, gap: float,
+                     out: np.ndarray) -> np.ndarray | None:
+    """The argmax of each row of the float64 product of z and the bank,
+    read off the float32 product z32 @ bank32_t, or None when some row's
+    best and second-best float32 scores lie within `gap` = 2δ
+    (`_screen_gap`) of each other.
+
+    Otherwise every row's float32 best beats each other float32 score by
+    more than 2δ, so its float64 score beats every other float64 score: the
+    float64 argmax is unique and the float32 one, ties to the lowest id
+    included. The float32 scores fill the first half of `out`, the N x C
+    float64 array that a flagged block's float64 scores then overwrite: a
+    block holds one score buffer, of the float64 path's size. The caller
+    scores the whole flagged block, since BLAS may sum a product of some of
+    its rows in another order.
+    """
+    n, num_classes = out.shape
+    scores = out.reshape(-1).view(np.float32)[:n * num_classes].reshape(n, num_classes)
+    np.matmul(z.astype(np.float32), bank32_t, out=scores)
+    rows = np.arange(n)
+    ids = np.argmax(scores, axis=1)
+    best = scores[rows, ids].astype(np.float64)
+    scores[rows, ids] = -np.inf
+    # the difference of two float32 values in float64 is exact, or rounds
+    # by 2⁻⁵³ relatively, which the gap's slack covers
+    if (best - scores.max(axis=1) <= gap).any():
+        return None
+    return ids
 
 
 def _ranking(k: int, num_classes: int) -> str:
@@ -316,6 +401,15 @@ def evaluate(
     probability arrays the blocks fill and the subset's indices: no
     per-sample Python object is built, and its rows are made on demand.
 
+    Without `topk` or `head`, at the shapes `_screens` picks, a block's
+    argmax is read off a float32 product with a float32 copy of the bank,
+    built once per call (`_screened_argmax`). A block where some row's two
+    best float32 scores lie within 2δ (`_screen_gap`) is scored whole in
+    float64, as every block is on the other paths. Predictions and reports
+    are those of the float64 path exactly, and a block holds one score
+    buffer of the float64 path's size. Top-k needs every float64 score for
+    its softmax, and linear logits have no bound, so neither is screened.
+
     Blocks are scored on a `parallel.Crew` of up to
     `parallel.worker_threads()` threads, the caller's among them, one block
     per thread at a time; of failing blocks, the first one's error is
@@ -352,9 +446,23 @@ def evaluate(
         top_ids = np.empty((n, k), dtype=np.int64)
         top_probs = np.empty((n, k))
 
+    screen = head is None and topk is None and _screens(num_classes, bank.dim)
+    if screen:
+        bank32_t = weights_t.astype(np.float32)
+        gap = _screen_gap(weights_t)
+
     def score(block: slice) -> None:
-        scores = _scores(encoder, weights_t, np.asarray(features[block], dtype=np.float64),
-                         normalize=head is None)
+        x = np.asarray(features[block], dtype=np.float64)
+        if screen:
+            z = _embed(encoder, x, normalize=True)
+            scores = np.empty((z.shape[0], num_classes))
+            ids = _screened_argmax(z, bank32_t, gap, scores)
+            if ids is not None:
+                preds[block] = ids
+                return
+            np.matmul(z, weights_t, out=scores)  # a near tie: the whole block in float64
+        else:
+            scores = _scores(encoder, weights_t, x, normalize=head is None)
         if topk is None:
             preds[block] = np.argmax(scores, axis=1)
             return

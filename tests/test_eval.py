@@ -148,6 +148,21 @@ def _recorded_blocks(monkeypatch, keep=np.copy):
     return blocks
 
 
+def _embedded_blocks(monkeypatch):
+    """Make evaluate record the row count of every block it embeds, which
+    every block is, whether its argmax is screened in float32 or scored in
+    float64."""
+    sizes = []
+    inner = evalcli._embed
+
+    def recording(encoder, x, normalize):
+        sizes.append(x.shape[0])
+        return inner(encoder, x, normalize)
+
+    monkeypatch.setattr(evalcli, "_embed", recording)
+    return sizes
+
+
 def _in_row_order(blocks, features):
     """The recorded blocks' kept values in row order, each block placed at
     the subset row that equals its first input row; the blocks must tile
@@ -173,13 +188,17 @@ def test_block_scores_equal_tape_scores(monkeypatch, rows):
     subset = splits.test_both
     n = subset.labels.size
     monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+    sizes = _embedded_blocks(monkeypatch)
     blocks = _recorded_blocks(monkeypatch)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     x = Tensor(subset.features.astype(np.float64))
 
     evaluate(enc, archive.bank, subset, splits.base_classes)
-    assert len(blocks) == -(-n // rows)
+    assert len(sizes) == -(-n // rows)
     assert n % rows  # the last block ends short of a full one
+    blocks.clear()
+    evaluate(enc, archive.bank, subset, splits.base_classes, topk=1)  # every block in float64
+    assert len(blocks) == -(-n // rows)
     assert np.array_equal(np.concatenate(_in_row_order(blocks, subset.features)),
                           similarities(archive.bank, embed(enc, x)).data)
 
@@ -198,17 +217,53 @@ def test_one_row_tail_joins_the_block_before(monkeypatch):
     subset = splits.test_both
     n = subset.labels.size  # 200 rows
     monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 199 * spec.num_classes)
+    sizes = _embedded_blocks(monkeypatch)
     blocks = _recorded_blocks(monkeypatch)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     evaluate(enc, archive.bank, subset, splits.base_classes)
+    assert sizes == [n]
+    blocks.clear()
+    evaluate(enc, archive.bank, subset, splits.base_classes, topk=1)  # scored in float64
     assert [b.shape[0] for _, b in blocks] == [n]
     x = Tensor(subset.features.astype(np.float64))
     assert np.array_equal(blocks[0][1], similarities(archive.bank, embed(enc, x)).data)
 
     monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1)  # C > the cap: two rows a block
-    blocks.clear()
+    sizes.clear()
     evaluate(enc, archive.bank, subset, splits.base_classes)
-    assert {b.shape[0] for _, b in blocks} == {2}
+    assert set(sizes) == {2}
+
+
+def test_each_block_equals_the_tapes_scores_of_its_own_rows(monkeypatch):
+    # blocks of 13,107 and 50 rows: a tail whose product BLAS may sum in
+    # another order than the same rows of the whole product
+    rng = np.random.default_rng(0)
+    n, num_classes = 13_157, 20
+    rows = rng.standard_normal((num_classes, 32))
+    bank = ClassBank(rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                     [f"c{i}" for i in range(num_classes)])
+    subset = db.SplitSubset(features=rng.standard_normal((n, 48)).astype(np.float32),
+                            labels=np.arange(n) % num_classes,
+                            domains=np.zeros(n, dtype=np.uint32), indices=np.arange(n))
+    enc = Encoder.init(48, 64, 32, np.random.default_rng(3))
+    blocks = _recorded_blocks(monkeypatch)
+    evaluate(enc, bank, subset, range(10), topk=1)
+    x = subset.features.astype(np.float64)
+    start = 0
+    for kept in _in_row_order(blocks, subset.features):
+        part = slice(start, start + kept.shape[0])
+        assert np.array_equal(kept, similarities(bank, embed(enc, Tensor(x[part]))).data)
+        start = part.stop
+    assert sorted(b.shape[0] for _, b in blocks) == [50, 13_107]
+    assert evalcli._row_blocks(n, num_classes) == [slice(0, 13_107), slice(13_107, n)]
+
+    # the partition depends on N and C alone, so the reports do not depend on W
+    def run():
+        return [evaluate(enc, bank, subset, range(10), topk=topk).to_json()
+                for topk in (None, 3)]
+
+    serial, *threaded = _reports_by_threads(monkeypatch, run)
+    assert all(reports == serial for reports in threaded)
 
 
 def test_evaluate_report_independent_of_block_size(monkeypatch):
@@ -1433,9 +1488,9 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
     _, archive, splits, enc = _threads_case(monkeypatch, rows=2)
     features = splits.test_both.features.astype(np.float64)
     later_failed = threading.Event()
-    inner = evalcli._scores
+    inner = evalcli._embed
 
-    def failing(encoder, weights_t, x, normalize):
+    def failing(encoder, x, normalize):
         block = int(np.flatnonzero((features == x[0]).all(axis=1))[0]) // 2
         if block == 2:  # fails only once block 9 has
             later_failed.wait(timeout=10)
@@ -1443,9 +1498,9 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
         if block == 9:
             later_failed.set()
             raise ValueError("block 9")
-        return inner(encoder, weights_t, x, normalize)
+        return inner(encoder, x, normalize)
 
-    monkeypatch.setattr(evalcli, "_scores", failing)
+    monkeypatch.setattr(evalcli, "_embed", failing)
     before = threading.active_count()
     monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     with pytest.raises(ValueError, match="^block 2$"):
@@ -1457,13 +1512,13 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
 def test_one_block_call_starts_no_thread(monkeypatch):
     _, archive, splits, enc = _threads_case(monkeypatch)
     counts = []
-    inner = evalcli._scores
+    inner = evalcli._embed
 
     def counting(*args, **kwargs):
         counts.append(threading.active_count())
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(evalcli, "_scores", counting)
+    monkeypatch.setattr(evalcli, "_embed", counting)
     monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     before = threading.active_count()
     evaluate(enc, archive.bank, splits.test_both, splits.base_classes)

@@ -19,7 +19,10 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
 - `eval --json --topk 3` of the first desk and the first mid run, on each
   `--split` and, at `--split both`, with `--params final` and `zero`; and
   of the first linear-head run and each run of further flags, at
-  `--split both`.
+  `--split both`;
+- plain `eval --json` (no top-k, so the argmax alone, which `evaluate`
+  screens in float32 at mid size) of the first run and the first
+  linear-head run of each size, on each `--split`.
 The digest covers every archive and run file the jobs write and the text
 they print. Without `--parent` the script prints the digest of this
 working tree. With `--parent REV` this script's jobs also run on the
@@ -64,6 +67,7 @@ EXTRA_TRAINS = {
     "mid": [["--ensemble", "bma", "--bma-every", "3"], ["--shots", "16"]],
 }
 SPLITS = ("domain", "open", "both", "train")
+TOPK = ["--topk", "3"]
 # further eval flags, each run on the first run of each size at --split both
 EXTRA_EVALS = [["--params", "final"], ["--params", "zero"]]
 ABLATE_SEEDS = 5
@@ -109,18 +113,20 @@ def jobs(src: Path) -> list[tuple[str, bytes]]:
                                                  "--head", head, "--ensemble", ensemble,
                                                  "--seed", str(seed), *train_flags], out)
                             runs.append(out)
-                evals = [(runs[0], split, []) for split in SPLITS]
-                evals += [(runs[0], "both", flags) for flags in EXTRA_EVALS]
-                evals.append((runs[len(ENSEMBLES) * len(SEEDS)], "both", []))  # linear head
+                linear = runs[len(ENSEMBLES) * len(SEEDS)]
+                evals = [(runs[0], split, TOPK) for split in SPLITS]
+                evals += [(runs[0], "both", [*TOPK, *flags]) for flags in EXTRA_EVALS]
+                evals.append((linear, "both", TOPK))
+                evals += [(out, split, []) for out in (runs[0], linear) for split in SPLITS]
                 for flags in EXTRA_TRAINS[size]:
                     out = f"{size}-{'-'.join(flag.lstrip('-') for flag in flags)}.run"
                     run(f"train {out}", ["train", "--data", data, "--out", out, *flags,
                                          *train_flags], out)
-                    evals.append((out, "both", []))
+                    evals.append((out, "both", TOPK))
                 for out, split, flags in evals:
                     run(f"eval {' '.join([out, split, *flags])}",
                         ["eval", "--run", out, "--data", data, "--split", split, "--json",
-                         "--topk", "3", *flags])
+                         *flags])
             run("ablate desk", ["ablate", "--data", "desk.emba", "--seeds", str(ABLATE_SEEDS),
                                 "--json"])
         finally:
