@@ -7,9 +7,11 @@ offset scaled by domain_strength. Class geometry is preserved, so the
 task stays solvable while marginal distributions move across domains.
 
 `split` cuts an archive into the protocol cells. It draws the class split
-and marks every cell's rows at once, but copies a cell's rows out of the
-archive only when the cell is first read, so a job pays for the cells it
-uses.
+and marks every cell's rows at once, but gathers a cell's labels, domains
+and row positions only when the cell is first read, and copies its feature
+rows out of the archive only on the first read of the cell's `.features`.
+`evalcli.evaluate` reads a cell's rows from the archive on each call, so
+scoring a cell never copies it.
 
 EMBA file layout (little-endian):
     magic "EMBA" | version 0x01 | u32 N, d_in, d, C, M
@@ -34,6 +36,8 @@ VERSION = 1
 # float64 noise values `generate` draws at a time (whole rows, and whole
 # classes where they fit)
 NOISE_BLOCK_ELEMENTS = 1 << 17
+# feature values `archives_equal` compares at a time (whole rows)
+COMPARE_BLOCK_ELEMENTS = 1 << 16
 
 
 class ArchiveFormatError(ValueError):
@@ -221,10 +225,40 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
 
 @dataclass
 class SplitSubset:
+    """Rows of an archive. A hand-built subset holds its `features`; a cell
+    of `Splits` copies them on the first read of `.features`, and
+    `evalcli.evaluate` reads an unread cell's rows from the archive."""
+
     features: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
     indices: np.ndarray  # row positions in the source archive
+
+    def row_source(self) -> tuple[np.ndarray, np.ndarray | None]:
+        """Where the subset's feature rows are read: an array and the rows'
+        positions in it, or None when the array is the rows in order."""
+        return np.asarray(self.features), None
+
+
+class _Cell(SplitSubset):
+    """A protocol cell of `Splits`: its features are copied from the
+    archive's on the first read of `.features` and kept; until then
+    `row_source` gives the archive's features and the cell's positions."""
+
+    def __init__(self, archive: EmbeddingArchive, indices: np.ndarray):
+        self._archive = archive
+        self.labels = archive.labels[indices]
+        self.domains = archive.domains[indices]
+        self.indices = indices
+
+    @cached_property
+    def features(self) -> np.ndarray:
+        return self._archive.features[self.indices]
+
+    def row_source(self) -> tuple[np.ndarray, np.ndarray | None]:
+        if "features" in self.__dict__:  # read already: the cell's own copy
+            return self.features, None
+        return self._archive.features, self.indices
 
 
 class Splits:
@@ -233,12 +267,13 @@ class Splits:
     (new classes in every domain) and `test_both` (every class in the test
     domain).
 
-    `split` marks each cell's rows; a cell's rows are copied from the
-    archive's arrays the first time the cell is read, and that
-    `SplitSubset` is kept, so every later read returns the same object. A
-    write to the archive's arrays before a cell's first read shows in the
-    cell; one after it does not. A `Splits` keeps a reference to its
-    archive.
+    `split` marks each cell's rows. A cell's first read gathers its labels,
+    domains and row positions into a `SplitSubset` that every later read
+    returns; its feature rows are copied from the archive and kept only on
+    the first read of its `.features`. Until then `evalcli.evaluate` reads
+    them from the archive on each call. A write to the archive's arrays
+    shows in what is gathered after it. A `Splits` keeps a reference to
+    its archive.
     """
 
     def __init__(self, archive: EmbeddingArchive, base_classes: np.ndarray,
@@ -266,13 +301,7 @@ class Splits:
 
 
 def _subset(archive: EmbeddingArchive, mask: np.ndarray) -> SplitSubset:
-    idx = np.flatnonzero(mask)
-    return SplitSubset(
-        features=archive.features[idx],
-        labels=archive.labels[idx],
-        domains=archive.domains[idx],
-        indices=idx,
-    )
+    return _Cell(archive, np.flatnonzero(mask))
 
 
 def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
@@ -283,9 +312,10 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     this only controls which samples land in which cell.
 
     The class split, every cell's row mask and the `shots` thinning are
-    done here; each cell's rows are copied out of the archive at the
-    cell's first read (see `Splits`). The spec's class and domain counts
-    must be the archive's.
+    done here. A cell is gathered at its first read, and its feature rows
+    are copied only at the first read of its `.features`; `evalcli.evaluate`
+    reads them from the archive on each call (see `Splits`). The spec's
+    class and domain counts must be the archive's.
     """
     if (spec.num_classes, spec.num_domains) != (archive.bank.num_classes, archive.num_domains):
         raise ValueError(
@@ -428,10 +458,19 @@ def load(path) -> EmbeddingArchive:
     return EmbeddingArchive(features=features, labels=labels, domains=domains, bank=bank)
 
 
+def _features_equal(a: np.ndarray, b: np.ndarray) -> bool:
+    """`np.array_equal(a, b)`, a block of whole rows at a time: its bool
+    array has COMPARE_BLOCK_ELEMENTS entries, not one per feature value."""
+    if a.shape != b.shape:
+        return False
+    rows = max(1, COMPARE_BLOCK_ELEMENTS // max(1, math.prod(a.shape[1:])))
+    return all(np.array_equal(a[i:i + rows], b[i:i + rows]) for i in range(0, len(a), rows))
+
+
 def archives_equal(a: EmbeddingArchive, b: EmbeddingArchive) -> bool:
     """Field-by-field comparison; bank rows compared at f32 storage precision."""
     return (
-        np.array_equal(a.features, b.features)
+        _features_equal(a.features, b.features)
         and np.array_equal(a.labels, b.labels)
         and np.array_equal(a.domains, b.domains)
         and a.bank.class_names == b.bank.class_names

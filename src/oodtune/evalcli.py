@@ -410,6 +410,11 @@ def evaluate(
     buffer of the float64 path's size. Top-k needs every float64 score for
     its softmax, and linear logits have no bound, so neither is screened.
 
+    Each block's rows come from `subset.row_source()`: for a cell of
+    `databench.Splits` whose `.features` has not been read, from the
+    archive on each call, so the cell is never copied. The labels, domains
+    and indices must hold one entry per row (ShapeError otherwise).
+
     Blocks are scored on a `parallel.Crew` of up to
     `parallel.worker_threads()` threads, the caller's among them, one block
     per thread at a time; of failing blocks, the first one's error is
@@ -419,14 +424,22 @@ def evaluate(
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    features = np.asarray(subset.features)
-    n = features.shape[0]
+    source, positions = subset.row_source()
+    shape = source.shape if positions is None else positions.shape + source.shape[1:]
+    n = shape[0]
     if n == 0:
         raise ValueError("empty evaluation split")
     if topk is not None and topk < 1:
         raise ValueError(f"topk must be >= 1, got {topk}")
-    if features.ndim != 2 or features.shape[1] != encoder.d_in:
-        raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {features.shape}")
+    if len(shape) != 2 or shape[1] != encoder.d_in:
+        raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {shape}")
+    per_row = {name: np.asarray(getattr(subset, name), dtype=np.int64)
+               for name in ("labels", "domains", "indices")}
+    for name, values in per_row.items():
+        if values.shape != (n,):
+            raise ShapeError(f"subset {name} of shape {values.shape} for {n} feature rows; "
+                             f"expected ({n},)")
+    labels, domains, indices = per_row.values()
     if head is None:
         if encoder.d_out != bank.dim:
             raise ShapeError(f"encoder output dim {encoder.d_out} vs bank dim {bank.dim}")
@@ -452,7 +465,8 @@ def evaluate(
         gap = _screen_gap(weights_t)
 
     def score(block: slice) -> None:
-        x = np.asarray(features[block], dtype=np.float64)
+        rows = source[block] if positions is None else source.take(positions[block], axis=0)
+        x = np.asarray(rows, dtype=np.float64)
         if screen:
             z = _embed(encoder, x, normalize=True)
             scores = np.empty((z.shape[0], num_classes))
@@ -481,7 +495,6 @@ def evaluate(
     with parallel.Crew(min(len(blocks), parallel.worker_threads())) as crew:
         crew.run(score, blocks)
 
-    labels = np.asarray(subset.labels, dtype=np.int64)
     correct = preds == labels
     is_base = np.isin(labels, np.asarray(base_classes, dtype=np.int64))
     acc_base = _share(correct, is_base)
@@ -491,10 +504,9 @@ def evaluate(
         acc_base=acc_base,
         acc_new=acc_new,
         acc_h=harmonic_mean(acc_base, acc_new),
-        per_domain=_accuracy_by(np.asarray(subset.domains, dtype=np.int64), correct),
+        per_domain=_accuracy_by(domains, correct),
         per_class=_accuracy_by(labels, correct),
-        topk=None if topk is None else TopK(np.asarray(subset.indices, dtype=np.int64),
-                                            top_ids, top_probs),
+        topk=None if topk is None else TopK(indices, top_ids, top_probs),
     )
 
 
@@ -906,8 +918,9 @@ def run_ablation(archive: db.EmbeddingArchive, seeds: list[int], steps: int,
         splits = spec.splits(archive)
         trainsets.append(tr.TrainSet(splits.train.features, splits.train.labels))
         bases.append(splits.base_classes)
-    # the held-out-domain cell does not depend on the seed: only the last
-    # seed's is gathered, and no seed's other test cells are
+    # the held-out-domain cell does not depend on the seed: the last seed's
+    # is scored, and evaluate reads its feature rows from the archive, so no
+    # test cell's features are copied
     test = splits.test_both
     del splits
     accs = {}

@@ -445,7 +445,12 @@ def _eager_split(archive, spec):
     if spec.shots is not None:
         train_mask = db._thin_to_shots(archive, train_mask, spec, rng)
     masks = (train_mask, is_base & is_test_domain, ~is_base, is_test_domain)
-    return base, {cell: db._subset(archive, mask) for cell, mask in zip(CELLS, masks)}
+    cells = {}
+    for cell, mask in zip(CELLS, masks):
+        idx = np.flatnonzero(mask)
+        cells[cell] = db.SplitSubset(features=archive.features[idx], labels=archive.labels[idx],
+                                     domains=archive.domains[idx], indices=idx)
+    return base, cells
 
 
 @pytest.mark.parametrize("fields", [
@@ -498,3 +503,76 @@ def test_a_cell_shows_archive_writes_made_before_its_first_read():
     archive.features[:] = 7.0
     np.testing.assert_array_equal(splits.test_open.features, before)  # gathered already
     assert np.all(splits.test_both.features == 7.0)  # first read after the write
+
+
+def test_a_cell_reads_its_rows_from_the_archive_until_its_features_are_read():
+    archive = generate(SMALL)
+    cell = split(archive, SMALL).test_open
+    source, positions = cell.row_source()
+    assert source is archive.features and positions is cell.indices
+    features = cell.features
+    source, positions = cell.row_source()
+    assert source is features and positions is None and cell.features is features
+    assert not np.shares_memory(features, archive.features)
+
+
+# --- archives_equal compares the features a block of rows at a time
+
+
+def _with_features(archive, features):
+    return db.EmbeddingArchive(features, archive.labels[:len(features)],
+                               archive.domains[:len(features)], archive.bank)
+
+
+def test_archives_equal_rejects_nan_features():
+    archive = generate(SMALL)
+    features = archive.features.copy()
+    features[3, 1] = np.nan
+    assert not archives_equal(_with_features(archive, features),
+                              _with_features(archive, features.copy()))
+
+
+def test_archives_equal_sees_a_difference_in_the_last_row_of_a_partial_block(monkeypatch):
+    archive = generate(SMALL)
+    n, d_in = archive.features.shape
+    monkeypatch.setattr(db, "COMPARE_BLOCK_ELEMENTS", 7 * d_in)  # blocks of 7 rows
+    assert n % 7 != 0
+    features = archive.features.copy()
+    assert archives_equal(archive, _with_features(archive, features))
+    features[-1, -1] += 1.0
+    assert not archives_equal(archive, _with_features(archive, features))
+
+
+def test_archives_equal_of_other_row_counts_or_widths_is_false():
+    archive = generate(SMALL)
+    fewer = _with_features(archive, archive.features[:-1])
+    wider = _with_features(archive, np.pad(archive.features, ((0, 0), (0, 1))))
+    for a, b in ((archive, fewer), (fewer, archive), (archive, wider), (wider, archive)):
+        assert not archives_equal(a, b)
+
+
+def test_archives_equal_of_two_empty_archives_is_true():
+    archive = generate(SMALL)
+    empty = _with_features(archive, archive.features[:0])
+    assert archives_equal(empty, _with_features(archive, archive.features[:0].copy()))
+
+
+def test_archives_equal_holds_no_array_of_the_features_size():
+    # open-eval's sizes: 60,000 rows of 96 values; one bool per value would
+    # take 5.5 MB
+    rng = np.random.default_rng(0)
+    features = rng.standard_normal((60_000, 96)).astype(np.float32)
+    labels = np.tile(np.arange(1000, dtype=np.uint32), 60)
+    domains = np.repeat(np.arange(3, dtype=np.uint32), 20_000)
+    rows = rng.standard_normal((1000, 64))
+    bank = db.ClassBank(rows / np.linalg.norm(rows, axis=1, keepdims=True),
+                        [f"c{i}" for i in range(1000)])
+    a = db.EmbeddingArchive(features, labels, domains, bank)
+    b = db.EmbeddingArchive(features.copy(), labels.copy(), domains.copy(), bank)
+    tracemalloc.start()
+    try:
+        assert archives_equal(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < features.size // 4

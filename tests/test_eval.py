@@ -1591,3 +1591,67 @@ def test_cli_eval_gathers_the_split_cell_alone(tmp_path, capsys, monkeypatch, ch
     splits = RunSpec.from_config(load_run(run).config, archive).splits(archive)
     assert len(gathered) == 1
     np.testing.assert_array_equal(gathered[0], getattr(splits, cell).indices)
+
+
+# --- a protocol cell is scored from the archive's rows, not from a copy
+
+
+def _hand_built(cell, archive):
+    """A `SplitSubset` that holds its own copy of the cell's rows."""
+    rows = cell.indices
+    return db.SplitSubset(features=archive.features[rows], labels=archive.labels[rows],
+                          domains=archive.domains[rows], indices=rows.copy())
+
+
+def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
+    spec, archive, splits, enc = _threads_case(monkeypatch)
+    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    cells = [getattr(splits, cell)
+             for cell in ("test_domain_shift", "test_open", "test_both", "train")]
+    assert all(len(evalcli._row_blocks(cell.labels.size, spec.num_classes)) > 1
+               for cell in cells)
+
+    def reports(subset):
+        return [evaluate(enc, archive.bank, subset, splits.base_classes, **kwargs).to_json()
+                for kwargs in ({}, {"topk": 5}, {"head": head})]
+
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 1)
+    want = [reports(_hand_built(cell, archive)) for cell in cells]
+    for read in (False, True):
+        if read:
+            for cell in cells:
+                cell.features  # gathers the cell's copy, which evaluate then reads
+        for count in (1, 2):
+            monkeypatch.setattr(parallel, "worker_threads", lambda count=count: count)
+            assert [reports(cell) for cell in cells] == want, (read, count)
+        assert all((cell.row_source()[0] is archive.features) is not read for cell in cells)
+
+
+def test_scoring_an_open_eval_cell_copies_none_of_its_rows(monkeypatch):
+    spec = BenchmarkSpec(num_classes=1000, embed_dim=64, input_dim=96,
+                         samples_per_class_per_domain=20, seed=5)
+    archive = generate(spec)
+    splits = split(archive, spec)
+    cell = splits.test_open
+    enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
+    monkeypatch.setattr(parallel, "worker_threads", lambda: 1)
+    tracemalloc.start()
+    try:
+        evaluate(enc, archive.bank, cell, splits.base_classes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    cell_bytes = cell.labels.size * spec.input_dim * 4  # 11.5 MB of float32 rows
+    assert peak < cell_bytes // 2
+    assert cell.row_source()[0] is archive.features
+
+
+@pytest.mark.parametrize("name, size", [("labels", 997), ("domains", 5), ("indices", 1001)])
+def test_evaluate_rejects_labels_domains_or_indices_not_one_per_row(name, size):
+    n = 1000
+    rows = {"features": np.random.default_rng(0).standard_normal((n, 16)),
+            "labels": np.zeros(n, dtype=np.uint32), "domains": np.zeros(n, dtype=np.uint32),
+            "indices": np.arange(n)}
+    rows[name] = np.resize(rows[name], size)
+    with pytest.raises(ShapeError, match=rf"subset {name} of shape \({size},\) for {n} "):
+        evaluate(identity_encoder(16), generate(NOISELESS).bank, db.SplitSubset(**rows), [0])
