@@ -10,7 +10,7 @@ task stays solvable while marginal distributions move across domains.
 and marks every cell's rows at once, but gathers a cell's labels, domains
 and row positions only when the cell is first read, and copies its feature
 rows out of the archive only on the first read of the cell's `.features`.
-`evalcli.evaluate` reads a cell's rows from the archive on each call, so
+`scoring.evaluate` reads a cell's rows from the archive on each call, so
 scoring a cell never copies it.
 
 EMBA file layout (little-endian):
@@ -227,7 +227,7 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
 class SplitSubset:
     """Rows of an archive. A hand-built subset holds its `features`; a cell
     of `Splits` copies them on the first read of `.features`, and
-    `evalcli.evaluate` reads an unread cell's rows from the archive."""
+    `scoring.evaluate` reads an unread cell's rows from the archive."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -270,7 +270,7 @@ class Splits:
     `split` marks each cell's rows. A cell's first read gathers its labels,
     domains and row positions into a `SplitSubset` that every later read
     returns; its feature rows are copied from the archive and kept only on
-    the first read of its `.features`. Until then `evalcli.evaluate` reads
+    the first read of its `.features`. Until then `scoring.evaluate` reads
     them from the archive on each call. A write to the archive's arrays
     shows in what is gathered after it. A `Splits` keeps a reference to
     its archive.
@@ -313,7 +313,7 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
 
     The class split, every cell's row mask and the `shots` thinning are
     done here. A cell is gathered at its first read, and its feature rows
-    are copied only at the first read of its `.features`; `evalcli.evaluate`
+    are copied only at the first read of its `.features`; `scoring.evaluate`
     reads them from the archive on each call (see `Splits`). The spec's
     class and domain counts must be the archive's.
     """

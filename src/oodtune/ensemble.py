@@ -4,8 +4,8 @@ A training run of T steps yields snapshots theta_0..theta_T. Each
 snapshot is weighted by the unnormalized Beta(beta, beta) density at
 x = (t + 0.5) / (T + 1); beta < 1 emphasizes both endpoints. The
 streaming moving average (bma_*) reproduces the explicit weighted
-average (temporal_ensemble) without storing the trajectory. EMA and
-the uniform average are kept as baselines.
+average (temporal_ensemble) without storing the trajectory; at beta = 1
+the weights are equal, the uniform average. EMA is kept as a baseline.
 """
 
 from __future__ import annotations
@@ -105,8 +105,3 @@ def ema_update(avg: ParamVector, theta_t: ParamVector, decay: float) -> ParamVec
     avg *= decay
     avg += (1.0 - decay) * np.asarray(theta_t, dtype=np.float64)
     return avg
-
-
-def uniform_average(trajectory: list[ParamVector]) -> ParamVector:
-    """Unweighted checkpoint average; the beta = 1 special case."""
-    return temporal_ensemble(trajectory, beta=1.0)

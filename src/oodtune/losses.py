@@ -1,6 +1,6 @@
-"""Training objectives: metric softmax, margin metric softmax with
-class-adaptive margins, a fixed-margin variant, and plain cross-entropy
-for the linear-head baseline.
+"""Training objectives: metric softmax, and margin metric softmax with
+class-adaptive margins or a fixed margin. Metric softmax at tau = 1 is the
+plain cross-entropy of the linear-head baseline.
 
 All losses are computed as logsumexp over (margin-augmented) logits
 minus the positive logit, so small temperatures stay overflow-safe.
@@ -96,11 +96,3 @@ def mms_loss(sims: Tensor, labels, bank: ClassBank, cfg: LossConfig) -> Tensor:
     margins = Tensor(margin_table(idx, bank, cfg))
     augmented = T.scale(T.add(sims, margins), 1.0 / cfg.tau)
     return _nll_mean(augmented, idx)
-
-
-def cross_entropy_linear(logits: Tensor, labels) -> Tensor:
-    """Mean cross-entropy over raw linear-head logits."""
-    if logits.data.ndim != 2:
-        raise ShapeError(f"logits must be B x C, got {logits.shape}")
-    idx = _check_labels(labels, logits.shape[1])
-    return _nll_mean(logits, idx)

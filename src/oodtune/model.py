@@ -213,13 +213,6 @@ class LinearHead:
         return self.weights.shape[1]
 
 
-def linear_head_logits(head: LinearHead, x: Tensor) -> Tensor:
-    """Raw dot-product logits x . w_c, no temperature or normalization."""
-    if x.data.ndim != 2 or x.shape[1] != head.d_in:
-        raise ShapeError(f"linear head expects B x {head.d_in} input, got {x.shape}")
-    return T.matmul(x, T.transpose(head.weights))
-
-
 def text_head_init(head: LinearHead, bank: ClassBank) -> LinearHead:
     """Copy the bank embeddings into the head weights (requires d_in == d)."""
     if head.d_in != bank.dim or head.num_classes != bank.num_classes:

@@ -2,7 +2,7 @@
 allow (`worker_threads`), and a crew of persistent threads that run a
 job's parts with the caller (`Crew`).
 
-`evalcli.evaluate` runs its score blocks and `trainer.FusedStep` the
+`scoring.evaluate` runs its score blocks and `trainer.FusedStep` the
 halves of each training step on a crew of at most `worker_threads()`.
 Every part runs the same operations at any thread count, so results do
 not depend on it.

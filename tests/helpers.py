@@ -3,7 +3,8 @@
 import numpy as np
 
 from oodtune import tensor as T
-from oodtune.model import ClassBank, Encoder
+from oodtune.model import ClassBank, Encoder, LinearHead
+from oodtune.tensor import ShapeError
 
 FD_STEP = 1e-5
 
@@ -34,6 +35,14 @@ def tape_grad(build_loss, inputs: list[T.Tensor]) -> list[np.ndarray]:
         loss = build_loss()
         tape.backward(loss)
     return [t.grad if t.grad is not None else np.zeros_like(t.data) for t in inputs]
+
+
+def linear_head_logits(head: LinearHead, x: T.Tensor) -> T.Tensor:
+    """Raw dot-product logits x . w_c on the Tape, no temperature or
+    normalization: the oracle of the linear head's scores."""
+    if x.data.ndim != 2 or x.shape[1] != head.d_in:
+        raise ShapeError(f"linear head expects B x {head.d_in} input, got {x.shape}")
+    return T.matmul(x, T.transpose(head.weights))
 
 
 def random_bank(rng: np.random.Generator, num_classes: int, dim: int) -> ClassBank:

@@ -7,7 +7,6 @@ from oodtune.ensemble import (
     bma_update,
     ema_update,
     temporal_ensemble,
-    uniform_average,
 )
 
 
@@ -156,13 +155,10 @@ def test_uniform_average():
     rng = np.random.default_rng(3)
     trajectory = [rng.standard_normal(3) for _ in range(8)]
     np.testing.assert_allclose(
-        uniform_average(trajectory), np.mean(trajectory, axis=0), rtol=1e-12
-    )
-    np.testing.assert_allclose(
-        uniform_average(trajectory), temporal_ensemble(trajectory, 1.0), rtol=1e-15
+        temporal_ensemble(trajectory, 1.0), np.mean(trajectory, axis=0), rtol=1e-12
     )
     constant = [np.array([7.0])] * 4
-    np.testing.assert_array_equal(uniform_average(constant), [7.0])
+    np.testing.assert_array_equal(temporal_ensemble(constant, 1.0), [7.0])
 
 
 def test_in_place_updates_equal_the_out_of_place_expressions_bit_for_bit():

@@ -15,25 +15,15 @@ import pytest
 from oodtune import databench as db
 from oodtune import evalcli
 from oodtune import parallel
+from oodtune import scoring
 from oodtune import trainer as tr
 from oodtune.databench import BenchmarkSpec, generate, split
-from oodtune.evalcli import (
-    EvalReport,
-    RunFileError,
-    RunSpec,
-    TopK,
-    UsageError,
-    evaluate,
-    harmonic_mean,
-    load_run,
-    main,
-    save_run,
-)
-from oodtune.model import (ClassBank, Encoder, LinearHead, embed, linear_head_logits,
-                           similarities)
+from oodtune.evalcli import RunFileError, RunSpec, UsageError, load_run, main, save_run
+from oodtune.model import ClassBank, Encoder, LinearHead, embed, similarities
+from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
-from helpers import identity_encoder
+from helpers import identity_encoder, linear_head_logits
 
 
 NOISELESS = BenchmarkSpec(
@@ -137,14 +127,14 @@ def _recorded_blocks(monkeypatch, keep=np.copy):
     computed, which threads may make any order: a copy of the block's first
     input row and `keep` of its scores."""
     blocks = []
-    inner = evalcli._scores
+    inner = scoring._scores
 
     def recording(encoder, weights_t, x, normalize):
         out = inner(encoder, weights_t, x, normalize)
         blocks.append((x[0].copy(), keep(out)))
         return out
 
-    monkeypatch.setattr(evalcli, "_scores", recording)
+    monkeypatch.setattr(scoring, "_scores", recording)
     return blocks
 
 
@@ -153,13 +143,13 @@ def _embedded_blocks(monkeypatch):
     every block is, whether its argmax is screened in float32 or scored in
     float64."""
     sizes = []
-    inner = evalcli._embed
+    inner = scoring._embed
 
     def recording(encoder, x, normalize):
         sizes.append(x.shape[0])
         return inner(encoder, x, normalize)
 
-    monkeypatch.setattr(evalcli, "_embed", recording)
+    monkeypatch.setattr(scoring, "_embed", recording)
     return sizes
 
 
@@ -187,7 +177,7 @@ def test_block_scores_equal_tape_scores(monkeypatch, rows):
     splits = split(archive, spec)
     subset = splits.test_both
     n = subset.labels.size
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
     sizes = _embedded_blocks(monkeypatch)
     blocks = _recorded_blocks(monkeypatch)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
@@ -216,7 +206,7 @@ def test_one_row_tail_joins_the_block_before(monkeypatch):
     splits = split(archive, spec)
     subset = splits.test_both
     n = subset.labels.size  # 200 rows
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 199 * spec.num_classes)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 199 * spec.num_classes)
     sizes = _embedded_blocks(monkeypatch)
     blocks = _recorded_blocks(monkeypatch)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
@@ -228,7 +218,7 @@ def test_one_row_tail_joins_the_block_before(monkeypatch):
     x = Tensor(subset.features.astype(np.float64))
     assert np.array_equal(blocks[0][1], similarities(archive.bank, embed(enc, x)).data)
 
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1)  # C > the cap: two rows a block
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 1)  # C > the cap: two rows a block
     sizes.clear()
     evaluate(enc, archive.bank, subset, splits.base_classes)
     assert set(sizes) == {2}
@@ -255,7 +245,7 @@ def test_each_block_equals_the_tapes_scores_of_its_own_rows(monkeypatch):
         assert np.array_equal(kept, similarities(bank, embed(enc, Tensor(x[part]))).data)
         start = part.stop
     assert sorted(b.shape[0] for _, b in blocks) == [50, 13_107]
-    assert evalcli._row_blocks(n, num_classes) == [slice(0, 13_107), slice(13_107, n)]
+    assert scoring._row_blocks(n, num_classes) == [slice(0, 13_107), slice(13_107, n)]
 
     # the partition depends on N and C alone, so the reports do not depend on W
     def run():
@@ -273,7 +263,7 @@ def test_evaluate_report_independent_of_block_size(monkeypatch):
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     reports = []
     for rows in (10_000, 7, 2):
-        monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+        monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
         reports.append([
             evaluate(enc, archive.bank, getattr(splits, cell), splits.base_classes, topk=topk)
             for cell in ("test_domain_shift", "test_open", "test_both", "train")
@@ -414,7 +404,8 @@ def test_topk_rows_equal_the_list_built_the_old_way(monkeypatch):
     old = _old_topk_rows(top)
     text = report.to_json()
     # blocks of seven rows, the last one short
-    monkeypatch.setattr(evalcli, "REPORT_BLOCK_PAIRS", 21)
+    monkeypatch.setattr(scoring, "REPORT_BLOCK_PAIRS", 21)
+    assert scoring._block_rows(3) == 7
     assert n % 7 and len(top) == n
     assert list(top) == old
     first, *_, last = top
@@ -469,7 +460,7 @@ def _pinned_case():
 
 
 def test_pinned_reports_cover_every_ranking():
-    assert [evalcli._ranking(min(k, 1000), 1000) for k, _, _ in PINNED_REPORTS] == \
+    assert [scoring._ranking(min(k, 1000), 1000) for k, _, _ in PINNED_REPORTS] == \
         ["sweeps", "partial", "argsort", "argsort", "sweeps"]
 
 
@@ -498,7 +489,7 @@ def test_top_k_evaluate_memory_is_its_arrays_and_its_score_blocks(monkeypatch, t
         tracemalloc.stop()
     # the N x k ids and probabilities, and the blocks being scored; the
     # 200k (id, prob) tuples of a list report took about 23 MB
-    assert peak < 2 * (n * k * 16 + threads * evalcli.SCORE_BLOCK_ELEMENTS * 8)
+    assert peak < 2 * (n * k * 16 + threads * scoring.SCORE_BLOCK_ELEMENTS * 8)
 
 
 def test_run_file_round_trip(tmp_path):
@@ -961,7 +952,7 @@ def test_cli_eval_json_streams_the_report_text(tmp_path, capsys, monkeypatch):
     data, run = _trained_run(tmp_path)
     capsys.readouterr()
     to_json = EvalReport.to_json
-    monkeypatch.setattr(evalcli, "REPORT_BLOCK_PAIRS", 4)  # one row per piece
+    monkeypatch.setattr(scoring, "REPORT_BLOCK_PAIRS", 4)  # one row per piece
     with monkeypatch.context() as patched:
         patched.setattr(EvalReport, "to_json", lambda self: pytest.fail("whole text built"))
         assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open",
@@ -976,7 +967,28 @@ def test_cli_eval_json_streams_the_report_text(tmp_path, capsys, monkeypatch):
                       tau=spec.tau, topk=3)
     report.config = dict(saved.config, split="open", params="ensemble")
     assert len(report.topk) > 1
+    # the head, one piece per row, and the closing brackets
+    assert sum(1 for _ in report.json_chunks()) == len(report.topk) + 2
     assert out == to_json(report) + "\n"
+
+
+def test_cli_eval_calls_evaluate_through_the_evalcli_attribute(tmp_path, capsys, monkeypatch):
+    """A wrapper set as `evalcli.evaluate`, as a traced benchmark run sets
+    one, sees eval's call."""
+    data, run = _trained_run(tmp_path)
+    cells = []
+    real = evalcli.evaluate
+
+    def recorded(encoder, bank, subset, *args, **kwargs):
+        cells.append(subset)
+        return real(encoder, bank, subset, *args, **kwargs)
+
+    monkeypatch.setattr(evalcli, "evaluate", recorded)
+    assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open"]) == 0
+    archive, saved = db.load(data), load_run(run)
+    splits = RunSpec.from_config(saved.config, archive).splits(archive)
+    assert len(cells) == 1
+    assert np.array_equal(cells[0].indices, splits.test_open.indices)
 
 
 def test_cli_sizes_that_do_not_fit_in_memory_exit_two(tmp_path, capsys):
@@ -1237,7 +1249,7 @@ def test_evaluate_rejects_a_temperature_that_is_not_finite_and_positive(tau, top
 
 def _sweep_cutoff(num_classes):
     """The largest k for which _top_k still runs argmax sweeps."""
-    return max(k for k in range(1, num_classes) if evalcli._ranking(k, num_classes) == "sweeps")
+    return max(k for k in range(1, num_classes) if scoring._ranking(k, num_classes) == "sweeps")
 
 
 @pytest.mark.parametrize("num_classes", [20, 60])
@@ -1250,7 +1262,7 @@ def test_top_k_is_a_stable_argsort_on_tied_scores(num_classes):
     want = np.argsort(-scores, axis=1, kind="stable")
     for k in sorted({1, 2, 5, cutoff, cutoff + 1, num_classes - 1, num_classes,
                      num_classes + 3}):
-        ids, vals = evalcli._top_k(scores, k)
+        ids, vals = scoring._top_k(scores, k)
         assert np.array_equal(ids, want[:, :k]), k
         assert np.array_equal(vals, np.take_along_axis(scores, want[:, :k], axis=1)), k
         assert scores.tobytes() == before.tobytes()
@@ -1267,7 +1279,7 @@ def test_top_k_ranks_rows_holding_minus_infinity_like_the_stable_argsort():
     before = scores.copy()
     want = np.argsort(-scores, axis=1, kind="stable")
     for k in (1, 2, 3, 5, 11):
-        ids, _ = evalcli._top_k(scores, k)
+        ids, _ = scoring._top_k(scores, k)
         assert np.array_equal(ids, want[:, :k]), k
         assert scores.tobytes() == before.tobytes()
 
@@ -1301,7 +1313,7 @@ def test_top_k_predictions_equal_the_plain_argmax_on_an_open_eval_archive(monkey
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
     blocks = _recorded_blocks(monkeypatch, keep=lambda scores: np.argmax(scores, axis=1))
     top = evaluate(enc, archive.bank, splits.test_open, splits.base_classes, topk=5)
-    assert len(blocks) == len(evalcli._row_blocks(splits.test_open.labels.size, spec.num_classes))
+    assert len(blocks) == len(scoring._row_blocks(splits.test_open.labels.size, spec.num_classes))
     assert np.array_equal([ranked[0][0] for _, ranked in top.topk],
                           np.concatenate(_in_row_order(blocks, splits.test_open.features)))
     plain = evaluate(enc, archive.bank, splits.test_open, splits.base_classes)
@@ -1320,8 +1332,8 @@ def test_top_k_equals_the_stable_argsort_for_every_k_below_the_class_count(num_c
     want = np.argsort(-scores, axis=1, kind="stable")
     rankings = set()
     for k in range(1, num_classes):
-        rankings.add(evalcli._ranking(k, num_classes))
-        ids, vals = evalcli._top_k(scores, k)
+        rankings.add(scoring._ranking(k, num_classes))
+        ids, vals = scoring._top_k(scores, k)
         assert np.array_equal(ids, want[:, :k]), k
         assert np.array_equal(vals, np.take_along_axis(scores, want[:, :k], axis=1),
                               equal_nan=True), k
@@ -1345,10 +1357,10 @@ def test_top_k_reports_at_a_thousand_classes_equal_the_stable_argsort_ones(monke
                             domains=both.domains[first], indices=both.indices[first])
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
     ks = (5, 64, 200)
-    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "partial"]
+    assert [scoring._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "partial"]
     got = [evaluate(enc, archive.bank, subset, splits.base_classes, topk=k).to_json()
            for k in ks]
-    monkeypatch.setattr(evalcli, "_top_k", _stable_argsort_top_k)
+    monkeypatch.setattr(scoring, "_top_k", _stable_argsort_top_k)
     want = [evaluate(enc, archive.bank, subset, splits.base_classes, topk=k).to_json()
             for k in ks]
     assert got == want
@@ -1371,7 +1383,7 @@ def _threads_case(monkeypatch, rows=7, **spec_fields):
     spec = BenchmarkSpec(**{"samples_per_class_per_domain": 10, "seed": 5, **spec_fields})
     archive = generate(spec)
     splits = split(archive, spec)
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", rows * spec.num_classes)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     return spec, archive, splits, enc
 
@@ -1393,7 +1405,7 @@ def test_threaded_top_k_reports_equal_the_serial_ones_for_every_ranking(monkeypa
     spec, archive, splits, enc = _threads_case(monkeypatch, num_classes=60)
     cutoff = _sweep_cutoff(spec.num_classes)
     ks = (cutoff, cutoff + 1, 40)
-    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "argsort"]
+    assert [scoring._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "argsort"]
 
     def run():
         return [evaluate(enc, archive.bank, splits.test_both, splits.base_classes,
@@ -1427,8 +1439,8 @@ def test_threaded_reports_equal_the_serial_ones_on_rows_the_argsort_ranks(monkey
     spec, archive, splits, enc = _threads_case(monkeypatch, num_classes=60)
     head = _overflowing_head(spec, enc, np.arange(40))
     ks = (5, 20)
-    assert [evalcli._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial"]
-    inner = evalcli._scores
+    assert [scoring._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial"]
+    inner = scoring._scores
     blocks = []
 
     def with_a_nan(*args, **kwargs):
@@ -1440,7 +1452,7 @@ def test_threaded_reports_equal_the_serial_ones_on_rows_the_argsort_ranks(monkey
         blocks.append(bool((np.isfinite(out).sum(axis=1) == 19).all()))
         return out
 
-    monkeypatch.setattr(evalcli, "_scores", with_a_nan)
+    monkeypatch.setattr(scoring, "_scores", with_a_nan)
 
     def run():
         with np.errstate(over="ignore"):
@@ -1448,7 +1460,7 @@ def test_threaded_reports_equal_the_serial_ones_on_rows_the_argsort_ranks(monkey
                              head=head, topk=k).to_json() for k in ks]
 
     serial, *threaded = _reports_by_threads(monkeypatch, run)
-    count = len(evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes))
+    count = len(scoring._row_blocks(splits.test_both.labels.size, spec.num_classes))
     assert count > 4 and blocks == [True] * (3 * len(ks) * count)
     assert all(reports == serial for reports in threaded)
 
@@ -1457,7 +1469,7 @@ def test_threads_score_under_the_callers_numpy_error_state(monkeypatch):
     spec, archive, splits, enc = _threads_case(monkeypatch)
     head = _overflowing_head(spec, enc, [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16])
     monkeypatch.setattr(parallel, "worker_threads", lambda: 2)
-    assert len(evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes)) > 2
+    assert len(scoring._row_blocks(splits.test_both.labels.size, spec.num_classes)) > 2
     with np.errstate(over="raise"):
         with pytest.raises(FloatingPointError, match="overflow"):
             evaluate(enc, archive.bank, splits.test_both, splits.base_classes, head=head)
@@ -1488,7 +1500,7 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
     _, archive, splits, enc = _threads_case(monkeypatch, rows=2)
     features = splits.test_both.features.astype(np.float64)
     later_failed = threading.Event()
-    inner = evalcli._embed
+    inner = scoring._embed
 
     def failing(encoder, x, normalize):
         block = int(np.flatnonzero((features == x[0]).all(axis=1))[0]) // 2
@@ -1500,7 +1512,7 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
             raise ValueError("block 9")
         return inner(encoder, x, normalize)
 
-    monkeypatch.setattr(evalcli, "_embed", failing)
+    monkeypatch.setattr(scoring, "_embed", failing)
     before = threading.active_count()
     monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     with pytest.raises(ValueError, match="^block 2$"):
@@ -1512,19 +1524,19 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
 def test_one_block_call_starts_no_thread(monkeypatch):
     _, archive, splits, enc = _threads_case(monkeypatch)
     counts = []
-    inner = evalcli._embed
+    inner = scoring._embed
 
     def counting(*args, **kwargs):
         counts.append(threading.active_count())
         return inner(*args, **kwargs)
 
-    monkeypatch.setattr(evalcli, "_embed", counting)
+    monkeypatch.setattr(scoring, "_embed", counting)
     monkeypatch.setattr(parallel, "worker_threads", lambda: 4)
     before = threading.active_count()
     evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
     assert len(counts) > 1 and max(counts) > before  # many blocks: threads score them
     counts.clear()
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 1 << 18)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 1 << 18)
     evaluate(enc, archive.bank, splits.test_both, splits.base_classes, topk=3)
     assert counts == [before]
     assert threading.active_count() == before
@@ -1608,7 +1620,7 @@ def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
     head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     cells = [getattr(splits, cell)
              for cell in ("test_domain_shift", "test_open", "test_both", "train")]
-    assert all(len(evalcli._row_blocks(cell.labels.size, spec.num_classes)) > 1
+    assert all(len(scoring._row_blocks(cell.labels.size, spec.num_classes)) > 1
                for cell in cells)
 
     def reports(subset):

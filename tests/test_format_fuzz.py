@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from oodtune import databench as db
 from oodtune.databench import ArchiveFormatError
-from oodtune.evalcli import RunFileError, _top_k, load_run, main
+from oodtune.evalcli import RunFileError, load_run, main
+from oodtune.scoring import _top_k
 from oodtune.model import BankNormError
 
 # a 517-byte archive: 16 rows of 4 features, 4 classes in 2 domains

@@ -6,7 +6,7 @@ import pytest
 
 from oodtune import losses as L
 from oodtune import tensor as T
-from oodtune.model import Encoder, LinearHead, embed, linear_head_logits, similarities
+from oodtune.model import Encoder, LinearHead, embed, similarities
 from oodtune.tensor import NonFiniteError, ShapeError
 from oodtune.trainer import (
     AdamWState,
@@ -18,7 +18,7 @@ from oodtune.trainer import (
     train,
 )
 
-from helpers import central_diff, max_rel_err, random_bank
+from helpers import central_diff, linear_head_logits, max_rel_err, random_bank
 
 MARGINS = [L.MARGIN_ADAPTIVE, L.MARGIN_FIXED, L.MARGIN_NONE]
 
@@ -26,7 +26,7 @@ MARGINS = [L.MARGIN_ADAPTIVE, L.MARGIN_FIXED, L.MARGIN_NONE]
 def _tape_loss(enc, bank, x, labels, loss_cfg, head):
     if head is not None:
         logits = linear_head_logits(head, enc.forward_raw(T.Tensor(x)))
-        return L.cross_entropy_linear(logits, labels)
+        return L.metric_softmax_loss(logits, labels, tau=1.0)
     return L.mms_loss(similarities(bank, embed(enc, T.Tensor(x))), labels, bank, loss_cfg)
 
 

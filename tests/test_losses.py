@@ -8,7 +8,6 @@ from oodtune import tensor as T
 from oodtune.losses import (
     LabelError,
     LossConfig,
-    cross_entropy_linear,
     metric_softmax_loss,
     mms_loss,
 )
@@ -167,7 +166,6 @@ def test_mms_bank_size_mismatch():
     lambda scores: metric_softmax_loss(scores, [0], tau=1.0),
     lambda scores: mms_loss(scores, [0], random_bank(np.random.default_rng(7), 3, 2),
                             LossConfig()),
-    lambda scores: cross_entropy_linear(scores, [0]),
 ])
 def test_losses_take_only_b_x_c_scores(loss):
     with pytest.raises(ShapeError, match=r"must be B x C, got \(3,\)"):
@@ -190,12 +188,12 @@ def test_loss_config_validation():
 
 
 def test_cross_entropy_trivial_values():
-    loss = cross_entropy_linear(Tensor(np.zeros((1, 4))), [2])
+    loss = metric_softmax_loss(Tensor(np.zeros((1, 4))), [2], tau=1.0)
     assert abs(float(loss.data) - math.log(4)) < 1e-12
 
     big = np.zeros((1, 3))
     big[0, 1] = 1000.0
-    loss = cross_entropy_linear(Tensor(big), [1])
+    loss = metric_softmax_loss(Tensor(big), [1], tau=1.0)
     assert float(loss.data) < 1e-12
 
 
@@ -203,7 +201,7 @@ def test_cross_entropy_scalar_oracle():
     rng = np.random.default_rng(8)
     logits = rng.standard_normal((5, 3))
     labels = rng.integers(0, 3, size=5)
-    got = float(cross_entropy_linear(Tensor(logits), labels).data)
+    got = float(metric_softmax_loss(Tensor(logits), labels, tau=1.0).data)
     with mpmath.workdps(50):
         total = mpmath.mpf(0)
         for b in range(5):

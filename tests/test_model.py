@@ -3,20 +3,19 @@ import pytest
 
 from oodtune import databench as db
 from oodtune import tensor as T
-from oodtune.evalcli import evaluate
 from oodtune.model import (
     BankNormError,
     ClassBank,
     Encoder,
     LinearHead,
     embed,
-    linear_head_logits,
     similarities,
     text_head_init,
 )
+from oodtune.scoring import evaluate
 from oodtune.tensor import ShapeError, Tensor
 
-from helpers import identity_encoder, random_bank
+from helpers import identity_encoder, linear_head_logits, random_bank
 
 
 def test_bank_margin_matrix_matches_brute_force():

@@ -134,7 +134,7 @@ def test_a_failing_run_keeps_the_pairs_done_and_names_the_failure(monkeypatch, t
     assert calls == [11, 11, 12, 12]
     (path,) = tmp_path.iterdir()
     rec = json.loads(path.read_text())
-    assert path.name == f"BENCH_pairs_open-eval_{rec['parent']}.json"
+    assert path.name == f"BENCH_pairs_open-eval_{rec['parent']}_seeds11-15.json"
     assert [p["seed"] for p in rec["pairs"]] == [11]
     assert rec["metrics"]["job_s"]["change_lower_in"] == "0/1"
     tail = "\n".join(f"line {i}" for i in range(30 - pairs.STDERR_TAIL_LINES, 30))
@@ -155,7 +155,7 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
     assert pairs.main(["--workload", "desk-train", "--pairs", "2", "--aa"]) == 1
     (path,) = tmp_path.iterdir()
     rec = json.loads(path.read_text())
-    assert path.name == f"BENCH_pairs_desk-train_{rec['parent']}_aa.json"
+    assert path.name == f"BENCH_pairs_desk-train_{rec['parent']}_seeds1-2_aa.json"
     assert rec["pairs"] == [] and rec["metrics"] == {} and rec["environment"] == {}
     assert rec["failure"] == {"side": "parent", "seed": 1, "exit_code": 1,
                               "stderr_tail": "Traceback\nboom"}
@@ -164,10 +164,10 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
 
 def test_record_name_carries_the_parent_revision(monkeypatch, tmp_path):
     monkeypatch.setattr(pairs, "OUT", tmp_path)
-    assert pairs.record_path("mid-train", "4e3afa1", False) == \
-        tmp_path / "BENCH_pairs_mid-train_4e3afa1.json"
-    assert pairs.record_path("open-eval", "4e3afa1", True) == \
-        tmp_path / "BENCH_pairs_open-eval_4e3afa1_aa.json"
+    assert pairs.record_path("mid-train", "2178388", 20111, 20120, False) == \
+        tmp_path / "BENCH_pairs_mid-train_2178388_seeds20111-20120.json"
+    assert pairs.record_path("open-eval", "4e3afa1", 1, 5, True) == \
+        tmp_path / "BENCH_pairs_open-eval_4e3afa1_seeds1-5_aa.json"
 
 
 def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
@@ -185,6 +185,24 @@ def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
         assert (tmp_path / name).read_text() == text
     (new,) = set(tmp_path.iterdir()) - {tmp_path / name for name in earlier}
     rec = json.loads(new.read_text())
-    assert new == pairs.record_path("open-eval", rec["parent"], False)
+    assert new == pairs.record_path("open-eval", rec["parent"], 1, 2, False)
     assert [p["seed"] for p in rec["pairs"]] == [1, 2] and rec["all_correct"]
     assert f"wrote {new}" in capsys.readouterr().out
+
+
+def test_runs_against_one_parent_on_other_seeds_leave_two_records(monkeypatch, tmp_path, capsys):
+    monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
+                        pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    for first in (1, 101):
+        assert pairs.main(["--workload", "mid-train", "--pairs", "3",
+                           "--first-seed", str(first)]) == 0
+    records = {path.name: json.loads(path.read_text()) for path in tmp_path.iterdir()}
+    assert len(records) == 2
+    for first in (1, 101):
+        (rec,) = [rec for rec in records.values() if rec["pairs"][0]["seed"] == first]
+        assert pairs.record_path("mid-train", rec["parent"], first, first + 2, False).name \
+            in records
+        assert [p["seed"] for p in rec["pairs"]] == [first, first + 1, first + 2]
+    capsys.readouterr()

@@ -9,9 +9,9 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from oodtune import databench as db
-from oodtune import evalcli
+from oodtune import scoring
 from oodtune.databench import BenchmarkSpec, generate, split
-from oodtune.evalcli import evaluate
+from oodtune.scoring import evaluate
 from oodtune.model import ClassBank, Encoder
 
 from helpers import identity_encoder
@@ -38,14 +38,14 @@ def _aimed_at(targets):
 def _flags(mp):
     """Record, for each block the screen sees, whether it flagged it."""
     flags = []
-    inner = evalcli._screened_argmax
+    inner = scoring._screened_argmax
 
     def recording(z, bank32_t, gap, out):
         ids = inner(z, bank32_t, gap, out)
         flags.append(ids is None)
         return ids
 
-    mp.setattr(evalcli, "_screened_argmax", recording)
+    mp.setattr(scoring, "_screened_argmax", recording)
     return flags
 
 
@@ -54,21 +54,21 @@ def _screened_and_unscreened(mp, encoder, bank, subset, screens=True):
     the one of the same call with the shape rule turned off."""
     flags = _flags(mp)
     if screens is not True:
-        mp.setattr(evalcli, "_screens", screens)
+        mp.setattr(scoring, "_screens", screens)
     base = list(range(bank.embeddings.shape[0] // 2))
     got = evaluate(encoder, bank, subset, base).to_json()
     assert flags  # the screen ran
     with pytest.MonkeyPatch.context() as off:
-        off.setattr(evalcli, "_screens", lambda num_classes, dim: False)
+        off.setattr(scoring, "_screens", lambda num_classes, dim: False)
         assert evaluate(encoder, bank, subset, base).to_json() == got
-    assert len(flags) == len(evalcli._row_blocks(subset.labels.size, bank.embeddings.shape[0]))
+    assert len(flags) == len(scoring._row_blocks(subset.labels.size, bank.embeddings.shape[0]))
     return flags
 
 
 def test_the_rule_screens_open_eval_and_mid_but_not_desk_shapes():
-    assert evalcli._screens(1000, 64) and evalcli._screens(400, 128)
-    assert not evalcli._screens(20, 32) and not evalcli._screens(100, 64)
-    assert not evalcli._screens(400, 256) and not evalcli._screens(1000, 16)
+    assert scoring._screens(1000, 64) and scoring._screens(400, 128)
+    assert not scoring._screens(20, 32) and not scoring._screens(100, 64)
+    assert not scoring._screens(400, 256) and not scoring._screens(1000, 16)
 
 
 def test_duplicate_bank_rows_tie_exactly_and_the_lowest_id_wins(monkeypatch):
@@ -104,7 +104,7 @@ def test_near_tied_bank_rows_give_the_float64_report(monkeypatch, exponent):
         w = rows[i] - rows[j]
         loose[120 + 6 * block] = _unit(_unit(rows[i] + rows[j]) + gap * w / (w @ w))
     features = _aimed_at(np.concatenate([tied, loose]))
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 6 * C)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 6 * C)
     flags = _screened_and_unscreened(monkeypatch, identity_encoder(D), bank,
                                      _subset(features, C))
     assert len(flags) == 60 and 20 < sum(flags) < 40
@@ -116,7 +116,7 @@ def test_zero_norm_encoder_rows_give_the_float64_report(monkeypatch):
     features = _aimed_at(_unit(rng.standard_normal((8, D))))
     features[2] = 0.0  # embeds to the zero vector: every score ties at 0
     features[5] = 1e-300 * rng.standard_normal(D)  # below NORM_EPS: v / NORM_EPS
-    monkeypatch.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 2 * C)
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 2 * C)
     flags = _screened_and_unscreened(monkeypatch, identity_encoder(D), bank,
                                      _subset(features, C))
     assert sum(flags) >= 2  # the blocks of rows 2 and 5, in any order the threads give
@@ -137,17 +137,17 @@ def test_a_forced_flag_scores_each_whole_block_in_float64(monkeypatch):
     archive = generate(spec)
     splits = split(archive, spec)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
-    monkeypatch.setattr(evalcli, "_screen_gap", lambda bank_t: np.inf)
+    monkeypatch.setattr(scoring, "_screen_gap", lambda bank_t: np.inf)
     embedded = []
-    inner = evalcli._embed
+    inner = scoring._embed
 
     def recording(encoder, x, normalize):
         embedded.append(x.shape[0])
         return inner(encoder, x, normalize)
 
-    monkeypatch.setattr(evalcli, "_embed", recording)
+    monkeypatch.setattr(scoring, "_embed", recording)
     flags = _screened_and_unscreened(monkeypatch, enc, archive.bank, splits.test_both)
-    blocks = evalcli._row_blocks(splits.test_both.labels.size, spec.num_classes)
+    blocks = scoring._row_blocks(splits.test_both.labels.size, spec.num_classes)
     assert len(blocks) > 1 and flags == [True] * len(blocks)
     # each block is embedded once by the screened call and once by the unscreened one
     assert sorted(embedded) == sorted(2 * [b.stop - b.start for b in blocks])
@@ -163,7 +163,7 @@ def test_float32_scores_lie_within_half_the_gap_of_the_float64_ones():
         z[100:200, ::2] *= 1e-40  # float32 subnormals after the cast
         z = _unit(z)
         err = np.abs((z.astype(np.float32) @ bank_t.astype(np.float32)) - z @ bank_t)
-        assert err.max() < evalcli._screen_gap(bank_t) / 2
+        assert err.max() < scoring._screen_gap(bank_t) / 2
 
 
 @given(data=st.data(), num_classes=st.integers(2, 12), dim=st.integers(4, 10),
@@ -184,7 +184,7 @@ def test_screened_reports_on_drawn_banks_equal_the_float64_ones(data, num_classe
                                  elements=st.floats(-1, 1, allow_subnormal=False)))
     features = _aimed_at(0.9 * _unit(bank.embeddings[picks] + scale * noise + 1e-300))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(evalcli, "SCORE_BLOCK_ELEMENTS", 3 * num_classes)
+        mp.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 3 * num_classes)
         _screened_and_unscreened(mp, identity_encoder(dim), bank,
                                  _subset(features, num_classes),
                                  screens=lambda num_classes, dim: True)
@@ -201,6 +201,6 @@ def test_the_screen_scores_few_open_eval_blocks_in_float64(monkeypatch):
     for cell in ("test_domain_shift", "test_open", "test_both", "train"):
         subset = getattr(splits, cell)
         evaluate(enc, archive.bank, subset, splits.base_classes)
-        blocks += len(evalcli._row_blocks(subset.labels.size, spec.num_classes))
+        blocks += len(scoring._row_blocks(subset.labels.size, spec.num_classes))
     assert len(flags) == blocks == 308  # the screen sees every block
     assert sum(flags) <= 0.1 * blocks

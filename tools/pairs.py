@@ -12,9 +12,11 @@ side that runs first swaps from pair to pair. Every run is
 With `--aa` both sides run the parent, which measures the noise floor a
 claim must clear.
 
-The record goes to `bench/BENCH_pairs_<workload>_<rev>.json`, where rev
-is the parent's short revision (`..._<rev>_aa.json` for an A/A run), so
-the records of earlier changes stay beside it. It holds each pair's
+The record goes to `bench/BENCH_pairs_<workload>_<rev>_seeds<first>-<last>.json`,
+where rev is the parent's short revision and first and last are the seeds
+of the first and the last pair asked for (`..._seeds<first>-<last>_aa.json`
+for an A/A run), so the records of earlier changes, and of earlier runs
+against the same parent on other seeds, stay beside it. It holds each pair's
 end-to-end metrics, `correct` and `failed`/`attempted`; each side's median
 and quartiles per metric; how many pairs the change wins, ties counting
 for neither; the verdict of the pair rule (the change wins at least nine
@@ -69,9 +71,10 @@ def checkout(rev: str, dest: Path) -> None:
         archive.extractall(dest, filter="data")
 
 
-def record_path(workload: str, rev: str, aa: bool) -> Path:
-    """Where the record of a pair run against parent revision `rev` goes."""
-    return OUT / f"BENCH_pairs_{workload}_{rev}{'_aa' if aa else ''}.json"
+def record_path(workload: str, rev: str, first: int, last: int, aa: bool) -> Path:
+    """Where the record of a pair run against parent revision `rev`, on
+    seeds `first` to `last`, goes."""
+    return OUT / f"BENCH_pairs_{workload}_{rev}_seeds{first}-{last}{'_aa' if aa else ''}.json"
 
 
 def parse_run(stdout: str) -> dict:
@@ -207,7 +210,8 @@ def main(argv=None) -> int:
         pairs, failure = run_pairs(roots, args.workload, args.first_seed, args.pairs, seconds)
     rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"], failure)
     OUT.mkdir(exist_ok=True)
-    path = record_path(args.workload, rev, args.aa)
+    path = record_path(args.workload, rev, args.first_seed, args.first_seed + args.pairs - 1,
+                       args.aa)
     path.write_text(json.dumps(rec, indent=1, sort_keys=True) + "\n")
     for name, m in rec["metrics"].items():
         print(f"{name}: parent {m['parent']['median']:.4g} change {m['change']['median']:.4g} "
