@@ -25,7 +25,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -38,6 +38,9 @@ VERSION = 1
 NOISE_BLOCK_ELEMENTS = 1 << 17
 # feature values `archives_equal` compares at a time (whole rows)
 COMPARE_BLOCK_ELEMENTS = 1 << 16
+# bank values it compares at a time (whole rows): np.allclose builds about
+# 17 B of temporaries per value, where np.array_equal builds 1
+CLOSE_BLOCK_ELEMENTS = 1 << 13
 
 
 class ArchiveFormatError(ValueError):
@@ -439,7 +442,7 @@ def load(path) -> EmbeddingArchive:
         features = reader.array("<f4", n * d_in, "features").reshape(n, d_in)
         labels = reader.array("<u4", n, "labels")
         domains = reader.array("<u4", n, "domains")
-        bank_rows = reader.array("<f4", c * d, "bank rows").reshape(c, d).astype(np.float64)
+        bank_rows = reader.array("<f4", c * d, "bank rows").reshape(c, d)
         names = []
         for i in range(c):
             (length,) = struct.unpack("<H", reader.read(2, f"name length {i}"))
@@ -452,27 +455,31 @@ def load(path) -> EmbeddingArchive:
         raise ArchiveFormatError(f"{reader.left} trailing bytes after the class names")
     if labels.size and int(labels.max()) >= c:
         raise ArchiveFormatError(f"label {int(labels.max())} >= class count {c}")
-    if domains.size and int(domains.max()) >= m:
-        raise ArchiveFormatError(f"domain {int(domains.max())} >= domain count {m}")
-    bank = ClassBank(bank_rows, names)  # re-normalizes rows, rejects > 1e-6 off unit
+    actual = int(domains.max()) + 1 if domains.size else 0
+    if m != actual:
+        raise ArchiveFormatError(f"header domain count {m}, but the domain ids give {actual}")
+    # casts the rows to float64, re-normalizes them, rejects any > 1e-6 off unit
+    bank = ClassBank(bank_rows, names)
     return EmbeddingArchive(features=features, labels=labels, domains=domains, bank=bank)
 
 
-def _features_equal(a: np.ndarray, b: np.ndarray) -> bool:
-    """`np.array_equal(a, b)`, a block of whole rows at a time: its bool
-    array has COMPARE_BLOCK_ELEMENTS entries, not one per feature value."""
+def _blocks_equal(a: np.ndarray, b: np.ndarray, equal, elements: int) -> bool:
+    """`equal(a, b)` of arrays of one shape, a block of whole rows of at
+    most `elements` values at a time, so its temporaries do not grow with
+    the row count; False for arrays of other shapes."""
     if a.shape != b.shape:
         return False
-    rows = max(1, COMPARE_BLOCK_ELEMENTS // max(1, math.prod(a.shape[1:])))
-    return all(np.array_equal(a[i:i + rows], b[i:i + rows]) for i in range(0, len(a), rows))
+    rows = max(1, elements // max(1, math.prod(a.shape[1:])))
+    return all(equal(a[i:i + rows], b[i:i + rows]) for i in range(0, len(a), rows))
 
 
 def archives_equal(a: EmbeddingArchive, b: EmbeddingArchive) -> bool:
     """Field-by-field comparison; bank rows compared at f32 storage precision."""
     return (
-        _features_equal(a.features, b.features)
+        _blocks_equal(a.features, b.features, np.array_equal, COMPARE_BLOCK_ELEMENTS)
         and np.array_equal(a.labels, b.labels)
         and np.array_equal(a.domains, b.domains)
         and a.bank.class_names == b.bank.class_names
-        and np.allclose(a.bank.embeddings, b.bank.embeddings, atol=1e-6)
+        and _blocks_equal(a.bank.embeddings, b.bank.embeddings,
+                          partial(np.allclose, atol=1e-6), CLOSE_BLOCK_ELEMENTS)
     )

@@ -27,7 +27,7 @@ from . import databench as db
 from . import losses as L
 from . import trainer as tr
 from .databench import ArchiveFormatError
-from .model import Encoder, LinearHead, text_head_init, unflatten_params
+from .model import Encoder, LinearHead, trainables, unflatten_params
 from .scoring import evaluate
 
 RUN_MAGIC = b"RUNF"
@@ -64,7 +64,7 @@ def save_run(path, config: dict, loss_curve, final_params, ensemble_params) -> N
         fh.write(config_bytes)
         for section in (curve, final, ens):
             fh.write(struct.pack("<I", section.size))
-            fh.write(section.tobytes())
+            fh.write(db._raw(section, section.dtype.str))
 
 
 def load_run(path) -> RunFile:
@@ -285,13 +285,11 @@ class RunSpec:
 
     def model(self, archive: db.EmbeddingArchive) -> tuple[Encoder, LinearHead | None]:
         """The seeded initial encoder of the run, and with the linear head
-        its head, initialized from the class bank."""
+        its head, a copy of the class bank."""
         rng = np.random.default_rng([self.seed, 0])
         encoder = Encoder.init(archive.input_dim, self.hidden, archive.bank.dim, rng)
-        if self.head != tr.HEAD_LINEAR:
-            return encoder, None
-        linear = LinearHead.init(archive.bank.num_classes, archive.bank.dim, rng)
-        return encoder, text_head_init(linear, archive.bank)
+        linear = self.head == tr.HEAD_LINEAR
+        return encoder, LinearHead.from_bank(archive.bank) if linear else None
 
 
 def _check_out(path: str) -> None:
@@ -393,8 +391,7 @@ def _cmd_eval(args) -> int:
     encoder, head = spec.model(archive)
     if args.params != "zero":  # "zero" keeps the seeded initialization
         flat = run.final_params if args.params == "final" else run.ensemble_params
-        unflatten_params(encoder.parameters() + ([head.weights] if head is not None else []),
-                         flat)
+        unflatten_params(trainables(encoder, head), flat)
 
     report = evaluate(encoder, archive.bank, subset, splits.base_classes,
                       tau=spec.tau, head=head, topk=args.topk)

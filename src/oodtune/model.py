@@ -2,7 +2,8 @@
 trainable encoder mapping input features into the shared embedding space.
 
 Also provides the linear-head baseline (raw dot-product logits over a
-learnable class-vector matrix, optionally initialized from the bank).
+learnable class-vector matrix, drawn at random or copied from the bank),
+and `trainables`, the order of a run's parameter vector.
 """
 
 from __future__ import annotations
@@ -204,6 +205,11 @@ class LinearHead:
         w = rng.uniform(-bound, bound, size=(num_classes, d_in))
         return cls(Tensor(w, requires_grad=True))
 
+    @classmethod
+    def from_bank(cls, bank: ClassBank) -> "LinearHead":
+        """The text-initialized head: a writable copy of the bank's C x d rows."""
+        return cls(Tensor(bank.embeddings.copy(), requires_grad=True))
+
     @property
     def num_classes(self) -> int:
         return self.weights.shape[0]
@@ -213,12 +219,8 @@ class LinearHead:
         return self.weights.shape[1]
 
 
-def text_head_init(head: LinearHead, bank: ClassBank) -> LinearHead:
-    """Copy the bank embeddings into the head weights (requires d_in == d)."""
-    if head.d_in != bank.dim or head.num_classes != bank.num_classes:
-        raise ShapeError(
-            f"text init: head is {head.num_classes}x{head.d_in}, "
-            f"bank is {bank.num_classes}x{bank.dim}"
-        )
-    head.weights.data = bank.embeddings.copy()
-    return head
+def trainables(encoder: Encoder, head: LinearHead | None) -> list[Tensor]:
+    """A run's trainable tensors in the order of its parameter vector: the
+    encoder's w1, b1, w2, b2, then with a linear head its C x d weights."""
+    tensors = encoder.parameters()
+    return tensors if head is None else tensors + [head.weights]

@@ -90,7 +90,7 @@ class EvalReport:
     per_domain: dict[int, float]
     per_class: dict[int, float]
     config: dict = field(default_factory=dict)
-    # a TopK from evaluate; from_json and hand-built reports hold a list
+    # a TopK from evaluate; hand-built reports hold a list
     topk: Sequence[tuple[int, list[tuple[int, float]]]] | None = None
 
     def json_chunks(self) -> Iterator[str]:
@@ -122,25 +122,6 @@ class EvalReport:
 
     def to_json(self) -> str:
         return "".join(self.json_chunks())
-
-    @classmethod
-    def from_json(cls, text: str) -> "EvalReport":
-        payload = json.loads(text)
-        topk = None
-        if "topk" in payload:
-            topk = [
-                (int(sample), [(int(c), float(s)) for c, s in ranked])
-                for sample, ranked in payload["topk"]
-            ]
-        return cls(
-            acc_base=payload["acc_base"],
-            acc_new=payload["acc_new"],
-            acc_h=payload["acc_h"],
-            per_domain={int(k): v for k, v in payload["per_domain"].items()},
-            per_class={int(k): v for k, v in payload["per_class"].items()},
-            config=payload["config"],
-            topk=topk,
-        )
 
 
 # cap on the scores evaluate holds at once: rows are scored in blocks of

@@ -39,7 +39,7 @@ import numpy as np
 from . import losses as L
 from . import parallel
 from .ensemble import ParamVector, bma_init, bma_update, ema_update
-from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward,
+from .model import (ClassBank, Encoder, LinearHead, flatten_params, mlp_forward, trainables,
                     unflatten_params)
 from .tensor import NORM_EPS, NonFiniteError, ShapeError
 
@@ -262,8 +262,7 @@ class FusedStep:
                         f"linear head is {hd.num_classes}x{hd.d_in}, expected "
                         f"{bank.num_classes}x{first.d_out}"
                     )
-        self._tensors = [enc.parameters() + ([hd.weights] if linear else [])
-                         for enc, hd in zip(encoders, heads)]
+        self._tensors = [trainables(enc, hd) for enc, hd in zip(encoders, heads)]
         self._linear = linear
         self.params = np.stack([flatten_params(t) for t in self._tensors])
         self.grads = np.zeros_like(self.params)

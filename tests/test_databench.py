@@ -346,6 +346,24 @@ def test_load_rejects_inconsistent_counts(tmp_path):
         db.load(trailing)
 
 
+@pytest.mark.parametrize("rows, header, actual", [(None, 4, 3), (None, 2, 3), (0, 1, 0)])
+def test_load_rejects_a_header_domain_count_other_than_the_domain_ids_give(tmp_path, rows,
+                                                                            header, actual):
+    archive = generate(SMALL)  # domains 0-2
+    if rows is not None:
+        archive = db.EmbeddingArchive(archive.features[:rows], archive.labels[:rows],
+                                      archive.domains[:rows], archive.bank)
+    path = tmp_path / "domains.emba"
+    db.save(archive, path)
+    raw = bytearray(path.read_bytes())
+    assert struct.unpack_from("<I", raw, 4 + 1 + 16)[0] == actual  # save writes M = max id + 1
+    struct.pack_into("<I", raw, 4 + 1 + 16, header)
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ArchiveFormatError,
+                       match=f"header domain count {header}, but the domain ids give {actual}"):
+        db.load(path)
+
+
 def _generate_row_by_row(spec):
     """`generate` as it was written first: one noise draw per class and
     domain, concatenated; kept as the reference for the batched draws."""
@@ -547,7 +565,12 @@ def test_archives_equal_of_other_row_counts_or_widths_is_false():
     archive = generate(SMALL)
     fewer = _with_features(archive, archive.features[:-1])
     wider = _with_features(archive, np.pad(archive.features, ((0, 0), (0, 1))))
-    for a, b in ((archive, fewer), (fewer, archive), (archive, wider), (wider, archive)):
+    # a bank of as many rows, each one unit row with one dim more
+    wider_bank = db.EmbeddingArchive(
+        archive.features, archive.labels, archive.domains,
+        db.ClassBank(np.pad(archive.bank.embeddings, ((0, 0), (0, 1))), archive.bank.class_names))
+    for a, b in ((archive, fewer), (fewer, archive), (archive, wider), (wider, archive),
+                 (archive, wider_bank), (wider_bank, archive)):
         assert not archives_equal(a, b)
 
 
@@ -557,22 +580,35 @@ def test_archives_equal_of_two_empty_archives_is_true():
     assert archives_equal(empty, _with_features(archive, archive.features[:0].copy()))
 
 
-def test_archives_equal_holds_no_array_of_the_features_size():
-    # open-eval's sizes: 60,000 rows of 96 values; one bool per value would
-    # take 5.5 MB
-    rng = np.random.default_rng(0)
-    features = rng.standard_normal((60_000, 96)).astype(np.float32)
-    labels = np.tile(np.arange(1000, dtype=np.uint32), 60)
-    domains = np.repeat(np.arange(3, dtype=np.uint32), 20_000)
-    rows = rng.standard_normal((1000, 64))
-    bank = db.ClassBank(rows / np.linalg.norm(rows, axis=1, keepdims=True),
-                        [f"c{i}" for i in range(1000)])
-    a = db.EmbeddingArchive(features, labels, domains, bank)
-    b = db.EmbeddingArchive(features.copy(), labels.copy(), domains.copy(), bank)
+def test_archives_equal_sees_a_bank_difference_in_the_last_row_of_a_partial_block(monkeypatch):
+    archive = generate(SMALL)
+    c, d = archive.bank.embeddings.shape
+    monkeypatch.setattr(db, "CLOSE_BLOCK_ELEMENTS", 3 * d)  # blocks of 3 rows
+    assert c % 3 != 0
+
+    def with_rows(rows):
+        return db.EmbeddingArchive(archive.features, archive.labels, archive.domains,
+                                   db.ClassBank(rows, archive.bank.class_names))
+
+    rows = archive.bank.embeddings.copy()
+    assert archives_equal(archive, with_rows(rows))
+    rows[-1] = rows[-1, ::-1]  # still a unit row
+    assert not archives_equal(archive, with_rows(rows))
+
+
+def test_archives_equal_holds_no_array_of_the_features_size(tmp_path):
+    # open-eval's sizes: 60,000 rows of 96 values, where one bool per value
+    # would take 5.5 MB, and a 1000 x 64 bank, where one np.allclose over it
+    # peaked at 1.09 MB
+    spec = BenchmarkSpec(num_classes=1000, embed_dim=64, input_dim=96,
+                         samples_per_class_per_domain=20, seed=5)
+    archive = generate(spec)
+    db.save(archive, tmp_path / "open.emba")
+    loaded = db.load(tmp_path / "open.emba")
     tracemalloc.start()
     try:
-        assert archives_equal(a, b)
+        assert archives_equal(archive, loaded)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < features.size // 4
+    assert peak < 0.25e6

@@ -19,7 +19,8 @@ from oodtune import scoring
 from oodtune import trainer as tr
 from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import RunFileError, RunSpec, UsageError, load_run, main, save_run
-from oodtune.model import ClassBank, Encoder, LinearHead, embed, similarities
+from oodtune.model import (ClassBank, Encoder, LinearHead, embed, flatten_params, similarities,
+                           trainables, unflatten_params)
 from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
@@ -349,10 +350,12 @@ def test_report_json_round_trip():
         config={"seed": 7},
         topk=[(12, [(3, 0.9), (1, 0.05)])],
     )
-    back = EvalReport.from_json(report.to_json())
-    assert back == report
-    # serialized form is deterministic
-    assert report.to_json() == back.to_json()
+    payload = {"acc_base": 0.5, "acc_new": 0.25, "acc_h": harmonic_mean(0.5, 0.25),
+               "per_domain": {"0": 0.5, "2": 0.25}, "per_class": {"3": 1.0},
+               "config": {"seed": 7}, "topk": [[12, [[3, 0.9], [1, 0.05]]]]}
+    assert json.loads(report.to_json()) == payload
+    # serialized form is deterministic: sorted keys, no spaces
+    assert report.to_json() == json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
 def test_report_json_appends_topk_rows_as_the_nested_payload_would_dump_them():
@@ -424,7 +427,8 @@ def test_topk_rows_equal_the_list_built_the_old_way(monkeypatch):
     assert top != old[:-1] and top != old[::-1]
     assert report == replace(report, topk=old) and replace(report, topk=old) == report
     assert report.to_json() == replace(report, topk=old).to_json() == text
-    assert EvalReport.from_json(text) == report
+    assert json.loads(text)["topk"] == [[sample, [list(pair) for pair in ranked]]
+                                        for sample, ranked in old]
     with pytest.raises(ValueError):
         top.ids[0, 0] = 1  # the arrays are read-only
     for arrays in ((top.samples[1:], top.ids, top.probs), (top.samples, top.ids, top.probs[:, 1:]),
@@ -933,10 +937,10 @@ def test_cli_eval_text_prints_the_topk_report(tmp_path, capsys):
     lines = capsys.readouterr().out.splitlines()
     assert main(["eval", "--run", str(run), "--data", str(data), "--split", "open",
                  "--topk", "3", "--json"]) == 0
-    report = EvalReport.from_json(capsys.readouterr().out.strip().splitlines()[-1])
+    report = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
     samples = [line for line in lines if line.startswith("  sample ")]
-    assert len(samples) == len(report.topk) > 0
-    for line, (sample, ranked) in zip(samples, report.topk):
+    assert len(samples) == len(report["topk"]) > 0
+    for line, (sample, ranked) in zip(samples, report["topk"]):
         head, entries = line.split(": ", 1)
         assert head == f"  sample {sample}"
         pairs = [entry.split(":") for entry in entries.split(" ")]
@@ -1184,9 +1188,23 @@ def test_run_spec_is_read_back_from_its_echo(head, shots):
                    shots=shots)
     echo = json.loads(json.dumps(spec.echo(tr.TrainerConfig(seed=4, head=head), archive)))
     assert RunSpec.from_config(echo, archive) == spec
+    assert spec.param_count(archive) == flatten_params(trainables(*spec.model(archive))).size
+
+
+@pytest.mark.parametrize("head", [tr.HEAD_METRIC, tr.HEAD_LINEAR])
+def test_trainables_hold_a_runs_parameter_vector_in_order(head):
+    archive = generate(NOISELESS)
+    spec = RunSpec(seed=4, hidden=8, head=head, tau=0.05, base_fraction=0.5, test_domain=0)
     encoder, linear = spec.model(archive)
-    params = encoder.parameters() + ([linear.weights] if linear is not None else [])
-    assert spec.param_count(archive) == sum(p.data.size for p in params)
+    tensors = trainables(encoder, linear)
+    expected = [encoder.w1, encoder.b1, encoder.w2, encoder.b2] + (
+        [] if linear is None else [linear.weights])
+    assert len(tensors) == len(expected) and all(a is b for a, b in zip(tensors, expected))
+    size = spec.param_count(archive)
+    assert flatten_params(tensors).size == size
+    flat = np.arange(size, dtype=np.float64)
+    unflatten_params(tensors, flat)
+    np.testing.assert_array_equal(flatten_params(trainables(encoder, linear)), flat)
 
 
 def test_cli_train_rejects_non_finite_hyperparameters(tmp_path, capsys):

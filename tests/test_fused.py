@@ -6,7 +6,7 @@ import pytest
 
 from oodtune import losses as L
 from oodtune import tensor as T
-from oodtune.model import Encoder, LinearHead, embed, similarities
+from oodtune.model import Encoder, LinearHead, embed, similarities, trainables
 from oodtune.tensor import NonFiniteError, ShapeError
 from oodtune.trainer import (
     AdamWState,
@@ -31,7 +31,7 @@ def _tape_loss(enc, bank, x, labels, loss_cfg, head):
 
 
 def _tape_loss_and_grad(enc, bank, x, labels, loss_cfg, head):
-    params = enc.parameters() + ([head.weights] if head is not None else [])
+    params = trainables(enc, head)
     for p in params:
         p.zero_grad()
     with T.Tape() as tape:
@@ -129,7 +129,7 @@ def test_a_step_takes_only_batches_of_the_size_it_was_built_for(linear):
 
 def _tape_train(enc, bank, data, cfg, head=None):
     """The training loop rebuilt on the Tape: per-step loss, final params."""
-    params_t = enc.parameters() + ([head.weights] if head is not None else [])
+    params_t = trainables(enc, head)
     params = np.concatenate([p.data.ravel() for p in params_t])
     opt = AdamWState.init(params.size)
     rng = np.random.default_rng([cfg.seed, 2])
@@ -166,7 +166,7 @@ def test_train_equals_tape_replay(head_mode):
     assert np.array_equal(result.loss_curve, want_losses)
     assert np.array_equal(result.final_params, want_params)
     # the model tensors hold the final parameters after the run
-    tensors = enc.parameters() + ([head.weights] if head is not None else [])
+    tensors = trainables(enc, head)
     assert np.array_equal(np.concatenate([p.data.ravel() for p in tensors]), want_params)
 
 

@@ -12,7 +12,7 @@ from oodtune import evalcli as ev
 from oodtune import losses as L
 from oodtune import trainer as tr
 from oodtune.evalcli import ABLATION_GRID, evaluate, run_ablation
-from oodtune.model import Encoder, LinearHead
+from oodtune.model import Encoder, LinearHead, trainables
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import TrainerConfig, TrainSet, train
 
@@ -36,10 +36,6 @@ def _lane(i, bank, linear, d_in=6, hidden=8):
     if i == 1:
         features = features.astype(np.float32)  # gathered as float32, cast per batch
     return enc, head, TrainSet(features, rng.integers(0, bank.num_classes, size=n))
-
-
-def _tensors(enc, head):
-    return enc.parameters() + ([head.weights] if head is not None else [])
 
 
 @pytest.mark.parametrize("lanes", [1, 3])
@@ -67,7 +63,7 @@ def test_every_lane_equals_its_sequential_run(lanes, ensemble, linear):
         assert len(result.trajectory) == len(want.trajectory) == cfg.steps + 1
         assert all(np.array_equal(a, b) for a, b in zip(result.trajectory, want.trajectory))
         # each lane's model tensors hold that lane's final parameters
-        for a, b in zip(_tensors(enc, head), _tensors(want_enc, want_head)):
+        for a, b in zip(trainables(enc, head), trainables(want_enc, want_head)):
             assert np.array_equal(a.data, b.data)
 
 

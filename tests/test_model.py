@@ -10,7 +10,6 @@ from oodtune.model import (
     LinearHead,
     embed,
     similarities,
-    text_head_init,
 )
 from oodtune.scoring import evaluate
 from oodtune.tensor import ShapeError, Tensor
@@ -158,34 +157,28 @@ def test_linear_head_matches_matmul_oracle():
     np.testing.assert_allclose(out.data, x @ w.T, atol=1e-12)
 
 
-def test_text_head_init_identity_and_idempotence():
+def test_linear_head_from_bank_is_a_writable_copy_of_the_bank():
     rng = np.random.default_rng(8)
-    bank = random_bank(rng, 5, 5)
-    head = LinearHead.init(5, 5, rng)
-    text_head_init(head, bank)
-    np.testing.assert_array_equal(head.weights.data, bank.embeddings)
+    for classes, dim in ((5, 5), (6, 3), (1, 4)):
+        bank = random_bank(rng, classes, dim)
+        head = LinearHead.from_bank(bank)
+        assert (head.num_classes, head.d_in) == (classes, dim)
+        np.testing.assert_array_equal(head.weights.data, bank.embeddings)
+        assert head.weights.requires_grad and head.weights.data.flags.writeable
+        assert not np.shares_memory(head.weights.data, bank.embeddings)
+        rows = bank.embeddings.copy()
+        head.weights.data += 1.0  # the read-only bank keeps its rows
+        np.testing.assert_array_equal(bank.embeddings, rows)
 
+
+def test_a_head_from_the_bank_scores_the_scaled_cosine_similarities():
+    rng = np.random.default_rng(9)
+    bank = random_bank(rng, 5, 5)
     x = rng.standard_normal((4, 5))
-    logits = linear_head_logits(head, Tensor(x)).data
+    logits = linear_head_logits(LinearHead.from_bank(bank), Tensor(x)).data
     normed = x / np.linalg.norm(x, axis=1, keepdims=True)
     sims = similarities(bank, Tensor(normed)).data
     np.testing.assert_allclose(logits, sims * np.linalg.norm(x, axis=1, keepdims=True), atol=1e-12)
-
-    text_head_init(head, bank)  # idempotent
-    np.testing.assert_array_equal(head.weights.data, bank.embeddings)
-
-
-def test_text_head_init_single_class_and_dim_error():
-    rng = np.random.default_rng(9)
-    row = rng.standard_normal(4)
-    bank = ClassBank((row / np.linalg.norm(row))[None, :], ["only"])
-    head = LinearHead.init(1, 4, rng)
-    text_head_init(head, bank)
-    np.testing.assert_array_equal(head.weights.data, bank.embeddings)
-
-    wrong = LinearHead.init(1, 3, rng)
-    with pytest.raises(ShapeError):
-        text_head_init(wrong, bank)
 
 
 def test_init_rejects_sizes_below_one():

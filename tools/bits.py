@@ -17,9 +17,10 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   and `--shots 16` (400 non-empty (class, domain) train cells to thin);
 - `ablate --json` over 5 seeds of the desk archive;
 - `eval --json --topk 3` of the first desk and the first mid run, on each
-  `--split` and, at `--split both`, with `--params final` and `zero`; and
-  of the first linear-head run and each run of further flags, at
-  `--split both`;
+  `--split` and, at `--split both`, with `--params final` and `zero`; of
+  the first linear-head run at `--split both`, also with `--params zero`
+  (its seeded encoder and the head copied from the bank); and of each run
+  of further flags, at `--split both`;
 - plain `eval --json` (no top-k, so the argmax alone, which `evaluate`
   screens in float32 at mid size) of the first run and the first
   linear-head run of each size, on each `--split`.
@@ -116,7 +117,7 @@ def jobs(src: Path) -> list[tuple[str, bytes]]:
                 linear = runs[len(ENSEMBLES) * len(SEEDS)]
                 evals = [(runs[0], split, TOPK) for split in SPLITS]
                 evals += [(runs[0], "both", [*TOPK, *flags]) for flags in EXTRA_EVALS]
-                evals.append((linear, "both", TOPK))
+                evals += [(linear, "both", TOPK), (linear, "both", [*TOPK, "--params", "zero"])]
                 evals += [(out, split, []) for out in (runs[0], linear) for split in SPLITS]
                 for flags in EXTRA_TRAINS[size]:
                     out = f"{size}-{'-'.join(flag.lstrip('-') for flag in flags)}.run"
