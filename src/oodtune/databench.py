@@ -6,12 +6,11 @@ distorts each domain with its own random orthogonal rotation plus an
 offset scaled by domain_strength. Class geometry is preserved, so the
 task stays solvable while marginal distributions move across domains.
 
-`split` cuts an archive into the protocol cells. It draws the class split
-and marks every cell's rows at once, but gathers a cell's labels, domains
-and row positions only when the cell is first read, and copies its feature
-rows out of the archive only on the first read of the cell's `.features`.
-`scoring.evaluate` reads a cell's rows from the archive on each call, so
-scoring a cell never copies it.
+`split` cuts an archive into the protocol cells: it draws the class split
+and gathers every cell's labels, domains and row positions, but copies a
+cell's feature rows out of the archive only on the first read of its
+`.features`. `scoring.evaluate` reads a cell's rows from the archive on
+each call, so scoring a cell never copies it.
 
 EMBA file layout (little-endian):
     magic "EMBA" | version 0x01 | u32 N, d_in, d, C, M
@@ -226,11 +225,12 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     )
 
 
-@dataclass
+@dataclass(repr=False, eq=False)
 class SplitSubset:
     """Rows of an archive. A hand-built subset holds its `features`; a cell
     of `Splits` copies them on the first read of `.features`, and
-    `scoring.evaluate` reads an unread cell's rows from the archive."""
+    `scoring.evaluate` reads an unread cell's rows from the archive. No
+    generated `repr` or `==`: both would read `.features`."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -270,41 +270,23 @@ class Splits:
     (new classes in every domain) and `test_both` (every class in the test
     domain).
 
-    `split` marks each cell's rows. A cell's first read gathers its labels,
-    domains and row positions into a `SplitSubset` that every later read
-    returns; its feature rows are copied from the archive and kept only on
-    the first read of its `.features`. Until then `scoring.evaluate` reads
-    them from the archive on each call. A write to the archive's arrays
-    shows in what is gathered after it. A `Splits` keeps a reference to
-    its archive.
+    `split` gathers each cell's labels, domains and row positions, so a
+    later write to the archive's labels or domains shows in no cell. A
+    cell's feature rows are copied from the archive and kept only on the
+    first read of its `.features`; until then `scoring.evaluate` reads them
+    from the archive on each call, and a write to the archive's features
+    shows in them. Each cell keeps a reference to the archive.
     """
 
-    def __init__(self, archive: EmbeddingArchive, base_classes: np.ndarray,
-                 new_classes: np.ndarray, masks: dict[str, np.ndarray]):
+    def __init__(self, base_classes: np.ndarray, new_classes: np.ndarray, train: SplitSubset,
+                 test_domain_shift: SplitSubset, test_open: SplitSubset,
+                 test_both: SplitSubset):
         self.base_classes = base_classes
         self.new_classes = new_classes
-        self._archive = archive
-        self._masks = masks  # cell name -> boolean row mask over the archive
-
-    @cached_property
-    def train(self) -> SplitSubset:
-        return _subset(self._archive, self._masks["train"])
-
-    @cached_property
-    def test_domain_shift(self) -> SplitSubset:
-        return _subset(self._archive, self._masks["test_domain_shift"])
-
-    @cached_property
-    def test_open(self) -> SplitSubset:
-        return _subset(self._archive, self._masks["test_open"])
-
-    @cached_property
-    def test_both(self) -> SplitSubset:
-        return _subset(self._archive, self._masks["test_both"])
-
-
-def _subset(archive: EmbeddingArchive, mask: np.ndarray) -> SplitSubset:
-    return _Cell(archive, np.flatnonzero(mask))
+        self.train = train
+        self.test_domain_shift = test_domain_shift
+        self.test_open = test_open
+        self.test_both = test_both
 
 
 def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
@@ -314,11 +296,8 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     seeded shuffle. Evaluation always scores against the full bank;
     this only controls which samples land in which cell.
 
-    The class split, every cell's row mask and the `shots` thinning are
-    done here. A cell is gathered at its first read, and its feature rows
-    are copied only at the first read of its `.features`; `scoring.evaluate`
-    reads them from the archive on each call (see `Splits`). The spec's
-    class and domain counts must be the archive's.
+    Every cell is built here, all but its feature rows (see `Splits`). The
+    spec's class and domain counts must be the archive's.
     """
     if (spec.num_classes, spec.num_domains) != (archive.bank.num_classes, archive.num_domains):
         raise ValueError(
@@ -342,12 +321,8 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     if spec.shots is not None:
         train_mask = _thin_to_shots(archive, train_mask, spec, rng)
 
-    return Splits(archive, base, new, {
-        "train": train_mask,
-        "test_domain_shift": is_base & is_test_domain,
-        "test_open": ~is_base,
-        "test_both": is_test_domain,
-    })
+    masks = (train_mask, is_base & is_test_domain, ~is_base, is_test_domain)
+    return Splits(base, new, *(_Cell(archive, np.flatnonzero(mask)) for mask in masks))
 
 
 def _thin_to_shots(archive, train_mask, spec, rng) -> np.ndarray:

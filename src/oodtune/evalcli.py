@@ -386,7 +386,7 @@ def _cmd_eval(args) -> int:
             raise RunFileError(f"the {name} parameter vector has {flat.size} entries, expected "
                                f"{expected} for the run config's model")
     splits = spec.splits(archive)
-    subset = getattr(splits, _SPLIT_CELLS[args.split])  # gathers that cell alone
+    subset = getattr(splits, _SPLIT_CELLS[args.split])
 
     encoder, head = spec.model(archive)
     if args.params != "zero":  # "zero" keeps the seeded initialization

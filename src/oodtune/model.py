@@ -2,8 +2,8 @@
 trainable encoder mapping input features into the shared embedding space.
 
 Also provides the linear-head baseline (raw dot-product logits over a
-learnable class-vector matrix, drawn at random or copied from the bank),
-and `trainables`, the order of a run's parameter vector.
+learnable class-vector matrix copied from the bank), and `trainables`,
+the order of a run's parameter vector.
 """
 
 from __future__ import annotations
@@ -195,15 +195,6 @@ class LinearHead:
     """Class-vector matrix w_c (C x d_in), no bias."""
 
     weights: Tensor
-
-    @classmethod
-    def init(cls, num_classes: int, d_in: int, rng: np.random.Generator) -> "LinearHead":
-        for name, size in (("num_classes", num_classes), ("d_in", d_in)):
-            if size < 1:
-                raise ValueError(f"linear head {name} must be >= 1, got {size}")
-        bound = 1.0 / np.sqrt(d_in)
-        w = rng.uniform(-bound, bound, size=(num_classes, d_in))
-        return cls(Tensor(w, requires_grad=True))
 
     @classmethod
     def from_bank(cls, bank: ClassBank) -> "LinearHead":

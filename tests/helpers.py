@@ -45,6 +45,13 @@ def linear_head_logits(head: LinearHead, x: T.Tensor) -> T.Tensor:
     return T.matmul(x, T.transpose(head.weights))
 
 
+def random_head(num_classes: int, d_in: int, rng: np.random.Generator) -> LinearHead:
+    """A linear head of C x d_in weights drawn uniformly from +-1/sqrt(d_in)."""
+    bound = 1.0 / np.sqrt(d_in)
+    weights = rng.uniform(-bound, bound, size=(num_classes, d_in))
+    return LinearHead(T.Tensor(weights, requires_grad=True))
+
+
 def random_bank(rng: np.random.Generator, num_classes: int, dim: int) -> ClassBank:
     rows = rng.standard_normal((num_classes, dim))
     rows /= np.linalg.norm(rows, axis=1, keepdims=True)

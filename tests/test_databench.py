@@ -452,8 +452,8 @@ CELLS = ("train", "test_domain_shift", "test_open", "test_both")
 
 
 def _eager_split(archive, spec):
-    """`split` as it was before its cells were gathered lazily: every cell
-    copied at once; kept as the reference for the lazy cells."""
+    """`split` copied by hand, every cell's features included: the
+    reference for the cells `split` builds."""
     rng = np.random.default_rng([spec.seed, 1])
     order = rng.permutation(spec.num_classes)
     base = np.sort(order[: spec.num_base])
@@ -477,41 +477,21 @@ def _eager_split(archive, spec):
     dict(samples_per_class_per_domain=5, seed=2, test_domain=0),
     dict(samples_per_class_per_domain=4, seed=6, num_domains=4, test_domain=1),
 ])
-def test_lazy_cells_equal_the_eager_gather(fields):
+def test_split_cells_equal_the_hand_copied_split(fields):
     spec = BenchmarkSpec(**fields)
     archive = generate(spec)
-    base, eager = _eager_split(archive, spec)
+    base, copied = _eager_split(archive, spec)
     splits = split(archive, spec)
     np.testing.assert_array_equal(splits.base_classes, base)
     for cell in CELLS:
-        lazy, want = getattr(splits, cell), eager[cell]
-        assert isinstance(lazy, db.SplitSubset)
+        built, want = getattr(splits, cell), copied[cell]
+        assert isinstance(built, db.SplitSubset)
         for name in ("features", "labels", "domains", "indices"):
-            got, ref = getattr(lazy, name), getattr(want, name)
+            got, ref = getattr(built, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape, (cell, name)
             assert got.flags.c_contiguous and ref.flags.c_contiguous, (cell, name)
             np.testing.assert_array_equal(got, ref)
-        assert not np.shares_memory(lazy.features, archive.features)
-
-
-def test_reading_a_cell_gathers_that_cell_alone_and_keeps_it(monkeypatch):
-    archive = generate(SMALL)
-    gathered = []
-    real = db._subset
-
-    def counted(arch, mask):
-        gathered.append(int(mask.sum()))
-        return real(arch, mask)
-
-    monkeypatch.setattr(db, "_subset", counted)
-    splits = split(archive, SMALL)
-    assert gathered == []
-    train = splits.train
-    assert gathered == [train.labels.size]
-    assert splits.train is train and gathered == [train.labels.size]
-    for cell in CELLS:
-        assert getattr(splits, cell) is getattr(splits, cell)
-    assert len(gathered) == len(CELLS)
+        assert not np.shares_memory(built.features, archive.features)
 
 
 def test_a_cell_shows_archive_writes_made_before_its_first_read():
@@ -521,6 +501,31 @@ def test_a_cell_shows_archive_writes_made_before_its_first_read():
     archive.features[:] = 7.0
     np.testing.assert_array_equal(splits.test_open.features, before)  # gathered already
     assert np.all(splits.test_both.features == 7.0)  # first read after the write
+
+
+def test_archive_label_and_domain_writes_after_split_show_in_no_cell():
+    archive = generate(SMALL)
+    _, copied = _eager_split(archive, SMALL)
+    splits = split(archive, SMALL)
+    archive.labels[:] = 0
+    archive.domains[:] = 0
+    archive.features[:] = 7.0
+    for cell in CELLS:
+        got, want = getattr(splits, cell), copied[cell]
+        np.testing.assert_array_equal(got.labels, want.labels)
+        np.testing.assert_array_equal(got.domains, want.domains)
+        assert np.all(got.features == 7.0)  # first read after the write
+
+
+def test_repr_and_equality_of_a_cell_copy_none_of_its_rows():
+    archive = generate(SMALL)
+    splits = split(archive, SMALL)
+    cell, other = splits.test_open, splits.test_both
+    assert "_Cell" in repr(cell)
+    assert cell == cell and cell != other
+    assert cell != split(archive, SMALL).test_open  # compared by identity, not by rows
+    for subset in (cell, other):
+        assert subset.row_source()[0] is archive.features
 
 
 def test_a_cell_reads_its_rows_from_the_archive_until_its_features_are_read():

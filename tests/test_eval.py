@@ -19,12 +19,12 @@ from oodtune import scoring
 from oodtune import trainer as tr
 from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import RunFileError, RunSpec, UsageError, load_run, main, save_run
-from oodtune.model import (ClassBank, Encoder, LinearHead, embed, flatten_params, similarities,
-                           trainables, unflatten_params)
+from oodtune.model import (ClassBank, Encoder, embed, flatten_params, similarities, trainables,
+                           unflatten_params)
 from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
-from helpers import identity_encoder, linear_head_logits
+from helpers import identity_encoder, linear_head_logits, random_head
 
 
 NOISELESS = BenchmarkSpec(
@@ -193,7 +193,7 @@ def test_block_scores_equal_tape_scores(monkeypatch, rows):
     assert np.array_equal(np.concatenate(_in_row_order(blocks, subset.features)),
                           similarities(archive.bank, embed(enc, x)).data)
 
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     blocks.clear()
     evaluate(enc, archive.bank, subset, splits.base_classes, head=head)
     assert len(blocks) == -(-n // rows)
@@ -335,7 +335,7 @@ def test_evaluate_rejects_shapes_that_do_not_fit():
         evaluate(Encoder.init(12, 8, 16, rng), archive.bank, subset, [0])
     with pytest.raises(ShapeError, match="encoder output dim 10 vs bank dim 16"):
         evaluate(Encoder.init(16, 8, 10, rng), archive.bank, subset, [0])
-    head = LinearHead.init(archive.bank.num_classes, 10, rng)
+    head = random_head(archive.bank.num_classes, 10, rng)
     with pytest.raises(ShapeError, match="linear head input dim 10 vs encoder output dim 16"):
         evaluate(identity_encoder(16), archive.bank, subset, [0], head=head)
 
@@ -459,7 +459,7 @@ def _pinned_case():
     subset = db.SplitSubset(features=both.features[rows], labels=both.labels[rows],
                             domains=both.domains[rows], indices=both.indices[rows])
     enc = Encoder.init(spec.input_dim, 32, spec.embed_dim, np.random.default_rng([7, 0]))
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng([7, 1]))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng([7, 1]))
     return archive, subset, splits.base_classes, enc, head
 
 
@@ -1308,7 +1308,7 @@ def test_linear_head_logits_overflowing_to_minus_infinity_rank_like_the_argsort(
     splits = split(archive, spec)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng(3))
     enc.b2.data[:] = 100.0  # every encoder output is positive
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     overflow = [0, 1, 3, 4, 6, 7, 9, 10, 12, 13, 15, 16]
     head.weights.data[overflow] = -1e308  # finite weights, logits of -inf
     blocks = _recorded_blocks(monkeypatch)
@@ -1435,7 +1435,7 @@ def test_threaded_top_k_reports_equal_the_serial_ones_for_every_ranking(monkeypa
 
 def test_threaded_linear_head_reports_equal_the_serial_ones(monkeypatch):
     spec, archive, splits, enc = _threads_case(monkeypatch)
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
 
     def run():
         return [evaluate(enc, archive.bank, splits.test_both, splits.base_classes, head=head,
@@ -1448,7 +1448,7 @@ def test_threaded_linear_head_reports_equal_the_serial_ones(monkeypatch):
 def _overflowing_head(spec, enc, classes):
     """A linear head whose logits are -inf for the given classes."""
     enc.b2.data[:] = 100.0  # every encoder output is positive
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     head.weights.data[classes] = -1e308
     return head
 
@@ -1603,24 +1603,25 @@ def test_score_threads_are_the_usable_cores_over_the_blas_threads(monkeypatch, e
     assert parallel.worker_threads() == 1
 
 
-@pytest.mark.parametrize("choice, cell", [("domain", "test_domain_shift"), ("train", "train")])
-def test_cli_eval_gathers_the_split_cell_alone(tmp_path, capsys, monkeypatch, choice, cell):
+@pytest.mark.parametrize("choice, cell", [("domain", "test_domain_shift"), ("open", "test_open"),
+                                          ("both", "test_both"), ("train", "train")])
+def test_cli_eval_scores_the_named_split_cell(tmp_path, capsys, monkeypatch, choice, cell):
     data, run = _trained_run(tmp_path)
-    gathered = []
-    real = db._subset
+    scored = []
+    real = evalcli.evaluate
 
-    def counted(archive, mask):
-        gathered.append(np.flatnonzero(mask))
-        return real(archive, mask)
+    def recorded(encoder, bank, subset, *args, **kwargs):
+        scored.append(subset)
+        return real(encoder, bank, subset, *args, **kwargs)
 
-    monkeypatch.setattr(db, "_subset", counted)
+    monkeypatch.setattr(evalcli, "evaluate", recorded)
     capsys.readouterr()
     assert main(["eval", "--run", str(run), "--data", str(data), "--split", choice,
                  "--json"]) == 0
     archive = db.load(data)
     splits = RunSpec.from_config(load_run(run).config, archive).splits(archive)
-    assert len(gathered) == 1
-    np.testing.assert_array_equal(gathered[0], getattr(splits, cell).indices)
+    assert len(scored) == 1
+    np.testing.assert_array_equal(scored[0].indices, getattr(splits, cell).indices)
 
 
 # --- a protocol cell is scored from the archive's rows, not from a copy
@@ -1635,7 +1636,7 @@ def _hand_built(cell, archive):
 
 def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
     spec, archive, splits, enc = _threads_case(monkeypatch)
-    head = LinearHead.init(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
+    head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng(4))
     cells = [getattr(splits, cell)
              for cell in ("test_domain_shift", "test_open", "test_both", "train")]
     assert all(len(scoring._row_blocks(cell.labels.size, spec.num_classes)) > 1

@@ -6,7 +6,7 @@ import pytest
 
 from oodtune import losses as L
 from oodtune import tensor as T
-from oodtune.model import Encoder, LinearHead, embed, similarities, trainables
+from oodtune.model import Encoder, embed, similarities, trainables
 from oodtune.tensor import NonFiniteError, ShapeError
 from oodtune.trainer import (
     AdamWState,
@@ -18,7 +18,7 @@ from oodtune.trainer import (
     train,
 )
 
-from helpers import central_diff, linear_head_logits, max_rel_err, random_bank
+from helpers import central_diff, linear_head_logits, max_rel_err, random_bank, random_head
 
 MARGINS = [L.MARGIN_ADAPTIVE, L.MARGIN_FIXED, L.MARGIN_NONE]
 
@@ -52,7 +52,7 @@ def _instance(rng, lanes, linear, zero_row, tau, margin):
     built = []
     for _ in range(lanes):
         enc = Encoder.init(d_in, hidden, d, rng)
-        head = LinearHead.init(c, d, rng) if linear else None
+        head = random_head(c, d, rng) if linear else None
         x = rng.standard_normal((b, d_in))
         if zero_row:
             # a zero second layer makes every encoder output row the zero vector
@@ -91,7 +91,7 @@ def test_fused_gradients_match_finite_differences(linear):
         for _ in range(20):
             enc = Encoder.init(4, 5, 3, rng)
             bank = random_bank(rng, 6, 3)
-            head = LinearHead.init(6, 3, rng) if linear else None
+            head = random_head(6, 3, rng) if linear else None
             x = rng.standard_normal((3, 4))
             labels = rng.integers(0, 6, size=3)
             step = FusedStep([enc], bank, L.LossConfig(tau=tau), len(labels),
@@ -113,7 +113,7 @@ def test_a_step_takes_only_batches_of_the_size_it_was_built_for(linear):
     rng = np.random.default_rng(205)
     enc = Encoder.init(4, 5, 3, rng)
     bank = random_bank(rng, 6, 3)
-    heads = [LinearHead.init(6, 3, rng)] if linear else None
+    heads = [random_head(6, 3, rng)] if linear else None
     x, labels = rng.standard_normal((1, 5, 4)), rng.integers(0, 6, size=(1, 5))
     step = FusedStep([enc], bank, L.LossConfig(), 5, heads)
     loss = step(x, labels)
@@ -154,7 +154,7 @@ def test_train_equals_tape_replay(head_mode):
         rng = np.random.default_rng(31)
         bank = random_bank(rng, 5, 4)
         enc = Encoder.init(6, 8, 4, rng)
-        head = LinearHead.init(5, 4, rng) if head_mode == "linear" else None
+        head = random_head(5, 4, rng) if head_mode == "linear" else None
         data = TrainSet(rng.standard_normal((40, 6)), rng.integers(0, 5, size=40))
         return enc, bank, head, data
 

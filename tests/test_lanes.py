@@ -12,11 +12,11 @@ from oodtune import evalcli as ev
 from oodtune import losses as L
 from oodtune import trainer as tr
 from oodtune.evalcli import ABLATION_GRID, evaluate, run_ablation
-from oodtune.model import Encoder, LinearHead, trainables
+from oodtune.model import Encoder, trainables
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import TrainerConfig, TrainSet, train
 
-from helpers import random_bank
+from helpers import random_bank, random_head
 
 SIZES = [30, 47, 12]  # train rows per lane: every lane draws from its own set
 
@@ -30,7 +30,7 @@ def _lane(i, bank, linear, d_in=6, hidden=8):
     on every call."""
     rng = np.random.default_rng([41, i])
     enc = Encoder.init(d_in, hidden, bank.dim, rng)
-    head = LinearHead.init(bank.num_classes, bank.dim, rng) if linear else None
+    head = random_head(bank.num_classes, bank.dim, rng) if linear else None
     n = SIZES[i]
     features = rng.standard_normal((n, d_in))
     if i == 1:

@@ -23,7 +23,7 @@ def _unit(rows):
     return rows / np.linalg.norm(rows, axis=-1, keepdims=True)
 
 
-def _subset(features, num_classes):
+def _held_subset(features, num_classes):
     n = features.shape[0]
     return db.SplitSubset(features=features, labels=np.arange(n) % num_classes,
                           domains=np.zeros(n, dtype=np.uint32), indices=np.arange(n))
@@ -106,7 +106,7 @@ def test_near_tied_bank_rows_give_the_float64_report(monkeypatch, exponent):
     features = _aimed_at(np.concatenate([tied, loose]))
     monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 6 * C)
     flags = _screened_and_unscreened(monkeypatch, identity_encoder(D), bank,
-                                     _subset(features, C))
+                                     _held_subset(features, C))
     assert len(flags) == 60 and 20 < sum(flags) < 40
 
 
@@ -118,7 +118,7 @@ def test_zero_norm_encoder_rows_give_the_float64_report(monkeypatch):
     features[5] = 1e-300 * rng.standard_normal(D)  # below NORM_EPS: v / NORM_EPS
     monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 2 * C)
     flags = _screened_and_unscreened(monkeypatch, identity_encoder(D), bank,
-                                     _subset(features, C))
+                                     _held_subset(features, C))
     assert sum(flags) >= 2  # the blocks of rows 2 and 5, in any order the threads give
 
 
@@ -128,7 +128,7 @@ def test_one_row_subsets_give_the_float64_report(monkeypatch):
     enc = Encoder.init(48, 64, D, np.random.default_rng(3))
     for row in rng.standard_normal((5, 1, 48)):
         with pytest.MonkeyPatch.context() as mp:
-            assert _screened_and_unscreened(mp, enc, bank, _subset(row, C)) == [False]
+            assert _screened_and_unscreened(mp, enc, bank, _held_subset(row, C)) == [False]
 
 
 def test_a_forced_flag_scores_each_whole_block_in_float64(monkeypatch):
@@ -186,7 +186,7 @@ def test_screened_reports_on_drawn_banks_equal_the_float64_ones(data, num_classe
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 3 * num_classes)
         _screened_and_unscreened(mp, identity_encoder(dim), bank,
-                                 _subset(features, num_classes),
+                                 _held_subset(features, num_classes),
                                  screens=lambda num_classes, dim: True)
 
 

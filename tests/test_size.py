@@ -1,0 +1,108 @@
+"""The size tool's counting rules and report, on a small package written
+to a temporary directory."""
+
+import importlib.util
+import textwrap
+from pathlib import Path
+
+import pytest
+
+_TOOLS = Path(__file__).resolve().parent.parent / "tools"
+
+
+@pytest.fixture
+def size(monkeypatch):
+    monkeypatch.syspath_prepend(str(_TOOLS))  # size imports pairs
+    spec = importlib.util.spec_from_file_location("size", _TOOLS / "size.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+# module name -> (source, its `ast` count)
+MODULES = {
+    "funcs.py": ("""
+        def plain(a, b):
+            return a + b
+
+
+        def positional(a, b=1, c=2, *args, d, e=3, f=None, **kwargs):
+            inner = lambda x, y=0: x + y  # a lambda's default counts
+            def nested(g=4, /, h=5):  # so do positional-only ones
+                return g + h
+            return inner, nested
+        """, 2 + 2 + 1 + 2),
+    "classes.py": ("""
+        import dataclasses
+        from dataclasses import dataclass, field
+
+
+        @dataclass
+        class Plain:
+            a: int
+            b: float = 0.5  # a field with a default counts once
+            c: list = field(default_factory=list)
+            NOT_A_FIELD = 3
+
+            def method(self, x=1):
+                return x
+
+
+        @dataclass(frozen=True, eq=False)
+        class Called:
+            a: int
+
+
+        @dataclasses.dataclass
+        class Qualified:
+            a: int
+            b: int
+
+
+        class Undecorated:
+            a: int
+            b: int = 0
+        """, 3 + 1 + 1 + 2),
+    "empty.py": ("", 0),
+}
+
+
+def _package(root: Path) -> Path:
+    package = root / "pkg"
+    package.mkdir()
+    for name, (source, _) in MODULES.items():
+        (package / name).write_text(textwrap.dedent(source).lstrip("\n"))
+    (package / "notes.txt").write_text("def f(a=1): pass\n")  # not a module
+    return package
+
+
+def test_counts_defaults_and_dataclass_fields(size):
+    for name, (source, want) in MODULES.items():
+        assert size.defaults_and_fields(textwrap.dedent(source)) == want, name
+
+
+def test_sizes_count_each_module_s_lines(size, tmp_path):
+    package = _package(tmp_path)
+    got = size.sizes(package)
+    assert list(got) == sorted(MODULES)
+    for name, (lines, count) in got.items():
+        assert lines == len((package / name).read_text().splitlines())
+        assert count == MODULES[name][1]
+    assert got["empty.py"] == (0, 0)
+
+
+def test_report_totals_and_marks_a_module_one_side_lacks(size, tmp_path):
+    change = size.sizes(_package(tmp_path))
+    parent = {"funcs.py": (3, 1), "gone.py": (10, 2)}
+    lines = size.report(change, parent)
+    rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
+    assert lines[0].split() == ["module", "lines", "ast", "parent", "lines", "parent", "ast"]
+    assert list(rows) == ["classes.py", "empty.py", "funcs.py", "gone.py", "total"]
+    assert rows["gone.py"] == ["-", "-", "10", "2"]
+    assert rows["empty.py"] == ["0", "0", "-", "-"]
+    total_lines = sum(n for n, _ in change.values())
+    assert rows["total"] == [str(total_lines), "14", "13", "3"]
+    alone = size.report(change, None)
+    assert alone[0].split() == ["module", "lines", "ast"]
+    assert alone[-1].split() == ["total", str(total_lines), "14"]
+    assert size.report({}, None)[-1].split() == ["total", "0", "0"]

@@ -12,11 +12,11 @@ import pytest
 
 from oodtune import parallel
 from oodtune import trainer as tr
-from oodtune.model import Encoder, LinearHead
+from oodtune.model import Encoder
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import FusedStep, TrainerConfig, TrainSet, train
 
-from helpers import random_bank
+from helpers import random_bank, random_head
 
 # trained parameters and losses of a reordered but correct step stay this
 # close over a few mid-size steps: the tolerance perfbench's replica check uses
@@ -39,7 +39,7 @@ def _lanes(lanes, linear, dtype, d_in=6, hidden=8, classes=5, dim=4):
     for i in range(lanes):
         rng = np.random.default_rng([41, i])
         enc = Encoder.init(d_in, hidden, dim, rng)
-        head = LinearHead.init(classes, dim, rng) if linear else None
+        head = random_head(classes, dim, rng) if linear else None
         n = 23 + 7 * i
         data = TrainSet(rng.standard_normal((n, d_in)).astype(dtype),
                         rng.integers(0, classes, size=n))

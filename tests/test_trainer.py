@@ -7,7 +7,7 @@ from oodtune import tensor as T
 from oodtune import trainer as tr
 from oodtune.ensemble import temporal_ensemble
 from oodtune.losses import LossConfig, metric_softmax_loss
-from oodtune.model import Encoder, LinearHead, embed, similarities
+from oodtune.model import Encoder, embed, similarities
 from oodtune.tensor import Tensor
 from oodtune.trainer import (
     AdamWState,
@@ -18,7 +18,7 @@ from oodtune.trainer import (
     train,
 )
 
-from helpers import random_bank
+from helpers import random_bank, random_head
 
 
 def _toy_task(rng, num_classes=3, dim=4, per_class=30, sigma=0.05):
@@ -239,7 +239,7 @@ def test_train_rejects_bad_data():
         train(enc, bank, TrainSet(data.features, data.labels[1:]), TrainerConfig(steps=1, seed=0))
     with pytest.raises(T.ShapeError, match="encoder output dim 3 vs bank dim 4"):
         train(Encoder.init(4, 5, 3, rng), bank, data, TrainerConfig(steps=1, seed=0))
-    wide = LinearHead.init(bank.num_classes + 1, 4, rng)
+    wide = random_head(bank.num_classes + 1, 4, rng)
     with pytest.raises(T.ShapeError, match=f"linear head is {bank.num_classes + 1}x4, expected "
                                            f"{bank.num_classes}x4"):
         train(enc, bank, data, TrainerConfig(steps=1, seed=0, head="linear"), head=wide)
@@ -295,7 +295,7 @@ def test_train_rejects_a_head_the_config_mode_does_not_match():
     rng = np.random.default_rng(13)
     bank, data = _toy_task(rng)
     enc = Encoder.init(4, 5, 4, rng)
-    head = LinearHead.init(bank.num_classes, 4, rng)
+    head = random_head(bank.num_classes, 4, rng)
     with pytest.raises(ValueError, match="metric head mode takes no LinearHead"):
         train(enc, bank, data, TrainerConfig(steps=1), head=head)
     with pytest.raises(ValueError, match="metric head mode takes no LinearHead"):
