@@ -7,10 +7,9 @@ offset scaled by domain_strength. Class geometry is preserved, so the
 task stays solvable while marginal distributions move across domains.
 
 `split` cuts an archive into the protocol cells: it draws the class split
-and gathers every cell's labels, domains and row positions, but copies a
-cell's feature rows out of the archive only on the first read of its
-`.features`. `scoring.evaluate` reads a cell's rows from the archive on
-each call, so scoring a cell never copies it.
+and gathers every cell's labels, domains and row positions, but no feature
+rows. A cell's `.features` gathers them from the archive on each read, and
+`scoring.evaluate` reads them by position, so scoring never copies a cell.
 
 EMBA file layout (little-endian):
     magic "EMBA" | version 0x01 | u32 N, d_in, d, C, M
@@ -24,7 +23,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import partial
 
 import numpy as np
 
@@ -228,9 +227,9 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
 @dataclass(repr=False, eq=False)
 class SplitSubset:
     """Rows of an archive. A hand-built subset holds its `features`; a cell
-    of `Splits` copies them on the first read of `.features`, and
-    `scoring.evaluate` reads an unread cell's rows from the archive. No
-    generated `repr` or `==`: both would read `.features`."""
+    of `Splits` holds none and gathers them from the archive on each read
+    of `.features`, and `scoring.evaluate` reads a cell's rows from the
+    archive. No generated `repr` or `==`: both would read `.features`."""
 
     features: np.ndarray
     labels: np.ndarray
@@ -244,9 +243,9 @@ class SplitSubset:
 
 
 class _Cell(SplitSubset):
-    """A protocol cell of `Splits`: its features are copied from the
-    archive's on the first read of `.features` and kept; until then
-    `row_source` gives the archive's features and the cell's positions."""
+    """A protocol cell of `Splits`: the archive and its rows' positions. Each
+    read of `.features` gathers the rows afresh, so it shows the archive
+    writes made before it; `row_source` gives the archive and the positions."""
 
     def __init__(self, archive: EmbeddingArchive, indices: np.ndarray):
         self._archive = archive
@@ -254,13 +253,11 @@ class _Cell(SplitSubset):
         self.domains = archive.domains[indices]
         self.indices = indices
 
-    @cached_property
+    @property
     def features(self) -> np.ndarray:
         return self._archive.features[self.indices]
 
     def row_source(self) -> tuple[np.ndarray, np.ndarray | None]:
-        if "features" in self.__dict__:  # read already: the cell's own copy
-            return self.features, None
         return self._archive.features, self.indices
 
 
@@ -271,11 +268,10 @@ class Splits:
     domain).
 
     `split` gathers each cell's labels, domains and row positions, so a
-    later write to the archive's labels or domains shows in no cell. A
-    cell's feature rows are copied from the archive and kept only on the
-    first read of its `.features`; until then `scoring.evaluate` reads them
-    from the archive on each call, and a write to the archive's features
-    shows in them. Each cell keeps a reference to the archive.
+    later write to the archive's labels or domains shows in no cell. No
+    cell keeps its feature rows: `.features` and `scoring.evaluate` read
+    them from the archive on each call, so a write to the archive's
+    features shows in every later read. Each cell keeps the archive.
     """
 
     def __init__(self, base_classes: np.ndarray, new_classes: np.ndarray, train: SplitSubset,
@@ -296,7 +292,7 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     seeded shuffle. Evaluation always scores against the full bank;
     this only controls which samples land in which cell.
 
-    Every cell is built here, all but its feature rows (see `Splits`). The
+    Every cell is built here; none copies its feature rows (see `Splits`). The
     spec's class and domain counts must be the archive's.
     """
     if (spec.num_classes, spec.num_domains) != (archive.bank.num_classes, archive.num_domains):

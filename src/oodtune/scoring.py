@@ -324,12 +324,13 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     return ids, vals
 
 
-def _accuracy_by(groups: np.ndarray, correct: np.ndarray) -> dict[int, float]:
-    """Accuracy of each group id present, in ascending id order."""
-    keys, inverse = np.unique(groups, return_inverse=True)
-    hits = np.bincount(inverse, weights=correct, minlength=keys.size)
-    counts = np.bincount(inverse, minlength=keys.size)
-    return dict(zip(keys.tolist(), (hits / counts).tolist()))
+def _accuracy_by(keys: np.ndarray, groups: np.ndarray, correct: np.ndarray) -> dict[int, float]:
+    """Accuracy of each group present, in ascending order: `groups` holds
+    each sample's group in [0, keys.size), and `keys` the groups' ids."""
+    counts = np.bincount(groups)
+    present = np.flatnonzero(counts)
+    hits = np.bincount(groups, weights=correct)[present]
+    return dict(zip(keys[present].tolist(), (hits / counts[present]).tolist()))
 
 
 def _share(correct: np.ndarray, mask: np.ndarray) -> float:
@@ -370,9 +371,10 @@ def evaluate(
     its softmax, and linear logits have no bound, so neither is screened.
 
     Each block's rows come from `subset.row_source()`: for a cell of
-    `databench.Splits` whose `.features` has not been read, from the
-    archive on each call, so the cell is never copied. The labels, domains
-    and indices must hold one entry per row (ShapeError otherwise).
+    `databench.Splits`, from the archive by position on each call, so the
+    cell is never copied. The labels, domains and indices must hold one
+    entry per row (ShapeError otherwise), and the labels must lie in [0, C)
+    (`losses.LabelError`, a ValueError, otherwise).
 
     Blocks are scored on a `parallel.Crew` of up to
     `parallel.worker_threads()` threads, the caller's among them, one block
@@ -411,6 +413,7 @@ def evaluate(
             raise NonFiniteError("non-finite linear head weights")
         weights_t = np.ascontiguousarray(head.weights.data.T)  # as tensor.transpose builds it
     num_classes = weights_t.shape[1]
+    L._check_labels(labels, num_classes)
 
     preds = np.empty(n, dtype=np.int64)
     if topk is not None:
@@ -463,7 +466,8 @@ def evaluate(
         acc_base=acc_base,
         acc_new=acc_new,
         acc_h=harmonic_mean(acc_base, acc_new),
-        per_domain=_accuracy_by(domains, correct),
-        per_class=_accuracy_by(labels, correct),
+        # a hand-built subset's domain ids have no bound, so they are sorted
+        per_domain=_accuracy_by(*np.unique(domains, return_inverse=True), correct),
+        per_class=_accuracy_by(np.arange(num_classes), labels, correct),
         topk=None if topk is None else TopK(indices, top_ids, top_probs),
     )

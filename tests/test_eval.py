@@ -19,6 +19,7 @@ from oodtune import scoring
 from oodtune import trainer as tr
 from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.evalcli import RunFileError, RunSpec, UsageError, load_run, main, save_run
+from oodtune.losses import LabelError
 from oodtune.model import (ClassBank, Encoder, embed, flatten_params, similarities, trainables,
                            unflatten_params)
 from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
@@ -1651,11 +1652,31 @@ def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
     for read in (False, True):
         if read:
             for cell in cells:
-                cell.features  # gathers the cell's copy, which evaluate then reads
+                cell.features  # a fresh gather, which the cell does not keep
         for count in (1, 2):
             monkeypatch.setattr(parallel, "worker_threads", lambda count=count: count)
             assert [reports(cell) for cell in cells] == want, (read, count)
-        assert all((cell.row_source()[0] is archive.features) is not read for cell in cells)
+        assert all(cell.row_source()[0] is archive.features for cell in cells)
+
+
+@pytest.mark.parametrize("head_classes, bad", [(None, -1), (None, 20), (19, 19), (19, -1)])
+def test_evaluate_rejects_a_label_outside_the_classes_of_the_bank_or_the_head(head_classes, bad):
+    spec = BenchmarkSpec(samples_per_class_per_domain=5, seed=5)  # 20 classes
+    archive = generate(spec)
+    splits = split(archive, spec)
+    enc = Encoder.init(spec.input_dim, 16, spec.embed_dim, np.random.default_rng(3))
+    head = (None if head_classes is None
+            else random_head(head_classes, spec.embed_dim, np.random.default_rng(4)))
+    subset = _hand_built(splits.test_open, archive)
+    subset.labels = subset.labels.astype(np.int64)
+    subset.labels[3] = bad
+    classes = head_classes or spec.num_classes
+    assert issubclass(LabelError, ValueError)  # so the CLI exits 2
+    for topk in (None, 3):
+        with pytest.raises(LabelError, match=rf"^label {bad} out of range for {classes} classes"):
+            evaluate(enc, archive.bank, subset, splits.base_classes, head=head, topk=topk)
+    if 0 <= bad < spec.num_classes:  # in range for the bank's classes
+        evaluate(enc, archive.bank, subset, splits.base_classes)
 
 
 def test_scoring_an_open_eval_cell_copies_none_of_its_rows(monkeypatch):

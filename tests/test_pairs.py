@@ -206,3 +206,37 @@ def test_runs_against_one_parent_on_other_seeds_leave_two_records(monkeypatch, t
             in records
         assert [p["seed"] for p in rec["pairs"]] == [first, first + 1, first + 2]
     capsys.readouterr()
+
+
+def test_each_side_is_calibrated_just_before_its_run(monkeypatch, tmp_path, capsys):
+    events = []
+
+    def calibrate():
+        events.append("calibrate")
+        return {"numpy_s": 0.001 * len(events), "python_s": 0.002 * len(events)}
+
+    def run_side(root, workload, seed, seconds):
+        events.append(("run", seed))
+        return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
+
+    monkeypatch.setattr(pairs, "calibrate", calibrate)
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
+    assert events == ["calibrate", ("run", 1)] * 2 + ["calibrate", ("run", 2)] * 2
+    (path,) = tmp_path.iterdir()
+    rec = json.loads(path.read_text())
+    # pair 1 runs the parent first, pair 2 the change
+    want = {(0, "parent"): 1, (0, "change"): 3, (1, "change"): 5, (1, "parent"): 7}
+    for (i, side), n in want.items():
+        assert rec["pairs"][i][side]["calibration"] == {"numpy_s": 0.001 * n,
+                                                       "python_s": 0.002 * n}
+    assert set(rec["metrics"]) == {"setup_s", "job_s", "peak_rss_mb"}
+    capsys.readouterr()
+
+
+def test_calibration_times_both_passes():
+    calibration = pairs.calibrate()
+    assert set(calibration) == {"numpy_s", "python_s"}
+    assert all(0 < t < 10 for t in calibration.values())

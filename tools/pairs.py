@@ -26,6 +26,14 @@ parent's by more than the metric's bound; and perfbench's environment
 record. When a run exits non-zero the pairs stop: the record keeps the
 pairs done so far and names the failing side, its seed, its exit code and
 the tail of its standard error, and the script exits 1.
+
+Just before each run, the script times a fixed numpy pass (`np.multiply`
+over CALIBRATION_VALUES float64 values into a preallocated output) and a
+fixed pure-Python loop of CALIBRATION_LOOPS turns, each the median of
+CALIBRATION_REPEATS repetitions, and keeps both times as that side's
+`calibration` ({"numpy_s", "python_s"}) in the pair's record: they show how
+fast the machine was, so records of different sessions can be compared.
+They are not end-to-end metrics, and the summary ignores them.
 """
 
 from __future__ import annotations
@@ -40,6 +48,9 @@ import tarfile
 import tempfile
 from pathlib import Path
 from statistics import median, quantiles
+from time import perf_counter
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 OUT = ROOT / "bench"
@@ -47,6 +58,11 @@ OUT = ROOT / "bench"
 WIN_SHARE = 0.9
 # lines of a failing run's standard error kept in the record
 STDERR_TAIL_LINES = 20
+# the calibration before each run: float64 values of its numpy pass, turns
+# of its Python loop, and the repetitions each time is the median of
+CALIBRATION_VALUES = 1 << 20
+CALIBRATION_LOOPS = 1 << 17
+CALIBRATION_REPEATS = 5
 
 
 def parse_args(argv):
@@ -97,6 +113,28 @@ class RunFailed(RuntimeError):
         self.code, self.stderr = code, stderr
 
 
+def calibrate() -> dict:
+    """Median seconds of the fixed numpy pass and of the fixed Python loop."""
+    values = np.full(CALIBRATION_VALUES, 1.5)
+    out = np.empty_like(values)
+
+    def python_loop():
+        total = 0
+        for i in range(CALIBRATION_LOOPS):
+            total += i
+
+    def timed(work) -> float:
+        times = []
+        for _ in range(CALIBRATION_REPEATS):
+            t0 = perf_counter()
+            work()
+            times.append(perf_counter() - t0)
+        return median(times)
+
+    return {"numpy_s": timed(lambda: np.multiply(values, values, out=out)),
+            "python_s": timed(python_loop)}
+
+
 def run_side(root: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, str(root / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
@@ -116,8 +154,10 @@ def run_pairs(roots: dict, workload: str, first_seed: int, count: int,
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {"seed": seed, "first": order[0]}
         for side in order:
+            calibration = calibrate()
             try:
                 pair[side] = run_side(roots[side], workload, seed, seconds)
+                pair[side]["calibration"] = calibration
             except RunFailed as exc:
                 tail = "\n".join(exc.stderr.splitlines()[-STDERR_TAIL_LINES:])
                 return pairs, {"side": side, "seed": seed, "exit_code": exc.code,
@@ -182,8 +222,8 @@ def record(workload: str, parent_rev: str, aa: bool, seconds: float, pairs: list
         "change": "parent (A/A)" if aa else "working tree",
         "seconds": seconds,
         "pairs": [{"seed": p["seed"], "first": p["first"],
-                   **{side: {"correct": p[side]["correct"], "failed": p[side]["failed"],
-                             "attempted": p[side]["attempted"],
+                   **{side: {**{k: p[side][k] for k in ("correct", "failed", "attempted",
+                                                        "calibration") if k in p[side]},
                              **{k: v["value"] for k, v in p[side]["metrics"].items()}}
                       for side in ("parent", "change")}}
                   for p in pairs],
