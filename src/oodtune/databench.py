@@ -8,8 +8,10 @@ task stays solvable while marginal distributions move across domains.
 
 `split` cuts an archive into the protocol cells: it draws the class split
 and gathers every cell's labels, domains and row positions, but no feature
-rows. A cell's `.features` gathers them from the archive on each read, and
-`scoring.evaluate` reads them by position, so scoring never copies a cell.
+rows. Every subset, a cell or one built by hand, is a `SplitSubset`: row
+positions into a feature array, whose `.features` gathers the rows on each
+read and which `scoring.evaluate` reads by position, so scoring never
+copies a subset.
 
 EMBA file layout (little-endian):
     magic "EMBA" | version 0x01 | u32 N, d_in, d, C, M
@@ -24,6 +26,7 @@ import os
 import struct
 from dataclasses import dataclass
 from functools import partial
+from itertools import product
 
 import numpy as np
 
@@ -186,35 +189,38 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
         q, r = np.linalg.qr(rng.standard_normal((spec.input_dim, spec.embed_dim)))
         lift = q * np.sign(np.diag(r))
 
-    rotations = []
-    offsets = []
-    for _ in range(spec.num_domains):
-        rotations.append(_random_rotation(rng, spec.input_dim, spec.domain_strength))
-        offsets.append(spec.domain_strength * rng.standard_normal(spec.input_dim))
+    # a value beyond float32's range raises, in the arithmetic or the store
+    with np.errstate(over="raise"):
+        try:
+            shifts = [(_random_rotation(rng, spec.input_dim, spec.domain_strength),
+                       spec.domain_strength * rng.standard_normal(spec.input_dim))
+                      for _ in range(spec.num_domains)]
 
-    names = [f"class_{c:03d}" for c in range(spec.num_classes)]
-    bank = ClassBank(prototypes, names)
+            names = [f"class_{c:03d}" for c in range(spec.num_classes)]
+            bank = ClassBank(prototypes, names)
 
-    lifted = bank.embeddings @ lift.T  # C x d_in
-    c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
-    features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
-    # a block is k whole classes, or r rows of one class when a class does
-    # not fit; the blocks follow the C order of one (c, n, d_in) draw per
-    # domain, and draws split into blocks give the same stream as one draw
-    r = min(n, max(1, NOISE_BLOCK_ELEMENTS // d_in))
-    k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
-    noise = np.empty(min(k, c) * r * d_in)
-    for m in range(spec.num_domains):
-        base_points = lifted @ rotations[m].T + offsets[m]
-        for c0 in range(0, c, k):
-            c1 = min(c, c0 + k)
-            for r0 in range(0, n, r):
-                r1 = min(n, r0 + r)
-                points = noise[: (c1 - c0) * (r1 - r0) * d_in].reshape(c1 - c0, r1 - r0, d_in)
-                rng.standard_normal(out=points)
-                points *= spec.noise_sigma
-                points += base_points[c0:c1, None, :]
-                features[m, c0:c1, r0:r1] = points
+            lifted = bank.embeddings @ lift.T  # C x d_in
+            c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
+            features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
+            # a block is k whole classes, or r rows of one class when a class
+            # does not fit; the blocks follow the C order of one (c, n, d_in)
+            # draw per domain, and draws split into blocks give the same
+            # stream as one draw
+            r = min(n, max(1, NOISE_BLOCK_ELEMENTS // d_in))
+            k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
+            noise = np.empty(min(k, c) * r * d_in)
+            for m, (rotation, offset) in enumerate(shifts):
+                base_points = lifted @ rotation.T + offset
+                for c0, r0 in product(range(0, c, k), range(0, n, r)):
+                    c1, r1 = min(c, c0 + k), min(n, r0 + r)
+                    points = noise[: (c1 - c0) * (r1 - r0) * d_in].reshape(c1 - c0, r1 - r0, d_in)
+                    rng.standard_normal(out=points)
+                    points *= spec.noise_sigma
+                    points += base_points[c0:c1, None, :]
+                    features[m, c0:c1, r0:r1] = points
+        except FloatingPointError:
+            raise GenerationError(f"features overflow float32 at noise_sigma {spec.noise_sigma} "
+                                  f"and domain_strength {spec.domain_strength}") from None
 
     return EmbeddingArchive(
         features=features.reshape(-1, d_in),
@@ -226,39 +232,21 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
 
 @dataclass(repr=False, eq=False)
 class SplitSubset:
-    """Rows of an archive. A hand-built subset holds its `features`; a cell
-    of `Splits` holds none and gathers them from the archive on each read
-    of `.features`, and `scoring.evaluate` reads a cell's rows from the
-    archive. No generated `repr` or `==`: both would read `.features`."""
+    """Rows of a feature array: `source` (N x d_in) and `indices`, the rows'
+    positions in it, which reports use to name the samples, with their
+    `labels` and `domains`. `.features` gathers `source[indices]` afresh on
+    each read, so it shows the source writes made before it, and
+    `scoring.evaluate` reads the rows from `source` by position, so scoring
+    copies no subset. No generated `repr` or `==`: both would read the rows."""
 
-    features: np.ndarray
+    source: np.ndarray
+    indices: np.ndarray
     labels: np.ndarray
     domains: np.ndarray
-    indices: np.ndarray  # row positions in the source archive
-
-    def row_source(self) -> tuple[np.ndarray, np.ndarray | None]:
-        """Where the subset's feature rows are read: an array and the rows'
-        positions in it, or None when the array is the rows in order."""
-        return np.asarray(self.features), None
-
-
-class _Cell(SplitSubset):
-    """A protocol cell of `Splits`: the archive and its rows' positions. Each
-    read of `.features` gathers the rows afresh, so it shows the archive
-    writes made before it; `row_source` gives the archive and the positions."""
-
-    def __init__(self, archive: EmbeddingArchive, indices: np.ndarray):
-        self._archive = archive
-        self.labels = archive.labels[indices]
-        self.domains = archive.domains[indices]
-        self.indices = indices
 
     @property
     def features(self) -> np.ndarray:
-        return self._archive.features[self.indices]
-
-    def row_source(self) -> tuple[np.ndarray, np.ndarray | None]:
-        return self._archive.features, self.indices
+        return self.source[self.indices]
 
 
 class Splits:
@@ -267,11 +255,11 @@ class Splits:
     (new classes in every domain) and `test_both` (every class in the test
     domain).
 
-    `split` gathers each cell's labels, domains and row positions, so a
-    later write to the archive's labels or domains shows in no cell. No
-    cell keeps its feature rows: `.features` and `scoring.evaluate` read
-    them from the archive on each call, so a write to the archive's
-    features shows in every later read. Each cell keeps the archive.
+    Each cell is a `SplitSubset` whose source is the archive's feature
+    array. `split` gathers each cell's labels, domains and row positions, so
+    a later write to the archive's labels or domains shows in no cell; no
+    cell copies its feature rows, so an in-place write to the archive's
+    features shows in every later read of them.
     """
 
     def __init__(self, base_classes: np.ndarray, new_classes: np.ndarray, train: SplitSubset,
@@ -292,8 +280,9 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
     seeded shuffle. Evaluation always scores against the full bank;
     this only controls which samples land in which cell.
 
-    Every cell is built here; none copies its feature rows (see `Splits`). The
-    spec's class and domain counts must be the archive's.
+    Every cell is built here, a `SplitSubset` of the archive's feature
+    array that copies none of its rows (see `Splits`). The spec's class and
+    domain counts must be the archive's.
     """
     if (spec.num_classes, spec.num_domains) != (archive.bank.num_classes, archive.num_domains):
         raise ValueError(
@@ -318,7 +307,9 @@ def split(archive: EmbeddingArchive, spec: BenchmarkSpec) -> Splits:
         train_mask = _thin_to_shots(archive, train_mask, spec, rng)
 
     masks = (train_mask, is_base & is_test_domain, ~is_base, is_test_domain)
-    return Splits(base, new, *(_Cell(archive, np.flatnonzero(mask)) for mask in masks))
+    cells = (np.flatnonzero(mask) for mask in masks)
+    return Splits(base, new, *(SplitSubset(archive.features, idx, archive.labels[idx],
+                                           archive.domains[idx]) for idx in cells))
 
 
 def _thin_to_shots(archive, train_mask, spec, rng) -> np.ndarray:

@@ -44,11 +44,17 @@ class BmaState:
 
 
 def bma_init(theta0: ParamVector, total_steps: int, beta: float) -> BmaState:
+    """The average of theta0 alone. ValueError when the weights of snapshots 0
+    and 1 both underflow to 0.0 (from beta 93 at total_steps 5000 on)."""
     if total_steps < 1:
         raise ValueError(f"total_steps must be >= 1, got {total_steps}")
+    weight_sum = beta_weight(0, total_steps, beta)
+    if weight_sum == 0.0 and beta_weight(1, total_steps, beta) == 0.0:
+        raise ValueError(f"beta {beta} is too large for total_steps {total_steps}: the Beta "
+                         f"weights of snapshots 0 and 1 both underflow to 0.0")
     return BmaState(
         avg=np.array(theta0, dtype=np.float64, copy=True),
-        weight_sum=beta_weight(0, total_steps, beta),
+        weight_sum=weight_sum,
         step=0,
         total_steps=total_steps,
         beta=beta,

@@ -370,10 +370,10 @@ def evaluate(
     buffer of the float64 path's size. Top-k needs every float64 score for
     its softmax, and linear logits have no bound, so neither is screened.
 
-    Each block's rows come from `subset.row_source()`: for a cell of
-    `databench.Splits`, from the archive by position on each call, so the
-    cell is never copied. The labels, domains and indices must hold one
-    entry per row (ShapeError otherwise), and the labels must lie in [0, C)
+    Each block's rows are read from `subset.source` at their `indices`, so
+    no subset is copied. The indices must lie in [0, len(source))
+    (IndexError otherwise), the labels and domains hold one entry per index
+    (ShapeError otherwise), and the labels lie in [0, C)
     (`losses.LabelError`, a ValueError, otherwise).
 
     Blocks are scored on a `parallel.Crew` of up to
@@ -385,22 +385,24 @@ def evaluate(
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
-    source, positions = subset.row_source()
-    shape = source.shape if positions is None else positions.shape + source.shape[1:]
-    n = shape[0]
+    source, indices = np.asarray(subset.source), np.asarray(subset.indices, dtype=np.int64)
+    n = len(indices)
     if n == 0:
         raise ValueError("empty evaluation split")
     if topk is not None and topk < 1:
         raise ValueError(f"topk must be >= 1, got {topk}")
+    shape = indices.shape + source.shape[1:]
     if len(shape) != 2 or shape[1] != encoder.d_in:
         raise ShapeError(f"encoder expects N x {encoder.d_in} features, got {shape}")
-    per_row = {name: np.asarray(getattr(subset, name), dtype=np.int64)
-               for name in ("labels", "domains", "indices")}
-    for name, values in per_row.items():
+    if not 0 <= indices.min() <= indices.max() < len(source):
+        raise IndexError(f"subset indices {indices.min()}..{indices.max()} outside "
+                         f"[0, {len(source)})")
+    labels, domains = (np.asarray(getattr(subset, name), dtype=np.int64)
+                       for name in ("labels", "domains"))
+    for name, values in (("labels", labels), ("domains", domains)):
         if values.shape != (n,):
             raise ShapeError(f"subset {name} of shape {values.shape} for {n} feature rows; "
                              f"expected ({n},)")
-    labels, domains, indices = per_row.values()
     if head is None:
         if encoder.d_out != bank.dim:
             raise ShapeError(f"encoder output dim {encoder.d_out} vs bank dim {bank.dim}")
@@ -427,8 +429,7 @@ def evaluate(
         gap = _screen_gap(weights_t)
 
     def score(block: slice) -> None:
-        rows = source[block] if positions is None else source.take(positions[block], axis=0)
-        x = np.asarray(rows, dtype=np.float64)
+        x = np.asarray(source.take(indices[block], axis=0), dtype=np.float64)
         if screen:
             z = _embed(encoder, x, normalize=True)
             scores = np.empty((z.shape[0], num_classes))

@@ -1,3 +1,4 @@
+import re
 import struct
 import tracemalloc
 from dataclasses import replace
@@ -102,6 +103,24 @@ def test_generation_error_when_prototypes_cannot_fit():
                          samples_per_class_per_domain=1, identity_lift=True)
     with pytest.raises(GenerationError, match="cosine"):
         generate(spec)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("noise_sigma", 1e39), ("noise_sigma", 1.7e308),
+    ("domain_strength", 1e39), ("domain_strength", -1e39), ("domain_strength", 1.7e308),
+])
+def test_generate_rejects_features_beyond_the_float32_range(field, value):
+    spec = replace(SMALL, **{field: value})
+    message = (f"features overflow float32 at noise_sigma {spec.noise_sigma} and "
+               f"domain_strength {spec.domain_strength}")
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        generate(spec)
+
+
+def test_generate_keeps_large_finite_features():
+    archive = generate(replace(SMALL, noise_sigma=1e37))
+    assert np.isfinite(archive.features).all()
+    assert np.abs(archive.features).max() > 1e37
 
 
 def test_domain_rotations_are_orthogonal():
@@ -463,11 +482,12 @@ def _eager_split(archive, spec):
     if spec.shots is not None:
         train_mask = db._thin_to_shots(archive, train_mask, spec, rng)
     masks = (train_mask, is_base & is_test_domain, ~is_base, is_test_domain)
+    source = archive.features.copy()  # so the reference shares no memory with the archive
     cells = {}
     for cell, mask in zip(CELLS, masks):
         idx = np.flatnonzero(mask)
-        cells[cell] = db.SplitSubset(features=archive.features[idx], labels=archive.labels[idx],
-                                     domains=archive.domains[idx], indices=idx)
+        cells[cell] = db.SplitSubset(source, idx, labels=archive.labels[idx],
+                                     domains=archive.domains[idx])
     return base, cells
 
 
@@ -485,7 +505,7 @@ def test_split_cells_equal_the_hand_copied_split(fields):
     np.testing.assert_array_equal(splits.base_classes, base)
     for cell in CELLS:
         built, want = getattr(splits, cell), copied[cell]
-        assert isinstance(built, db.SplitSubset)
+        assert type(built) is db.SplitSubset and built.source is archive.features
         for name in ("features", "labels", "domains", "indices"):
             got, ref = getattr(built, name), getattr(want, name)
             assert got.dtype == ref.dtype and got.shape == ref.shape, (cell, name)
@@ -522,11 +542,11 @@ def test_repr_and_equality_of_a_cell_copy_none_of_its_rows():
     archive = generate(SMALL)
     splits = split(archive, SMALL)
     cell, other = splits.test_open, splits.test_both
-    assert "_Cell" in repr(cell)
+    assert repr(cell).startswith("<oodtune.databench.SplitSubset object at ")
     assert cell == cell and cell != other
     assert cell != split(archive, SMALL).test_open  # compared by identity, not by rows
     for subset in (cell, other):
-        assert subset.row_source()[0] is archive.features
+        assert subset.source is archive.features
 
 
 def test_a_cell_reads_its_rows_from_the_archive_whether_or_not_its_features_were_read():
@@ -535,8 +555,8 @@ def test_a_cell_reads_its_rows_from_the_archive_whether_or_not_its_features_were
     for name in CELLS:
         cell = getattr(splits, name)
         for _ in range(2):
-            source, positions = cell.row_source()
-            assert source is archive.features and positions is cell.indices, name
+            assert cell.source is archive.features, name
+            assert set(vars(cell)) == {"source", "indices", "labels", "domains"}, name
             cell.features  # a fresh gather, which the cell does not keep
 
 
@@ -549,7 +569,7 @@ def test_two_reads_of_a_cell_are_equal_gathers_that_share_no_memory():
     np.testing.assert_array_equal(first, archive.features[cell.indices])
     for a, b in ((first, second), (first, archive.features), (second, archive.features)):
         assert not np.shares_memory(a, b)
-    assert cell.row_source()[0] is archive.features
+    assert cell.source is archive.features
 
 
 def test_split_cells_hold_no_array_of_the_features_size():

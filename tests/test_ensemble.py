@@ -60,6 +60,19 @@ def test_bma_init():
         bma_init(theta0, 0, 0.5)
 
 
+def test_bma_init_rejects_a_beta_whose_first_two_weights_underflow():
+    theta = np.array([1.0, -2.0, 3.0])
+    # at beta 92 snapshot 0 weighs 0.0 but snapshot 1 does not
+    state = bma_init(theta, 5000, 92.0)
+    assert state.weight_sum == 0.0 and beta_weight(1, 5000, 92.0) > 0.0
+    bma_update(state, theta + 1.0)
+    assert np.isfinite(state.avg).all()
+    np.testing.assert_array_equal(state.avg, theta + 1.0)
+    assert beta_weight(0, 5000, 93.0) == beta_weight(1, 5000, 93.0) == 0.0
+    with pytest.raises(ValueError, match=r"^beta 93\.0 is too large for total_steps 5000: "):
+        bma_init(theta, 5000, 93.0)
+
+
 def test_bma_constant_trajectory_fixed_point():
     theta = np.array([0.5, 1.5])
     state = bma_init(theta, total_steps=10, beta=0.3)

@@ -109,12 +109,9 @@ def test_evaluate_ties_break_to_lowest_class():
     # identical bank rows give identical scores for every class
     row = np.ones(4) / 2.0
     bank = ClassBank(np.tile(row, (3, 1)), ["a", "b", "c"])
-    subset = db.SplitSubset(
-        features=np.eye(4)[:3],
-        labels=np.array([0, 1, 2], dtype=np.uint32),
-        domains=np.zeros(3, dtype=np.uint32),
-        indices=np.arange(3),
-    )
+    subset = db.SplitSubset(np.eye(4)[:3], np.arange(3),
+                            labels=np.array([0, 1, 2], dtype=np.uint32),
+                            domains=np.zeros(3, dtype=np.uint32))
     report = evaluate(identity_encoder(4), bank, subset, [0, 1], topk=3)
     assert report.per_class[0] == 1.0  # only class 0 ever predicted
     assert report.per_class[1] == 0.0
@@ -234,9 +231,9 @@ def test_each_block_equals_the_tapes_scores_of_its_own_rows(monkeypatch):
     rows = rng.standard_normal((num_classes, 32))
     bank = ClassBank(rows / np.linalg.norm(rows, axis=1, keepdims=True),
                      [f"c{i}" for i in range(num_classes)])
-    subset = db.SplitSubset(features=rng.standard_normal((n, 48)).astype(np.float32),
+    subset = db.SplitSubset(rng.standard_normal((n, 48)).astype(np.float32), np.arange(n),
                             labels=np.arange(n) % num_classes,
-                            domains=np.zeros(n, dtype=np.uint32), indices=np.arange(n))
+                            domains=np.zeros(n, dtype=np.uint32))
     enc = Encoder.init(48, 64, 32, np.random.default_rng(3))
     blocks = _recorded_blocks(monkeypatch)
     evaluate(enc, bank, subset, range(10), topk=1)
@@ -281,12 +278,11 @@ def _tied_bank_case():
     rows = np.tile(np.ones(4) / 2.0, (12, 1))
     rows[11] = np.eye(4)[0]
     bank = ClassBank(rows, [f"c{i}" for i in range(12)])
-    subset = db.SplitSubset(
-        features=np.eye(4)[:2],
-        labels=np.array([11, 3], dtype=np.uint32),
-        domains=np.zeros(2, dtype=np.uint32),
-        indices=np.array([40, 41]),
-    )
+    source = np.zeros((42, 4))
+    source[40:] = np.eye(4)[:2]  # the two samples, named 40 and 41
+    subset = db.SplitSubset(source, np.array([40, 41]),
+                            labels=np.array([11, 3], dtype=np.uint32),
+                            domains=np.zeros(2, dtype=np.uint32))
     return bank, subset
 
 
@@ -311,12 +307,9 @@ def test_evaluate_topk_above_class_count_returns_every_class():
 
 def test_evaluate_rejects_empty_split():
     archive = generate(NOISELESS)
-    empty = db.SplitSubset(
-        features=np.zeros((0, 16)),
-        labels=np.zeros(0, dtype=np.uint32),
-        domains=np.zeros(0, dtype=np.uint32),
-        indices=np.zeros(0, dtype=np.int64),
-    )
+    empty = db.SplitSubset(np.zeros((0, 16)), np.zeros(0, dtype=np.int64),
+                           labels=np.zeros(0, dtype=np.uint32),
+                           domains=np.zeros(0, dtype=np.uint32))
     with pytest.raises(ValueError):
         evaluate(identity_encoder(16), archive.bank, empty, [0])
 
@@ -457,8 +450,8 @@ def _pinned_case():
     splits = split(archive, spec)
     both = splits.test_both
     rows = slice(0, 300)  # two score blocks
-    subset = db.SplitSubset(features=both.features[rows], labels=both.labels[rows],
-                            domains=both.domains[rows], indices=both.indices[rows])
+    subset = db.SplitSubset(archive.features, both.indices[rows], labels=both.labels[rows],
+                            domains=both.domains[rows])
     enc = Encoder.init(spec.input_dim, 32, spec.embed_dim, np.random.default_rng([7, 0]))
     head = random_head(spec.num_classes, spec.embed_dim, np.random.default_rng([7, 1]))
     return archive, subset, splits.base_classes, enc, head
@@ -606,6 +599,36 @@ def test_cli_gen_train_eval_pipeline(tmp_path, capsys):
     for key in ("acc_base", "acc_new", "acc_h", "per_domain", "per_class"):
         assert key in payload
     assert 0.0 <= payload["acc_h"] <= 1.0
+
+
+@pytest.mark.parametrize("flag", ["--noise-sigma", "--domain-strength"])
+def test_cli_gen_of_features_beyond_float32_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                          flag):
+    out = tmp_path / "bench.emba"
+    assert main(_gen_args(out) + [flag, "1e39"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: features overflow float32 at noise_sigma ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not out.exists()
+
+
+def test_cli_train_with_underflowing_beta_weights_exits_two_before_a_step(tmp_path, capsys,
+                                                                         monkeypatch):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    capsys.readouterr()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(tr.FusedStep, "__call__", no_step)
+    for flags, beta, total in ((["--beta", "100"], 100.0, 5000),
+                               (["--beta", "400", "--steps", "200"], 400.0, 200)):
+        assert main(["train", "--data", str(data), "--out", str(run)] + flags) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: beta {beta} is too large for total_steps {total}: ")
+        assert err.count("\n") == 1 and err.endswith("\n")
+    assert not run.exists()
 
 
 def test_cli_usage_errors_exit_one(capsys):
@@ -1372,8 +1395,8 @@ def test_top_k_reports_at_a_thousand_classes_equal_the_stable_argsort_ones(monke
     splits = split(archive, spec)
     both = splits.test_both
     first = slice(0, 400)  # two score blocks
-    subset = db.SplitSubset(features=both.features[first], labels=both.labels[first],
-                            domains=both.domains[first], indices=both.indices[first])
+    subset = db.SplitSubset(archive.features, both.indices[first], labels=both.labels[first],
+                            domains=both.domains[first])
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
     ks = (5, 64, 200)
     assert [scoring._ranking(k, spec.num_classes) for k in ks] == ["sweeps", "partial", "partial"]
@@ -1629,10 +1652,11 @@ def test_cli_eval_scores_the_named_split_cell(tmp_path, capsys, monkeypatch, cho
 
 
 def _hand_built(cell, archive):
-    """A `SplitSubset` that holds its own copy of the cell's rows."""
-    rows = cell.indices
-    return db.SplitSubset(features=archive.features[rows], labels=archive.labels[rows],
-                          domains=archive.domains[rows], indices=rows.copy())
+    """A `SplitSubset` of the cell's rows over a copy of the archive's
+    features, so it shares no memory with the archive."""
+    rows = cell.indices.copy()
+    return db.SplitSubset(archive.features.copy(), rows, labels=archive.labels[rows],
+                          domains=archive.domains[rows])
 
 
 def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
@@ -1656,7 +1680,7 @@ def test_cell_reports_equal_the_reports_of_hand_built_subsets(monkeypatch):
         for count in (1, 2):
             monkeypatch.setattr(parallel, "worker_threads", lambda count=count: count)
             assert [reports(cell) for cell in cells] == want, (read, count)
-        assert all(cell.row_source()[0] is archive.features for cell in cells)
+        assert all(cell.source is archive.features for cell in cells)
 
 
 @pytest.mark.parametrize("head_classes, bad", [(None, -1), (None, 20), (19, 19), (19, -1)])
@@ -1695,15 +1719,59 @@ def test_scoring_an_open_eval_cell_copies_none_of_its_rows(monkeypatch):
         tracemalloc.stop()
     cell_bytes = cell.labels.size * spec.input_dim * 4  # 11.5 MB of float32 rows
     assert peak < cell_bytes // 2
-    assert cell.row_source()[0] is archive.features
+    assert cell.source is archive.features
 
 
-@pytest.mark.parametrize("name, size", [("labels", 997), ("domains", 5), ("indices", 1001)])
-def test_evaluate_rejects_labels_domains_or_indices_not_one_per_row(name, size):
+@pytest.mark.parametrize("name, size", [("labels", 997), ("domains", 5), ("domains", 1001)])
+def test_evaluate_rejects_labels_or_domains_not_one_per_index(name, size):
     n = 1000
-    rows = {"features": np.random.default_rng(0).standard_normal((n, 16)),
-            "labels": np.zeros(n, dtype=np.uint32), "domains": np.zeros(n, dtype=np.uint32),
-            "indices": np.arange(n)}
+    rows = {"labels": np.zeros(n, dtype=np.uint32), "domains": np.zeros(n, dtype=np.uint32)}
     rows[name] = np.resize(rows[name], size)
+    subset = db.SplitSubset(np.random.default_rng(0).standard_normal((n, 16)), np.arange(n),
+                            **rows)
     with pytest.raises(ShapeError, match=rf"subset {name} of shape \({size},\) for {n} "):
-        evaluate(identity_encoder(16), generate(NOISELESS).bank, db.SplitSubset(**rows), [0])
+        evaluate(identity_encoder(16), generate(NOISELESS).bank, subset, [0])
+
+
+@pytest.mark.parametrize("bad", [-1, 40])
+def test_evaluate_rejects_an_index_outside_the_source(bad):
+    source = np.random.default_rng(0).standard_normal((40, 16))
+    indices = np.arange(30)
+    indices[7] = bad
+    subset = db.SplitSubset(source, indices, labels=np.zeros(30, dtype=np.uint32),
+                            domains=np.zeros(30, dtype=np.uint32))
+    with pytest.raises(IndexError, match=rf"subset indices {min(bad, 0)}..{max(bad, 29)} outside \[0, 40\)"):
+        evaluate(identity_encoder(16), generate(NOISELESS).bank, subset, [0])
+
+
+def test_evaluate_rejects_indices_that_are_not_one_row_list():
+    subset = db.SplitSubset(np.zeros((40, 16)), np.arange(30).reshape(15, 2),
+                            labels=np.zeros(15, dtype=np.uint32),
+                            domains=np.zeros(15, dtype=np.uint32))
+    with pytest.raises(ShapeError, match=r"expects N x 16 features, got \(15, 2, 16\)"):
+        evaluate(identity_encoder(16), generate(NOISELESS).bank, subset, [0])
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_a_subset_scores_and_names_the_rows_its_unsorted_repeated_indices_give(monkeypatch,
+                                                                               workers):
+    rng = np.random.default_rng(9)
+    source = rng.standard_normal((50, 16))  # no archive's features
+    indices = rng.integers(0, 50, size=120)
+    assert np.unique(indices).size < indices.size and (np.diff(indices) < 0).any()
+    labels, domains = rng.integers(0, 6, size=120), rng.integers(0, 3, size=120)
+    bank = generate(NOISELESS).bank  # 6 classes: blocks of 7 rows below
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 7 * bank.num_classes)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: workers)
+
+    def report(subset):
+        return evaluate(identity_encoder(16), bank, subset, [0, 1, 2], topk=3)
+
+    got = report(db.SplitSubset(source, indices, labels, domains))
+    want = report(db.SplitSubset(source[indices], np.arange(120), labels, domains))
+    np.testing.assert_array_equal(got.topk.samples, indices)
+    np.testing.assert_array_equal(got.topk.ids, want.topk.ids)
+    np.testing.assert_array_equal(got.topk.probs, want.topk.probs)
+    assert [got.acc_base, got.acc_new, got.per_domain, got.per_class] == \
+        [want.acc_base, want.acc_new, want.per_domain, want.per_class]
+    assert got.topk[1][0] == indices[1] and got.topk[1][1] == want.topk[1][1]

@@ -25,8 +25,8 @@ def _unit(rows):
 
 def _held_subset(features, num_classes):
     n = features.shape[0]
-    return db.SplitSubset(features=features, labels=np.arange(n) % num_classes,
-                          domains=np.zeros(n, dtype=np.uint32), indices=np.arange(n))
+    return db.SplitSubset(features, np.arange(n), labels=np.arange(n) % num_classes,
+                          domains=np.zeros(n, dtype=np.uint32))
 
 
 def _aimed_at(targets):
@@ -78,8 +78,8 @@ def test_duplicate_bank_rows_tie_exactly_and_the_lowest_id_wins(monkeypatch):
     bank = ClassBank(rows, [f"c{i}" for i in range(C)])
     first = rng.integers(0, C // 2, size=700)
     targets = rows[first + rng.integers(0, 2, size=700) * (C // 2)]
-    subset = db.SplitSubset(features=_aimed_at(targets), labels=first,
-                            domains=np.zeros(700, dtype=np.uint32), indices=np.arange(700))
+    subset = db.SplitSubset(_aimed_at(targets), np.arange(700), labels=first,
+                            domains=np.zeros(700, dtype=np.uint32))
     flags = _screened_and_unscreened(monkeypatch, identity_encoder(D), bank, subset)
     assert flags == [True, True]  # each block holds a tie, so it is scored in float64
     report = evaluate(identity_encoder(D), bank, subset, list(range(C // 2)))

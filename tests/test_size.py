@@ -19,7 +19,7 @@ def size(monkeypatch):
     return module
 
 
-# module name -> (source, its `ast` count)
+# module name -> (source, its `ast` count, its defs)
 MODULES = {
     "funcs.py": ("""
         def plain(a, b):
@@ -31,7 +31,13 @@ MODULES = {
             def nested(g=4, /, h=5):  # so do positional-only ones
                 return g + h
             return inner, nested
-        """, 2 + 2 + 1 + 2),
+
+
+        async def waits(a=0):
+            async def inner():  # nested, and async
+                return a
+            return await inner()
+        """, 2 + 2 + 1 + 2 + 1, 2 + 1 + 2),
     "classes.py": ("""
         import dataclasses
         from dataclasses import dataclass, field
@@ -62,47 +68,57 @@ MODULES = {
         class Undecorated:
             a: int
             b: int = 0
-        """, 3 + 1 + 1 + 2),
-    "empty.py": ("", 0),
+
+            class Nested:  # a class inside a class counts too
+                pass
+        """, 3 + 1 + 1 + 2, 4 + 1 + 1),
+    "empty.py": ("", 0, 0),
 }
 
 
 def _package(root: Path) -> Path:
     package = root / "pkg"
     package.mkdir()
-    for name, (source, _) in MODULES.items():
+    for name, (source, *_) in MODULES.items():
         (package / name).write_text(textwrap.dedent(source).lstrip("\n"))
     (package / "notes.txt").write_text("def f(a=1): pass\n")  # not a module
     return package
 
 
 def test_counts_defaults_and_dataclass_fields(size):
-    for name, (source, want) in MODULES.items():
+    for name, (source, want, _) in MODULES.items():
         assert size.defaults_and_fields(textwrap.dedent(source)) == want, name
+
+
+def test_counts_class_function_and_method_defs_nested_ones_included(size):
+    for name, (source, _, want) in MODULES.items():
+        assert size.defs(textwrap.dedent(source)) == want, name
+    assert size.defs("f = lambda x: x\n") == 0
 
 
 def test_sizes_count_each_module_s_lines(size, tmp_path):
     package = _package(tmp_path)
     got = size.sizes(package)
     assert list(got) == sorted(MODULES)
-    for name, (lines, count) in got.items():
+    for name, (lines, *counts) in got.items():
         assert lines == len((package / name).read_text().splitlines())
-        assert count == MODULES[name][1]
-    assert got["empty.py"] == (0, 0)
+        assert counts == list(MODULES[name][1:])
+    assert got["empty.py"] == (0, 0, 0)
 
 
 def test_report_totals_and_marks_a_module_one_side_lacks(size, tmp_path):
     change = size.sizes(_package(tmp_path))
-    parent = {"funcs.py": (3, 1), "gone.py": (10, 2)}
+    parent = {"funcs.py": (3, 1, 4), "gone.py": (10, 2, 5)}
     lines = size.report(change, parent)
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
-    assert lines[0].split() == ["module", "lines", "ast", "parent", "lines", "parent", "ast"]
+    assert lines[0].split() == ["module", "lines", "ast", "defs", "parent", "lines", "parent",
+                                "ast", "parent", "defs"]
     assert list(rows) == ["classes.py", "empty.py", "funcs.py", "gone.py", "total"]
-    assert rows["gone.py"] == ["-", "-", "10", "2"]
-    assert rows["empty.py"] == ["0", "0", "-", "-"]
-    total_lines = sum(n for n, _ in change.values())
-    assert rows["total"] == [str(total_lines), "14", "13", "3"]
+    assert rows["gone.py"] == ["-", "-", "-", "10", "2", "5"]
+    assert rows["empty.py"] == ["0", "0", "0", "-", "-", "-"]
+    total_lines = sum(n for n, *_ in change.values())
+    assert rows["total"] == [str(total_lines), "15", "11", "13", "3", "9"]
     alone = size.report(change, None)
-    assert alone[0].split() == ["module", "lines", "ast"]
-    assert alone[-1].split() == ["total", str(total_lines), "14"]
-    assert size.report({}, None)[-1].split() == ["total", "0", "0"]
+    assert alone[0].split() == ["module", "lines", "ast", "defs"]
+    assert alone[-1].split() == ["total", str(total_lines), "15", "11"]
+    assert size.report({}, None)[-1].split() == ["total", "0", "0", "0"]

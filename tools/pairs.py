@@ -33,7 +33,11 @@ fixed pure-Python loop of CALIBRATION_LOOPS turns, each the median of
 CALIBRATION_REPEATS repetitions, and keeps both times as that side's
 `calibration` ({"numpy_s", "python_s"}) in the pair's record: they show how
 fast the machine was, so records of different sessions can be compared.
-They are not end-to-end metrics, and the summary ignores them.
+They are not end-to-end metrics, and the summary ignores them. The first
+run of every record calibrates faster than the rest: in the four b5b172e
+records the numpy pass read 0.625-0.698 ms on the first run and
+0.749-1.010 ms on every later one. So the first run's times are not the
+machine's speed; compare records by their later runs.
 """
 
 from __future__ import annotations

@@ -1,5 +1,5 @@
-"""The size of the `oodtune` package, module by module: its line count and
-its count of defaults and dataclass fields.
+"""The size of the `oodtune` package, module by module: its line count, its
+count of defaults and dataclass fields, and its count of defs.
 
     python3 tools/size.py [--parent REV]
 
@@ -8,7 +8,10 @@ For each `src/oodtune/*.py` module the script prints its lines (as
 keyword-only parameters (of functions, methods and lambdas), plus the
 annotated fields of classes decorated `@dataclass` or `@dataclass(...)`.
 The count tracks how many knobs and fields the package carries, which a
-simplification should not raise. A last line gives the totals. With
+simplification should not raise. Its defs are its class, function and
+method definitions (`ClassDef`, `FunctionDef` and `AsyncFunctionDef`
+nodes), nested ones included; lambdas are not counted. A last line gives
+the totals. With
 `--parent REV` the package of REV, written by `pairs.checkout` into a
 temporary directory, is counted too, and each line also gives REV's counts.
 """
@@ -50,24 +53,35 @@ def defaults_and_fields(source: str) -> int:
     return count
 
 
-def sizes(package: Path) -> dict[str, tuple[int, int]]:
-    """Module file name -> (lines, defaults and fields), by name."""
+def defs(source: str) -> int:
+    """Class, function and method definitions in `source`, nested ones too."""
+    kinds = (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    return sum(isinstance(node, kinds) for node in ast.walk(ast.parse(source)))
+
+
+COLUMNS = ("lines", "ast", "defs")
+
+
+def sizes(package: Path) -> dict[str, tuple[int, int, int]]:
+    """Module file name -> (lines, defaults and fields, defs), by name."""
     out = {}
     for path in sorted(package.glob("*.py")):
         text = path.read_text()
-        out[path.name] = (text.count("\n"), defaults_and_fields(text))
+        out[path.name] = (text.count("\n"), defaults_and_fields(text), defs(text))
     return out
 
 
-def report(change: dict[str, tuple[int, int]],
-           parent: dict[str, tuple[int, int]] | None) -> list[str]:
-    """A header, a line per module and a line of totals: lines and `ast`
-    count, then the parent's when given ("-" for a module one side lacks)."""
+def report(change: dict[str, tuple[int, int, int]],
+           parent: dict[str, tuple[int, int, int]] | None) -> list[str]:
+    """A header, a line per module and a line of totals: lines, `ast` count
+    and defs, then the parent's when given ("-" for a module one side
+    lacks)."""
     sides = [change] if parent is None else [change, parent]
-    rows = {name: [side.get(name, ("-", "-")) for side in sides]
+    missing, zero = ("-",) * len(COLUMNS), (0,) * len(COLUMNS)
+    rows = {name: [side.get(name, missing) for side in sides]
             for name in sorted({*change, *(parent or {})})}
-    rows["total"] = [tuple(map(sum, zip(*side.values()))) or (0, 0) for side in sides]
-    header = ["lines", "ast"] + (["parent lines", "parent ast"] if parent is not None else [])
+    rows["total"] = [tuple(map(sum, zip(*side.values()))) or zero for side in sides]
+    header = [*COLUMNS] + ([f"parent {c}" for c in COLUMNS] if parent is not None else [])
     width = max(map(len, ["module", *rows]))
     lines = [f"{'module':<{width}}" + "".join(f"{h:>13}" for h in header)]
     for name, counts in rows.items():
