@@ -5,6 +5,10 @@ lifts them into input space through a fixed orthonormal map P, and
 distorts each domain with its own random orthogonal rotation plus an
 offset scaled by domain_strength. Class geometry is preserved, so the
 task stays solvable while marginal distributions move across domains.
+Most of its time goes to the Gaussian noise around each base point, which
+a worker thread draws block by block while the caller computes the
+rotations and stores the blocks drawn before (see `generate`); the
+archive's bits do not depend on the thread count.
 
 `split` cuts an archive into the protocol cells: it draws the class split
 and gathers every cell's labels, domains and row positions, but no feature
@@ -30,6 +34,7 @@ from itertools import product
 
 import numpy as np
 
+from . import parallel
 from .model import ClassBank
 
 MAGIC = b"EMBA"
@@ -37,6 +42,8 @@ VERSION = 1
 # float64 noise values `generate` draws at a time (whole rows, and whole
 # classes where they fit)
 NOISE_BLOCK_ELEMENTS = 1 << 17
+# Gram product values `_sample_prototypes` checks at a time (whole rows): 512 KB
+GRAM_BLOCK_ELEMENTS = 1 << 16
 # feature values `archives_equal` compares at a time (whole rows)
 COMPARE_BLOCK_ELEMENTS = 1 << 16
 # bank values it compares at a time (whole rows): np.allclose builds about
@@ -138,14 +145,14 @@ def _random_unit(rng: np.random.Generator, dim: int) -> np.ndarray:
     return v / np.linalg.norm(v)
 
 
-def _random_rotation(rng: np.random.Generator, dim: int, strength: float) -> np.ndarray:
+def _rotation(draw: np.ndarray, strength: float) -> np.ndarray:
     """Orthogonal matrix whose distance from the identity grows with
-    strength: the Cayley transform of a scaled random antisymmetric
-    matrix. Exactly the identity at strength 0."""
-    g = rng.standard_normal((dim, dim))
-    skew = (g - g.T) / 2.0
+    strength: the Cayley transform of the antisymmetric part of `draw`, a
+    square standard normal draw, scaled to spectral norm `strength`. Exactly
+    the identity at strength 0."""
+    skew = (draw - draw.T) / 2.0
     skew *= strength / max(np.linalg.norm(skew, 2), 1e-12)
-    eye = np.eye(dim)
+    eye = np.eye(len(draw))
     return np.linalg.solve(eye + skew, eye - skew)
 
 
@@ -155,10 +162,27 @@ def _sample_prototypes(rng: np.random.Generator, num_classes: int, dim: int) -> 
     Classes are drawn around a handful of cluster centers so the
     pairwise-distance matrix has real structure: cluster-mates are
     close, classes in different clusters are far. Violators of the
-    cosine bound are resampled."""
+    cosine bound are resampled, one candidate at a time.
+
+    All candidates are drawn in one block first. When every pairwise
+    cosine of the block is below `_block_bound(dim)`, the one-at-a-time
+    checks would accept every candidate, so the block is the prototypes,
+    with the same bits and the same draws; otherwise the generator's state
+    is restored and the candidates are drawn and checked one at a time."""
     num_clusters = max(2, num_classes // 4)
-    centers = [_random_unit(rng, dim) for _ in range(num_clusters)]
-    protos = np.empty((num_classes, dim))
+    centers = np.array([_random_unit(rng, dim) for _ in range(num_clusters)])
+    state = rng.bit_generator.state
+    protos = 0.5 * rng.standard_normal((num_classes, dim))
+    protos += centers[np.arange(num_classes) % num_clusters]
+    for row in protos:
+        row /= np.linalg.norm(row)
+    rows = max(1, GRAM_BLOCK_ELEMENTS // num_classes)
+    # the cosines of each row with the rows before it (0 for the others)
+    if all((np.tril(protos[i:i + rows] @ protos[:i + rows].T, i - 1) < _block_bound(dim)).all()
+           for i in range(0, num_classes, rows)):
+        return protos
+
+    rng.bit_generator.state = state
     placed = failures = 0
     while placed < num_classes:
         center = centers[placed % num_clusters]
@@ -177,8 +201,33 @@ def _sample_prototypes(rng: np.random.Generator, num_classes: int, dim: int) -> 
     return protos
 
 
+def _block_bound(dim: int) -> float:
+    """A cosine bound below 0.9 by enough that a Gram product of unit rows
+    reading under it means that the one-at-a-time product reads under 0.9.
+
+    Both products sum dim terms, in their own orders, so each is within
+    gamma |a| |b| of the exact inner product (gamma = dim u / (1 - dim u),
+    u = 2^-53). A row divided by its computed `norm` has length at most
+    1 + gamma + 3u, so the two differ by at most 2 gamma (1 + gamma + 3u)^2;
+    u more covers the rounding of the bound itself."""
+    u = 2.0 ** -53
+    gamma = dim * u / (1 - dim * u)
+    return 0.9 - 2 * gamma * (1 + gamma + 3 * u) ** 2 - u
+
+
 def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
-    """Build a synthetic multi-domain archive, deterministic under the seed."""
+    """Build a synthetic multi-domain archive, deterministic under the seed.
+
+    Every draw but the noise comes first, in the caller: the prototypes,
+    the lift, and each domain's rotation draw and offset. The noise follows
+    in blocks through a `parallel.Feed`, in the stream's order: on a worker
+    thread when `parallel.worker_threads()` is 2 or more and a domain spans
+    more than one block, into a ring of two block buffers, while the caller
+    computes each domain's rotation and base points and scales, shifts and
+    stores each block as it is drawn; otherwise on the caller, one block
+    buffer, in the same loop. The draws and the arithmetic on each value
+    are the same either way, so the archive's bits are too.
+    """
     rng = np.random.default_rng([spec.seed, 0])
     prototypes = _sample_prototypes(rng, spec.num_classes, spec.embed_dim)
 
@@ -189,35 +238,46 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
         q, r = np.linalg.qr(rng.standard_normal((spec.input_dim, spec.embed_dim)))
         lift = q * np.sign(np.diag(r))
 
+    c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
+    bank = ClassBank(prototypes, [f"class_{i:03d}" for i in range(c)])
+    lifted = bank.embeddings @ lift.T  # C x d_in
+    features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
+    # a block is k whole classes, or r rows of one class when a class does
+    # not fit; the blocks follow the C order of one (c, n, d_in) draw per
+    # domain, and draws split into blocks give the same stream as one draw
+    r = min(n, max(1, NOISE_BLOCK_ELEMENTS // d_in))
+    k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
+    spans = [(c0, min(c, c0 + k), r0, min(n, r0 + r))
+             for c0, r0 in product(range(0, c, k), range(0, n, r))]
+    threaded = len(spans) > 1 and parallel.worker_threads() > 1
+    buffers = [np.empty(min(k, c) * r * d_in) for _ in range(2 if threaded else 1)]
+    # block i of the stream, a view of buffer i mod the ring
+    blocks = [buffers[i % len(buffers)][: (c1 - c0) * (r1 - r0) * d_in]
+              .reshape(c1 - c0, r1 - r0, d_in)
+              for i, (c0, c1, r0, r1) in enumerate(spans * spec.num_domains)]
+
     # a value beyond float32's range raises, in the arithmetic or the store
     with np.errstate(over="raise"):
         try:
-            shifts = [(_random_rotation(rng, spec.input_dim, spec.domain_strength),
-                       spec.domain_strength * rng.standard_normal(spec.input_dim))
+            shifts = [(rng.standard_normal((d_in, d_in)),
+                       spec.domain_strength * rng.standard_normal(d_in))
                       for _ in range(spec.num_domains)]
-
-            names = [f"class_{c:03d}" for c in range(spec.num_classes)]
-            bank = ClassBank(prototypes, names)
-
-            lifted = bank.embeddings @ lift.T  # C x d_in
-            c, n, d_in = spec.num_classes, spec.samples_per_class_per_domain, spec.input_dim
-            features = np.empty((spec.num_domains, c, n, d_in), dtype=np.float32)
-            # a block is k whole classes, or r rows of one class when a class
-            # does not fit; the blocks follow the C order of one (c, n, d_in)
-            # draw per domain, and draws split into blocks give the same
-            # stream as one draw
-            r = min(n, max(1, NOISE_BLOCK_ELEMENTS // d_in))
-            k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
-            noise = np.empty(min(k, c) * r * d_in)
-            for m, (rotation, offset) in enumerate(shifts):
-                base_points = lifted @ rotation.T + offset
-                for c0, r0 in product(range(0, c, k), range(0, n, r)):
-                    c1, r1 = min(c, c0 + k), min(n, r0 + r)
-                    points = noise[: (c1 - c0) * (r1 - r0) * d_in].reshape(c1 - c0, r1 - r0, d_in)
-                    rng.standard_normal(out=points)
-                    points *= spec.noise_sigma
-                    points += base_points[c0:c1, None, :]
-                    features[m, c0:c1, r0:r1] = points
+            with parallel.Feed(lambda i: rng.standard_normal(out=blocks[i]), len(blocks),
+                               len(buffers), threaded) as feed:
+                for m, (draw, offset) in enumerate(shifts):
+                    try:
+                        rotation = _rotation(draw, spec.domain_strength)
+                    except np.linalg.LinAlgError as exc:
+                        raise GenerationError(
+                            f"domain {m}'s rotation cannot be computed at domain_strength "
+                            f"{spec.domain_strength} and input_dim {d_in} ({exc})") from None
+                    base_points = lifted @ rotation.T + offset
+                    for c0, c1, r0, r1 in spans:
+                        points = blocks[feed.take()]
+                        points *= spec.noise_sigma
+                        points += base_points[c0:c1, None, :]
+                        features[m, c0:c1, r0:r1] = points
+                        feed.give_back()
         except FloatingPointError:
             raise GenerationError(f"features overflow float32 at noise_sigma {spec.noise_sigma} "
                                   f"and domain_strength {spec.domain_strength}") from None

@@ -51,12 +51,23 @@ class RunFile:
 
 
 def save_run(path, config: dict, loss_curve, final_params, ensemble_params) -> None:
+    """Write a RUNF v1 file; raise ValueError, before the file is opened,
+    for a loss the file's float32 curve cannot hold or parameters that are
+    not finite."""
     config_bytes = json.dumps(config, sort_keys=True, separators=(",", ":")).encode("utf-8")
-    curve = np.ascontiguousarray(loss_curve, dtype="<f4")
+    loss = np.asarray(loss_curve, dtype=np.float64)
+    beyond = np.flatnonzero(~(np.abs(loss) <= np.finfo(np.float32).max))
+    if beyond.size:
+        raise ValueError(f"the loss at step {beyond[0]}, {loss[beyond[0]]}, is not finite in "
+                         f"float32, so the run file cannot store it")
+    curve = loss.astype("<f4")
     final = np.ascontiguousarray(final_params, dtype="<f8")
     ens = np.ascontiguousarray(ensemble_params, dtype="<f8")
     if final.shape != ens.shape:
         raise ValueError("final and ensemble parameter vectors differ in length")
+    for name, params in (("final", final), ("ensemble", ens)):
+        if not np.isfinite(params).all():
+            raise ValueError(f"the {name} parameters are not finite")
     with open(path, "wb") as fh:
         fh.write(RUN_MAGIC)
         fh.write(bytes([RUN_VERSION]))

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from oodtune import databench as db
+from oodtune import parallel
 from oodtune.databench import (
     ArchiveFormatError,
     BadMagicError,
@@ -126,9 +127,9 @@ def test_generate_keeps_large_finite_features():
 def test_domain_rotations_are_orthogonal():
     rng = np.random.default_rng(0)
     for strength in (0.0, 0.3, 1.0, 3.0):
-        q = db._random_rotation(rng, 12, strength)
+        q = db._rotation(rng.standard_normal((12, 12)), strength)
         np.testing.assert_allclose(q.T @ q, np.eye(12), atol=1e-9)
-    np.testing.assert_array_equal(db._random_rotation(rng, 5, 0.0), np.eye(5))
+    np.testing.assert_array_equal(db._rotation(rng.standard_normal((5, 5)), 0.0), np.eye(5))
 
 
 def test_nearest_prototype_oracle_on_held_out_data():
@@ -383,11 +384,34 @@ def test_load_rejects_a_header_domain_count_other_than_the_domain_ids_give(tmp_p
         db.load(path)
 
 
+def _sample_prototypes_one_by_one(rng, num_classes, dim):
+    """`_sample_prototypes` as it was written first: each candidate drawn
+    and checked against the prototypes placed before it; kept as the
+    reference for the block of candidates."""
+    num_clusters = max(2, num_classes // 4)
+    centers = [db._random_unit(rng, dim) for _ in range(num_clusters)]
+    protos = np.empty((num_classes, dim))
+    placed = failures = 0
+    while placed < num_classes:
+        center = centers[placed % num_clusters]
+        cand = center + 0.5 * rng.standard_normal(dim)
+        cand /= np.linalg.norm(cand)
+        if placed and (protos[:placed] @ cand).max() >= 0.9:
+            failures += 1
+            if failures >= 1000:
+                raise GenerationError("cosine")
+            continue
+        protos[placed] = cand
+        placed += 1
+    return protos
+
+
 def _generate_row_by_row(spec):
     """`generate` as it was written first: one noise draw per class and
-    domain, concatenated; kept as the reference for the batched draws."""
+    domain, concatenated, on one thread; kept as the reference for the
+    batched and threaded draws."""
     rng = np.random.default_rng([spec.seed, 0])
-    prototypes = db._sample_prototypes(rng, spec.num_classes, spec.embed_dim)
+    prototypes = _sample_prototypes_one_by_one(rng, spec.num_classes, spec.embed_dim)
     if spec.identity_lift:
         lift = np.eye(spec.input_dim)
     else:
@@ -395,7 +419,8 @@ def _generate_row_by_row(spec):
         lift = q * np.sign(np.diag(r))
     rotations, offsets = [], []
     for _ in range(spec.num_domains):
-        rotations.append(db._random_rotation(rng, spec.input_dim, spec.domain_strength))
+        rotations.append(db._rotation(rng.standard_normal((spec.input_dim, spec.input_dim)),
+                                      spec.domain_strength))
         offsets.append(spec.domain_strength * rng.standard_normal(spec.input_dim))
     bank = db.ClassBank(prototypes, [f"class_{c:03d}" for c in range(spec.num_classes)])
     lifted = bank.embeddings @ lift.T
@@ -452,6 +477,137 @@ def test_noise_drawn_in_blocks_writes_the_bytes_of_one_draw_per_class(tmp_path, 
     db.save(generate(spec), tmp_path / "blocks.emba")
     db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
     assert (tmp_path / "blocks.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
+
+
+class _CountingRng:
+    """A generator that counts its `standard_normal` calls."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+        self.bit_generator = self._rng.bit_generator
+        self.calls = 0
+
+    def standard_normal(self, *args, **kwargs):
+        self.calls += 1
+        return self._rng.standard_normal(*args, **kwargs)
+
+
+@pytest.mark.parametrize("num_classes, dim, seed, rejected", [
+    (20, 32, 0, False), (20, 32, 5, False), (400, 128, 0, False), (1000, 64, 3, False),
+    (9, 12, 0, False),
+    (40, 4, 0, True), (12, 3, 1, True), (20, 6, 0, True),
+])
+def test_prototypes_drawn_in_one_block_are_the_one_at_a_time_loops(monkeypatch, num_classes,
+                                                                  dim, seed, rejected):
+    reference = np.random.default_rng(seed)
+    want = _sample_prototypes_one_by_one(reference, num_classes, dim)
+    clusters = max(2, num_classes // 4)
+    # one Gram block, blocks of a few rows and of one row
+    for block in (db.GRAM_BLOCK_ELEMENTS, 3 * num_classes + 1, 1):
+        monkeypatch.setattr(db, "GRAM_BLOCK_ELEMENTS", block)
+        rng = _CountingRng(seed)
+        got = db._sample_prototypes(rng, num_classes, dim)
+        assert got.tobytes() == want.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
+        # the one-at-a-time loop runs only after a rejection
+        assert (rng.calls > clusters + 1) == rejected
+
+
+def test_prototypes_of_a_block_over_the_bound_come_from_the_loop(monkeypatch):
+    reference = np.random.default_rng(7)
+    want = _sample_prototypes_one_by_one(reference, 400, 128)
+    monkeypatch.setattr(db, "_block_bound", lambda dim: -1.0)
+    rng = _CountingRng(7)
+    assert db._sample_prototypes(rng, 400, 128).tobytes() == want.tobytes()
+    assert rng.bit_generator.state == reference.bit_generator.state
+    assert rng.calls == 100 + 1 + 400  # centers, the block, then one draw per candidate
+
+
+def test_block_bound_is_below_point_nine_by_twice_the_dot_products_error():
+    u = 2.0 ** -53
+    for dim in (1, 32, 128, 4096):
+        gamma = dim * u / (1 - dim * u)
+        assert 0.9 - 2 * gamma - 4 * u < db._block_bound(dim) < 0.9 - 2 * gamma
+
+
+def _feeds(monkeypatch, threads):
+    """Run `generate` with `threads` worker threads, recording each feed's
+    (count, ring, threaded)."""
+    seen = []
+
+    class Recorded(parallel.Feed):
+        def __init__(self, fill, count, ring, threaded):
+            seen.append((count, ring, threaded))
+            super().__init__(fill, count, ring, threaded)
+
+    monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
+    monkeypatch.setattr(parallel, "Feed", Recorded)
+    return seen
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("block, fields, blocks_per_domain", [
+    # many blocks of a few rows: the ring wraps many times in a domain
+    (10, dict(num_classes=6, num_domains=3, embed_dim=8, input_dim=8,
+              samples_per_class_per_domain=5, identity_lift=True, seed=2), 30),
+    # strength 0: every rotation is the identity
+    (64, dict(num_classes=5, num_domains=2, embed_dim=6, input_dim=6, test_domain=1,
+              samples_per_class_per_domain=7, domain_strength=0.0, seed=4), 5),
+    # blocks of two whole classes, the last one of one class
+    (80, dict(num_classes=7, num_domains=3, embed_dim=6, input_dim=10,
+              samples_per_class_per_domain=4, seed=9), 4),
+    # one block a domain: no thread at any count
+    (1 << 17, dict(num_classes=6, num_domains=3, embed_dim=8, input_dim=10,
+                   samples_per_class_per_domain=5, seed=1), 1),
+])
+def test_generate_on_one_or_two_threads_writes_the_bytes_of_the_row_by_row_loop(
+        tmp_path, monkeypatch, threads, block, fields, blocks_per_domain):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", block)
+    seen = _feeds(monkeypatch, threads)
+    spec = BenchmarkSpec(**fields)
+    db.save(generate(spec), tmp_path / "fed.emba")
+    threaded = threads > 1 and blocks_per_domain > 1
+    assert seen == [(spec.num_domains * blocks_per_domain, 2 if threaded else 1, threaded)]
+    db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
+    assert (tmp_path / "fed.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("field, value", [("noise_sigma", 1e39), ("domain_strength", 1e39)])
+def test_an_overflow_on_either_path_raises_generation_error(monkeypatch, threads, field, value):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", 64)
+    seen = _feeds(monkeypatch, threads)
+    with pytest.raises(GenerationError, match="^features overflow float32 at noise_sigma"):
+        generate(replace(SMALL, **{field: value}))
+    assert [threaded for _, _, threaded in seen] == [threads > 1]
+
+
+# the `gen --input-dim 3 --embed-dim 3 --domain-strength 1e20 --seed 0` spec
+SINGULAR = BenchmarkSpec(embed_dim=3, input_dim=3, domain_strength=1e20, seed=0)
+
+
+@pytest.mark.parametrize("threads, block", [(1, 1 << 17), (1, 3), (2, 3)])
+def test_a_singular_rotation_raises_generation_error_naming_the_settings(monkeypatch, threads,
+                                                                         block):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", block)
+    seen = _feeds(monkeypatch, threads)
+    message = ("domain 2's rotation cannot be computed at domain_strength 1e+20 and "
+               "input_dim 3 (Singular matrix)")
+    with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
+        generate(SINGULAR)
+    assert [threaded for _, _, threaded in seen] == [threads > 1 and block < 150]
+
+
+def test_default_rotations_keep_their_bits():
+    # the rotation solve of a default spec, as `generate` drew it before the
+    # draws were split from the solves
+    rng = np.random.default_rng(0)
+    g = rng.standard_normal((48, 48))
+    skew = (g - g.T) / 2.0
+    skew *= 0.5 / max(np.linalg.norm(skew, 2), 1e-12)
+    want = np.linalg.solve(np.eye(48) + skew, np.eye(48) - skew)
+    assert db._rotation(np.random.default_rng(0).standard_normal((48, 48)), 0.5).tobytes() \
+        == want.tobytes()
 
 
 def test_save_writes_the_archive_arrays_without_copying_them(tmp_path):

@@ -1,11 +1,13 @@
 import hashlib
 import json
 import os
+import re
 import struct
 import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from dataclasses import MISSING, fields, replace
 from pathlib import Path
 
@@ -511,6 +513,59 @@ def test_save_run_rejects_final_and_ensemble_vectors_of_different_lengths(tmp_pa
     assert not path.exists()
 
 
+def _with_tail(path, values: np.ndarray) -> None:
+    """Overwrite the last `values.size` float64s of the run file at `path`
+    (the end of its ensemble vector) with `values`: a v1 file that
+    `save_run` refuses to write, as a writer without its checks wrote it."""
+    raw = path.read_bytes()
+    path.write_bytes(raw[:len(raw) - 8 * values.size] + values.astype("<f8").tobytes())
+
+
+F32_MAX = float(np.finfo(np.float32).max)
+
+
+@pytest.mark.parametrize("value", [1e39, -1e39, 3.5e38, np.inf, -np.inf, np.nan])
+def test_save_run_rejects_a_loss_beyond_float32_before_opening_the_file(tmp_path, value):
+    path = tmp_path / "r.run"
+    with pytest.raises(ValueError, match=r"^the loss at step 1, .*, is not finite in float32"):
+        save_run(path, {}, [2.0, value, 1.0], np.zeros(3), np.zeros(3))
+    assert not path.exists()
+
+
+@pytest.mark.parametrize("which", ["final", "ensemble"])
+@pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+def test_save_run_rejects_parameters_that_are_not_finite(tmp_path, which, value):
+    path = tmp_path / "r.run"
+    vectors = {"final": np.zeros(3), "ensemble": np.zeros(3)}
+    vectors[which][1] = value
+    with pytest.raises(ValueError, match=f"^the {which} parameters are not finite$"):
+        save_run(path, {}, [1.0], vectors["final"], vectors["ensemble"])
+    assert not path.exists()
+
+
+def test_save_run_stores_the_extremes_of_float32(tmp_path):
+    path = tmp_path / "r.run"
+    curve = [F32_MAX, -F32_MAX, 1e-45, 0.0, 1e-300]
+    save_run(path, {}, curve, np.full(2, 1e300), np.full(2, -1e300))
+    run = load_run(path)
+    np.testing.assert_array_equal(run.loss_curve, np.array(curve, dtype=np.float32))
+    assert run.final_params.tolist() == [1e300, 1e300]
+
+
+def test_load_run_reads_a_v1_file_with_an_inf_curve_and_nan_parameters(tmp_path):
+    path = tmp_path / "r.run"
+    save_run(path, {"seed": 0}, [1.0, 2.0], np.zeros(3), np.zeros(3))
+    raw = bytearray(path.read_bytes())
+    curve_at = _final_length_offset(raw) - 8
+    raw[curve_at:curve_at + 8] = np.array([np.inf, -np.inf], dtype="<f4").tobytes()
+    path.write_bytes(bytes(raw))
+    _with_tail(path, np.array([np.nan]))
+    run = load_run(path)
+    assert run.loss_curve.tolist() == [np.inf, -np.inf]
+    assert run.final_params.tolist() == [0.0] * 3
+    assert np.isnan(run.ensemble_params[-1]) and run.ensemble_params[:2].tolist() == [0.0] * 2
+
+
 def test_run_file_bad_magic_and_truncation(tmp_path):
     path = tmp_path / "r.run"
     save_run(path, {}, np.zeros(2, dtype=np.float32), np.zeros(3), np.zeros(3))
@@ -610,6 +665,36 @@ def test_cli_gen_of_features_beyond_float32_exits_two_and_writes_nothing(tmp_pat
     assert err.startswith("error: features overflow float32 at noise_sigma ")
     assert err.count("\n") == 1 and err.endswith("\n")
     assert not out.exists()
+
+
+def test_cli_gen_of_a_singular_rotation_exits_two_naming_the_settings(tmp_path, capsys):
+    out = tmp_path / "x.emba"
+    assert main(["gen", "--out", str(out), "--input-dim", "3", "--embed-dim", "3",
+                 "--domain-strength", "1e20", "--seed", "0"]) == 2
+    assert capsys.readouterr().err == (
+        "error: domain 2's rotation cannot be computed at domain_strength 1e+20 and "
+        "input_dim 3 (Singular matrix)\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, value", [("--tau", "1e-300"), ("--lambda", "1e300"),
+                                         ("--margin", "fixed:1e300")])
+def test_cli_train_of_a_loss_beyond_float32_exits_two_and_writes_nothing(tmp_path, capsys,
+                                                                          flag, value):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    capsys.readouterr()
+    # --tau 1e-300 also overflows AdamW's squared gradients, with a warning
+    # that the divergence guard is to turn into an error; the others warn not
+    with (pytest.warns(RuntimeWarning, match="overflow encountered in multiply")
+          if flag == "--tau" else warnings.catch_warnings()):
+        warnings.simplefilter("always" if flag == "--tau" else "error")
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "5",
+                     "--batch", "8", "--hidden", "16", "--test-domain", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: the loss at step 0, \S+, is not finite in float32, so the run "
+                        r"file cannot store it\n", err)
+    assert not run.exists()
 
 
 def test_cli_train_with_underflowing_beta_weights_exits_two_before_a_step(tmp_path, capsys,
@@ -1126,7 +1211,8 @@ def test_cli_eval_rejects_non_finite_parameters(tmp_path, capsys):
     for where in (0, -1):
         ens = saved.ensemble_params.copy()
         ens[where] = np.nan
-        save_run(run, saved.config, saved.loss_curve, saved.final_params, ens)
+        save_run(run, saved.config, saved.loss_curve, saved.final_params, saved.final_params)
+        _with_tail(run, ens)
         capsys.readouterr()
         assert main(["eval", "--run", str(run), "--data", str(data)]) == 2
         assert "non-finite" in capsys.readouterr().err
@@ -1137,7 +1223,7 @@ def test_cli_eval_rejects_non_finite_parameters(tmp_path, capsys):
     saved = load_run(linear)
     ens = saved.ensemble_params.copy()
     ens[-1] = np.inf  # a linear-head weight
-    save_run(linear, saved.config, saved.loss_curve, saved.final_params, ens)
+    _with_tail(linear, ens)
     capsys.readouterr()
     assert main(["eval", "--run", str(linear), "--data", str(data)]) == 2
     assert "non-finite linear head" in capsys.readouterr().err

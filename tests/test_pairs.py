@@ -1,8 +1,10 @@
 """The pair runner's summary arithmetic and its record of a failed run, on
-recorded fake perfbench outputs; no perfbench job runs here."""
+recorded fake perfbench outputs, and the files the change side's copy of a
+working tree holds; no perfbench job runs here."""
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -37,6 +39,11 @@ def _pairs(parent_rows, change_rows):
                     "parent": pairs.parse_run(_stdout(*a, seed=1 + i)),
                     "change": pairs.parse_run(_stdout(*b, seed=1 + i))})
     return out
+
+
+def _no_checkouts(monkeypatch):
+    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
 
 
 def test_parse_run_reads_the_result_line_and_the_environment():
@@ -128,7 +135,7 @@ def test_a_failing_run_keeps_the_pairs_done_and_names_the_failure(monkeypatch, t
         return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
 
     monkeypatch.setattr(pairs, "run_side", run_side)
-    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    _no_checkouts(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "5", "--first-seed", "11"]) == 1
     assert calls == [11, 11, 12, 12]
@@ -150,7 +157,7 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
         raise pairs.RunFailed(["run.py"], 1, "Traceback\nboom\n")
 
     monkeypatch.setattr(pairs, "run_side", run_side)
-    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    _no_checkouts(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "desk-train", "--pairs", "2", "--aa"]) == 1
     (path,) = tmp_path.iterdir()
@@ -178,7 +185,7 @@ def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
         (tmp_path / name).write_text(text)
     monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
                         pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
-    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    _no_checkouts(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
     for name, text in earlier.items():
@@ -193,7 +200,7 @@ def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
 def test_runs_against_one_parent_on_other_seeds_leave_two_records(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
                         pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
-    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    _no_checkouts(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     for first in (1, 101):
         assert pairs.main(["--workload", "mid-train", "--pairs", "3",
@@ -221,14 +228,15 @@ def test_each_side_is_calibrated_just_before_its_run(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(pairs, "calibrate", calibrate)
     monkeypatch.setattr(pairs, "run_side", run_side)
-    monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
+    _no_checkouts(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
-    assert events == ["calibrate", ("run", 1)] * 2 + ["calibrate", ("run", 2)] * 2
+    # one calibration before the first run is thrown away
+    assert events == ["calibrate"] + ["calibrate", ("run", 1)] * 2 + ["calibrate", ("run", 2)] * 2
     (path,) = tmp_path.iterdir()
     rec = json.loads(path.read_text())
     # pair 1 runs the parent first, pair 2 the change
-    want = {(0, "parent"): 1, (0, "change"): 3, (1, "change"): 5, (1, "parent"): 7}
+    want = {(0, "parent"): 2, (0, "change"): 4, (1, "change"): 6, (1, "parent"): 8}
     for (i, side), n in want.items():
         assert rec["pairs"][i][side]["calibration"] == {"numpy_s": 0.001 * n,
                                                        "python_s": 0.002 * n}
@@ -240,3 +248,62 @@ def test_calibration_times_both_passes():
     calibration = pairs.calibrate()
     assert set(calibration) == {"numpy_s", "python_s"}
     assert all(0 < t < 10 for t in calibration.values())
+
+
+def _git(root, *args):
+    subprocess.run(["git", "-C", str(root), *args], check=True, capture_output=True)
+
+
+def test_the_working_tree_copy_holds_what_a_commit_of_it_would(tmp_path):
+    tree, dest = tmp_path / "tree", tmp_path / "copy"
+    (tree / "src" / "pkg").mkdir(parents=True)
+    dest.mkdir()
+    files = {".gitignore": "*.log\nbuild/\n", "src/pkg/mod.py": "x = 1\n",
+             "src/pkg/gone.py": "y = 2\n", "README.md": "old\n"}
+    for name, text in files.items():
+        (tree / name).write_text(text)
+    _git(tree, "init", "-q")
+    _git(tree, "add", "-A")
+    _git(tree, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q", "-m", "base")
+    (tree / "README.md").write_text("edited, not staged\n")  # tracked, modified
+    (tree / "src" / "pkg" / "gone.py").unlink()  # tracked, deleted from disk
+    (tree / "src" / "pkg" / "new.py").write_text("z = 3\n")  # untracked, not ignored
+    (tree / "run.log").write_text("ignored\n")
+    (tree / "build").mkdir()
+    (tree / "build" / "out.bin").write_bytes(b"ignored")
+
+    pairs.copy_working_tree(dest, root=tree)
+    copied = {str(path.relative_to(dest)): path.read_text()
+              for path in dest.rglob("*") if path.is_file()}
+    assert copied == {".gitignore": "*.log\nbuild/\n", "README.md": "edited, not staged\n",
+                      "src/pkg/mod.py": "x = 1\n", "src/pkg/new.py": "z = 3\n"}
+
+
+@pytest.mark.parametrize("aa", [False, True])
+def test_each_side_runs_from_its_own_temporary_directory(monkeypatch, tmp_path, capsys, aa):
+    made, roots = [], {}
+
+    def checkout(rev, dest):
+        made.append(("checkout", dest))
+
+    def copy_working_tree(dest):
+        made.append(("copy", dest))
+
+    def run_side(root, workload, seed, seconds):
+        roots.setdefault(root, 0)
+        roots[root] += 1
+        return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
+
+    monkeypatch.setattr(pairs, "checkout", checkout)
+    monkeypatch.setattr(pairs, "copy_working_tree", copy_working_tree)
+    monkeypatch.setattr(pairs, "run_side", run_side)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    argv = ["--workload", "desk-train", "--pairs", "2"] + (["--aa"] if aa else [])
+    assert pairs.main(argv) == 0
+    assert [kind for kind, _ in made] == ["checkout", "checkout" if aa else "copy"]
+    parent, change = (dest for _, dest in made)
+    # two directories, each run twice, neither the tree itself, both removed
+    assert roots == {parent: 2, change: 2}
+    assert pairs.ROOT not in roots
+    assert not parent.exists() and not change.exists()
+    capsys.readouterr()

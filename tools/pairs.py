@@ -4,12 +4,21 @@ perf claim is judged by.
     python3 tools/pairs.py --workload open-eval --pairs 10 [--parent HEAD] [--aa]
 
 The parent side runs from a checkout of `--parent` (default HEAD: the last
-commit, while the change is not committed yet) in a temporary directory,
-removed when the runs end; the change side runs from this working tree.
-Each pair runs both sides at one seed, a fresh seed for each pair, and the
-side that runs first swaps from pair to pair. Every run is
-`perfbench/run.py --trace 0` for the `run_seconds` of BENCHMARK.json.
-With `--aa` both sides run the parent, which measures the noise floor a
+commit, while the change is not committed yet) in a temporary directory;
+the change side runs from a copy of this working tree in another: its
+tracked files as they are on disk, and its untracked files that git does
+not ignore. Both directories are removed when the runs end. So the two
+sides run from directories of one kind and differ only in their files: run
+from the tree itself, an unmodified change side read mid-train `job_s`
+1.1% above the parent's, higher in 6 of 6 pairs. Each pair runs both
+sides at one seed, a fresh seed for each pair, and the side that runs
+first swaps from pair to pair. Two directories can still differ in
+set-up, which writes and reads an archive under the checkout: one A/A
+record read mid-train `setup_s` 6% apart in 4 of 5 pairs, where two
+others read it equal; so a small set-up claim wants an `--aa` record of
+the same session beside it. Every run is `perfbench/run.py --trace 0`
+for the `run_seconds` of BENCHMARK.json. With `--aa` the change side runs
+from a second checkout of the parent, which measures the noise floor a
 claim must clear.
 
 The record goes to `bench/BENCH_pairs_<workload>_<rev>_seeds<first>-<last>.json`,
@@ -34,10 +43,12 @@ CALIBRATION_REPEATS repetitions, and keeps both times as that side's
 `calibration` ({"numpy_s", "python_s"}) in the pair's record: they show how
 fast the machine was, so records of different sessions can be compared.
 They are not end-to-end metrics, and the summary ignores them. The first
-run of every record calibrates faster than the rest: in the four b5b172e
-records the numpy pass read 0.625-0.698 ms on the first run and
-0.749-1.010 ms on every later one. So the first run's times are not the
-machine's speed; compare records by their later runs.
+pass of a process calibrates faster than the rest: in the four b5b172e
+records the numpy pass read 0.625-0.698 ms before the first run and
+0.749-1.010 ms before every later one. So one calibration is timed before
+the first run and thrown away, and every kept time reads the machine as
+the later runs see it. Records written before that warm-up read their
+first run's times low; compare them by their later runs.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ import argparse
 import io
 import json
 import math
+import shutil
 import subprocess
 import sys
 import tarfile
@@ -89,6 +101,21 @@ def checkout(rev: str, dest: Path) -> None:
                          check=True, capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as archive:
         archive.extractall(dest, filter="data")
+
+
+def copy_working_tree(dest: Path, root: Path = ROOT) -> None:
+    """Copy into `dest` the files of the working tree at `root` that a
+    commit of it would hold: the tracked files as they are on disk (a
+    tracked file deleted from disk is left out) and the untracked files
+    that git does not ignore."""
+    listed = subprocess.run(["git", "-C", str(root), "ls-files", "-z", "--cached", "--others",
+                             "--exclude-standard"],
+                            check=True, capture_output=True, text=True).stdout
+    for name in filter(None, listed.split("\0")):
+        source = root / name
+        if source.is_file():
+            (dest / name).parent.mkdir(parents=True, exist_ok=True)
+            shutil.copy2(source, dest / name)
 
 
 def record_path(workload: str, rev: str, first: int, last: int, aa: bool) -> Path:
@@ -153,6 +180,7 @@ def run_pairs(roots: dict, workload: str, first_seed: int, count: int,
     """Run `count` alternating pairs; return the pairs done and, once a run
     exits non-zero, what failed (None when every run succeeded)."""
     pairs = []
+    calibrate()  # the first pass of a process reads fast; keep none of it
     for i in range(count):
         seed = first_seed + i
         order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
@@ -247,10 +275,14 @@ def main(argv=None) -> int:
     seconds = spec["run_seconds"]
     rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
                          check=True, capture_output=True, text=True).stdout.strip()
-    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as tmp:
-        parent_root = Path(tmp)
-        checkout(rev, parent_root)
-        roots = {"parent": parent_root, "change": parent_root if args.aa else ROOT}
+    with tempfile.TemporaryDirectory(prefix="pairs-parent-") as parent_tmp, \
+            tempfile.TemporaryDirectory(prefix="pairs-change-") as change_tmp:
+        roots = {"parent": Path(parent_tmp), "change": Path(change_tmp)}
+        checkout(rev, roots["parent"])
+        if args.aa:
+            checkout(rev, roots["change"])
+        else:
+            copy_working_tree(roots["change"])
         pairs, failure = run_pairs(roots, args.workload, args.first_seed, args.pairs, seconds)
     rec = record(args.workload, rev, args.aa, seconds, pairs, spec["end_to_end"], failure)
     OUT.mkdir(exist_ok=True)
