@@ -1,13 +1,19 @@
-"""Threads for the parts of a job that split by rows: how many the cores
-allow (`worker_threads`), a crew of persistent threads that run a job's
-parts with the caller (`Crew`), and a worker that fills a ring of buffers
-in order for the caller (`Feed`).
+"""Threads for the parts of a job: how many the cores allow
+(`worker_threads`), and a crew of persistent threads that run a job's
+parts with the caller (`Crew`).
 
 `scoring.evaluate` runs its score blocks and `trainer.FusedStep` the
-halves of each training step on a crew of at most `worker_threads()`;
-`databench.generate` draws its noise blocks through a feed, on a worker
-when `worker_threads()` is 2 or more. Every part runs the same operations
-at any thread count, so results do not depend on it.
+halves of each training step on a crew of at most `worker_threads()`.
+`databench.generate` runs its noise on a crew of two when
+`worker_threads()` is 2 or more: one run per block, of two parts, draw
+block i + 1 and store block i. The draw goes first because the caller
+takes a run's first part before the worker wakes; with the store first,
+the caller waited on the worker's longer draw at every block. The
+rotations are solved before any run, because a part goes to whichever
+thread asks first: the worker must run only draws and stores, which
+allocate no array, since rotations solved on either thread raised the
+peak RSS. Every part runs the same operations at any thread count, so
+results do not depend on it.
 """
 
 from __future__ import annotations
@@ -186,74 +192,3 @@ class Crew:
         self._wake()
         for thread in self._threads:
             thread.join()
-
-
-class Feed:
-    """fill(i) for i = 0, 1, ..., count - 1, in order, each taken by the
-    caller once it has returned: on one worker thread that runs at most
-    `ring` fills ahead of the caller, or, unless `threaded`, on the caller's
-    own thread inside `take()`.
-
-    The caller calls `take()` for each i in turn, which returns i once
-    fill(i) has returned, and `give_back()` once it is done with what
-    fill(i) wrote, which lets the worker start fill(i + ring). So fill(i)
-    may write where fill(i - ring) did: a ring of `ring` buffers, which the
-    caller allocates. The worker runs fill and nothing else, outside the
-    caller's context; an exception fill raises there is raised by the
-    `take()` of its i, and no further fill starts. The hand-off is two
-    semaphores waited on through `_take`. Use as a context manager, from
-    one thread: the worker stops and is joined on exit, also when the block
-    raises.
-    """
-
-    def __init__(self, fill, count: int, ring: int, threaded: bool):
-        self._fill = fill
-        self._taken = 0  # the next i the caller takes
-        self._stop = False
-        self._failed: tuple[int, BaseException] | None = None  # the fill that raised
-        self._thread: threading.Thread | None = None
-        if threaded:
-            self._free = threading.Semaphore(ring)  # fills the worker may start
-            self._full = threading.Semaphore(0)  # fills done and not taken
-            self._thread = threading.Thread(target=self._serve, args=(count,), daemon=True)
-            self._thread.start()
-
-    def _serve(self, count: int) -> None:
-        for i in range(count):
-            _take(self._free)
-            if self._stop:
-                return
-            try:
-                self._fill(i)
-            except BaseException as exc:  # raised on the caller by take()
-                self._failed = i, exc
-                return
-            finally:
-                self._full.release()
-
-    def take(self) -> int:
-        """The next i, once fill(i) has returned."""
-        i = self._taken
-        self._taken += 1
-        if self._thread is None:
-            self._fill(i)
-        else:
-            _take(self._full)
-            if self._failed is not None and self._failed[0] == i:
-                raise self._failed[1]
-        return i
-
-    def give_back(self) -> None:
-        """Let the worker start the fill `ring` past the oldest one taken
-        and not given back."""
-        if self._thread is not None:
-            self._free.release()
-
-    def __enter__(self) -> "Feed":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        if self._thread is not None:
-            self._stop = True
-            self._free.release()
-            self._thread.join()

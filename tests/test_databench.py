@@ -1,6 +1,8 @@
 import re
 import struct
+import threading
 import tracemalloc
+import weakref
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -530,24 +532,24 @@ def test_block_bound_is_below_point_nine_by_twice_the_dot_products_error():
         assert 0.9 - 2 * gamma - 4 * u < db._block_bound(dim) < 0.9 - 2 * gamma
 
 
-def _feeds(monkeypatch, threads):
-    """Run `generate` with `threads` worker threads, recording each feed's
-    (count, ring, threaded)."""
+def _crews(monkeypatch, threads):
+    """Run `generate` with `threads` worker threads, recording the thread
+    count of each crew it opens."""
     seen = []
 
-    class Recorded(parallel.Feed):
-        def __init__(self, fill, count, ring, threaded):
-            seen.append((count, ring, threaded))
-            super().__init__(fill, count, ring, threaded)
+    class Recorded(parallel.Crew):
+        def __init__(self, count):
+            seen.append(count)
+            super().__init__(count)
 
     monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
-    monkeypatch.setattr(parallel, "Feed", Recorded)
+    monkeypatch.setattr(parallel, "Crew", Recorded)
     return seen
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("block, fields, blocks_per_domain", [
-    # many blocks of a few rows: the ring wraps many times in a domain
+    # many blocks of a few rows: the buffers swap many times in a domain
     (10, dict(num_classes=6, num_domains=3, embed_dim=8, input_dim=8,
               samples_per_class_per_domain=5, identity_lift=True, seed=2), 30),
     # strength 0: every rotation is the identity
@@ -556,30 +558,33 @@ def _feeds(monkeypatch, threads):
     # blocks of two whole classes, the last one of one class
     (80, dict(num_classes=7, num_domains=3, embed_dim=6, input_dim=10,
               samples_per_class_per_domain=4, seed=9), 4),
-    # one block a domain: no thread at any count
+    # one block a domain: a crew of one at any count
     (1 << 17, dict(num_classes=6, num_domains=3, embed_dim=8, input_dim=10,
                    samples_per_class_per_domain=5, seed=1), 1),
 ])
 def test_generate_on_one_or_two_threads_writes_the_bytes_of_the_row_by_row_loop(
         tmp_path, monkeypatch, threads, block, fields, blocks_per_domain):
     monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", block)
-    seen = _feeds(monkeypatch, threads)
+    seen = _crews(monkeypatch, threads)
     spec = BenchmarkSpec(**fields)
-    db.save(generate(spec), tmp_path / "fed.emba")
-    threaded = threads > 1 and blocks_per_domain > 1
-    assert seen == [(spec.num_domains * blocks_per_domain, 2 if threaded else 1, threaded)]
+    active = threading.active_count()
+    db.save(generate(spec), tmp_path / "crew.emba")
+    assert threading.active_count() == active  # the worker is joined
+    assert seen == [2 if threads > 1 and blocks_per_domain > 1 else 1]
     db.save(_generate_row_by_row(spec), tmp_path / "rows.emba")
-    assert (tmp_path / "fed.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
+    assert (tmp_path / "crew.emba").read_bytes() == (tmp_path / "rows.emba").read_bytes()
 
 
 @pytest.mark.parametrize("threads", [1, 2])
 @pytest.mark.parametrize("field, value", [("noise_sigma", 1e39), ("domain_strength", 1e39)])
 def test_an_overflow_on_either_path_raises_generation_error(monkeypatch, threads, field, value):
     monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", 64)
-    seen = _feeds(monkeypatch, threads)
+    seen = _crews(monkeypatch, threads)
+    active = threading.active_count()
     with pytest.raises(GenerationError, match="^features overflow float32 at noise_sigma"):
         generate(replace(SMALL, **{field: value}))
-    assert [threaded for _, _, threaded in seen] == [threads > 1]
+    assert threading.active_count() == active  # the worker is joined
+    assert seen == [threads]
 
 
 # the `gen --input-dim 3 --embed-dim 3 --domain-strength 1e20 --seed 0` spec
@@ -590,12 +595,82 @@ SINGULAR = BenchmarkSpec(embed_dim=3, input_dim=3, domain_strength=1e20, seed=0)
 def test_a_singular_rotation_raises_generation_error_naming_the_settings(monkeypatch, threads,
                                                                          block):
     monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", block)
-    seen = _feeds(monkeypatch, threads)
+    seen = _crews(monkeypatch, threads)
     message = ("domain 2's rotation cannot be computed at domain_strength 1e+20 and "
                "input_dim 3 (Singular matrix)")
+    active = threading.active_count()
     with pytest.raises(GenerationError, match=f"^{re.escape(message)}$"):
         generate(SINGULAR)
-    assert [threaded for _, _, threaded in seen] == [threads > 1 and block < 150]
+    assert threading.active_count() == active  # the worker is joined
+    assert seen == [2 if threads > 1 and block < 150 else 1]
+
+
+# 30 blocks of one row a domain at NOISE_BLOCK_ELEMENTS 10, 90 in the stream
+MANY_BLOCKS = BenchmarkSpec(num_classes=6, num_domains=3, embed_dim=8, input_dim=8,
+                            samples_per_class_per_domain=5, seed=2)
+
+
+def _runs(monkeypatch, threads):
+    """Run `generate` with `threads` worker threads, recording each crew
+    run's parts as (name, block index)."""
+    runs = []
+
+    class Recorded(parallel.Crew):
+        def run(self, task, parts):
+            runs.append([(part.func.__name__, *part.args) for part in parts])
+            super().run(task, parts)
+
+    monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
+    monkeypatch.setattr(parallel, "Crew", Recorded)
+    return runs
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_generate_draws_the_next_block_before_storing_on_two_threads_and_after_on_one(
+        monkeypatch, threads):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", 10)
+    runs = _runs(monkeypatch, threads)
+    generate(MANY_BLOCKS)
+    steps = [[("draw", i + 1), ("store", i)] for i in range(89)]
+    if threads == 1:
+        steps = [step[::-1] for step in steps]
+    assert runs == steps + [[("store", 89)]]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_generate_solves_every_rotation_on_the_caller_before_any_crew_run(monkeypatch, threads):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", 10)
+    runs = _runs(monkeypatch, threads)
+    caller = threading.current_thread()
+    solves = []
+    rotation = db._rotation
+
+    def recorded(draw, strength):
+        solves.append((threading.current_thread() is caller, len(runs)))
+        return rotation(draw, strength)
+
+    monkeypatch.setattr(db, "_rotation", recorded)
+    generate(MANY_BLOCKS)
+    assert solves == [(True, 0)] * MANY_BLOCKS.num_domains
+    assert len(runs) == 90
+
+
+def test_generate_frees_each_rotation_draw_once_its_base_points_exist(monkeypatch):
+    monkeypatch.setattr(db, "NOISE_BLOCK_ELEMENTS", 10)
+    runs = _runs(monkeypatch, 2)
+    draws, freed = [], []
+    rotation = db._rotation
+
+    def recorded(draw, strength):
+        # every earlier domain's draw is gone by the time this one is solved
+        freed.append([ref() is None for ref in draws])
+        draws.append(weakref.ref(draw))
+        return rotation(draw, strength)
+
+    monkeypatch.setattr(db, "_rotation", recorded)
+    generate(MANY_BLOCKS)
+    assert freed == [[True] * m for m in range(MANY_BLOCKS.num_domains)]
+    assert len(draws) == MANY_BLOCKS.num_domains and len(runs) == 90
 
 
 def test_default_rotations_keep_their_bits():

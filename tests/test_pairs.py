@@ -41,7 +41,12 @@ def _pairs(parent_rows, change_rows):
     return out
 
 
-def _no_checkouts(monkeypatch):
+# the short revision `main` records, so that no test needs a git work tree
+REV = "0a1b2c3"
+
+
+def _no_git(monkeypatch):
+    monkeypatch.setattr(pairs, "short_rev", lambda rev: REV)
     monkeypatch.setattr(pairs, "checkout", lambda rev, dest: None)
     monkeypatch.setattr(pairs, "copy_working_tree", lambda dest: None)
 
@@ -135,13 +140,14 @@ def test_a_failing_run_keeps_the_pairs_done_and_names_the_failure(monkeypatch, t
         return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
 
     monkeypatch.setattr(pairs, "run_side", run_side)
-    _no_checkouts(monkeypatch)
+    _no_git(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "5", "--first-seed", "11"]) == 1
     assert calls == [11, 11, 12, 12]
     (path,) = tmp_path.iterdir()
     rec = json.loads(path.read_text())
-    assert path.name == f"BENCH_pairs_open-eval_{rec['parent']}_seeds11-15.json"
+    assert path.name == f"BENCH_pairs_open-eval_{REV}_seeds11-15.json"
+    assert rec["parent"] == REV
     assert [p["seed"] for p in rec["pairs"]] == [11]
     assert rec["metrics"]["job_s"]["change_lower_in"] == "0/1"
     tail = "\n".join(f"line {i}" for i in range(30 - pairs.STDERR_TAIL_LINES, 30))
@@ -157,12 +163,13 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
         raise pairs.RunFailed(["run.py"], 1, "Traceback\nboom\n")
 
     monkeypatch.setattr(pairs, "run_side", run_side)
-    _no_checkouts(monkeypatch)
+    _no_git(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "desk-train", "--pairs", "2", "--aa"]) == 1
     (path,) = tmp_path.iterdir()
     rec = json.loads(path.read_text())
-    assert path.name == f"BENCH_pairs_desk-train_{rec['parent']}_seeds1-2_aa.json"
+    assert path.name == f"BENCH_pairs_desk-train_{REV}_seeds1-2_aa.json"
+    assert rec["parent"] == REV
     assert rec["pairs"] == [] and rec["metrics"] == {} and rec["environment"] == {}
     assert rec["failure"] == {"side": "parent", "seed": 1, "exit_code": 1,
                               "stderr_tail": "Traceback\nboom"}
@@ -185,14 +192,14 @@ def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
         (tmp_path / name).write_text(text)
     monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
                         pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
-    _no_checkouts(monkeypatch)
+    _no_git(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
     for name, text in earlier.items():
         assert (tmp_path / name).read_text() == text
     (new,) = set(tmp_path.iterdir()) - {tmp_path / name for name in earlier}
     rec = json.loads(new.read_text())
-    assert new == pairs.record_path("open-eval", rec["parent"], 1, 2, False)
+    assert new == pairs.record_path("open-eval", REV, 1, 2, False)
     assert [p["seed"] for p in rec["pairs"]] == [1, 2] and rec["all_correct"]
     assert f"wrote {new}" in capsys.readouterr().out
 
@@ -200,7 +207,7 @@ def test_a_run_leaves_earlier_records_in_place(monkeypatch, tmp_path, capsys):
 def test_runs_against_one_parent_on_other_seeds_leave_two_records(monkeypatch, tmp_path, capsys):
     monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds:
                         pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed)))
-    _no_checkouts(monkeypatch)
+    _no_git(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     for first in (1, 101):
         assert pairs.main(["--workload", "mid-train", "--pairs", "3",
@@ -209,7 +216,7 @@ def test_runs_against_one_parent_on_other_seeds_leave_two_records(monkeypatch, t
     assert len(records) == 2
     for first in (1, 101):
         (rec,) = [rec for rec in records.values() if rec["pairs"][0]["seed"] == first]
-        assert pairs.record_path("mid-train", rec["parent"], first, first + 2, False).name \
+        assert pairs.record_path("mid-train", REV, first, first + 2, False).name \
             in records
         assert [p["seed"] for p in rec["pairs"]] == [first, first + 1, first + 2]
     capsys.readouterr()
@@ -228,7 +235,7 @@ def test_each_side_is_calibrated_just_before_its_run(monkeypatch, tmp_path, caps
 
     monkeypatch.setattr(pairs, "calibrate", calibrate)
     monkeypatch.setattr(pairs, "run_side", run_side)
-    _no_checkouts(monkeypatch)
+    _no_git(monkeypatch)
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.main(["--workload", "open-eval", "--pairs", "2"]) == 0
     # one calibration before the first run is thrown away
@@ -279,11 +286,30 @@ def test_the_working_tree_copy_holds_what_a_commit_of_it_would(tmp_path):
                       "src/pkg/mod.py": "x = 1\n", "src/pkg/new.py": "z = 3\n"}
 
 
+def test_short_rev_names_a_commit_of_the_repository_at_root(monkeypatch, tmp_path):
+    (tmp_path / "a.txt").write_text("a\n")
+    _git(tmp_path, "init", "-q")
+    full = []
+    for message in ("first", "second"):
+        _git(tmp_path, "add", "-A")
+        _git(tmp_path, "-c", "user.name=t", "-c", "user.email=t@t", "commit", "-q",
+             "--allow-empty", "-m", message)
+        full.append(subprocess.run(["git", "-C", str(tmp_path), "rev-parse", "HEAD"], check=True,
+                                   capture_output=True, text=True).stdout.strip())
+    monkeypatch.setattr(pairs, "ROOT", tmp_path)
+    first, second = pairs.short_rev("HEAD~1"), pairs.short_rev("HEAD")
+    assert 4 <= len(first) < 40 and full[0].startswith(first)
+    assert 4 <= len(second) < 40 and full[1].startswith(second)
+    with pytest.raises(subprocess.CalledProcessError):
+        pairs.short_rev("no-such-revision")
+
+
 @pytest.mark.parametrize("aa", [False, True])
 def test_each_side_runs_from_its_own_temporary_directory(monkeypatch, tmp_path, capsys, aa):
     made, roots = [], {}
 
     def checkout(rev, dest):
+        assert rev == REV
         made.append(("checkout", dest))
 
     def copy_working_tree(dest):
@@ -294,6 +320,7 @@ def test_each_side_runs_from_its_own_temporary_directory(monkeypatch, tmp_path, 
         roots[root] += 1
         return pairs.parse_run(_stdout(0.2, 0.4, 300.0, seed=seed))
 
+    monkeypatch.setattr(pairs, "short_rev", lambda rev: REV)
     monkeypatch.setattr(pairs, "checkout", checkout)
     monkeypatch.setattr(pairs, "copy_working_tree", copy_working_tree)
     monkeypatch.setattr(pairs, "run_side", run_side)

@@ -95,6 +95,12 @@ def parse_args(argv):
     return args
 
 
+def short_rev(rev: str) -> str:
+    """The short name of `rev` in this repository's git."""
+    return subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", rev],
+                          check=True, capture_output=True, text=True).stdout.strip()
+
+
 def checkout(rev: str, dest: Path) -> None:
     """Write the files of `rev` into `dest`, from this repository's git."""
     tar = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -273,8 +279,7 @@ def main(argv=None) -> int:
         print(f"error: unknown workload {args.workload!r}", file=sys.stderr)
         return 1
     seconds = spec["run_seconds"]
-    rev = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--short", args.parent],
-                         check=True, capture_output=True, text=True).stdout.strip()
+    rev = short_rev(args.parent)
     with tempfile.TemporaryDirectory(prefix="pairs-parent-") as parent_tmp, \
             tempfile.TemporaryDirectory(prefix="pairs-change-") as change_tmp:
         roots = {"parent": Path(parent_tmp), "change": Path(change_tmp)}
