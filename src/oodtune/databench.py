@@ -237,6 +237,11 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     run could land on the worker. The worker must run only draws and
     stores, which allocate no array: solving the rotations on either
     thread read mid-train `peak_rss_mb` 1.7-2.9 MB higher in 6 of 6 pairs.
+    So the worker idles through the solves, and overlapping them with its
+    draws would not hide them, since `norm(skew, 2)`'s SVD holds the
+    interpreter lock for its whole ~7 ms at d_in=256: a worker's
+    2^17-value draw beside it took 7.2-13.4 ms in 7 of 10 trials, against
+    1.7-3.7 ms beside `solve`, the `matmul` or a store.
     """
     rng = np.random.default_rng([spec.seed, 0])
     prototypes = _sample_prototypes(rng, spec.num_classes, spec.embed_dim)

@@ -14,6 +14,20 @@ thread asks first: the worker must run only draws and stores, which
 allocate no array, since rotations solved on either thread raised the
 peak RSS. Every part runs the same operations at any thread count, so
 results do not depend on it.
+
+A part writes block-sized arrays only into buffers its caller allocated:
+`evaluate` allocates one score buffer per crew thread before the crew
+runs, and `generate` two noise buffers. glibc's malloc serves each thread
+from an arena of its own, which stays resident after the thread is joined
+and which the caller's later arrays do not reuse: while `evaluate`'s parts
+allocated their own 2 MB score blocks, 16 open-eval set-ups and jobs in one
+process left each worker arena at 2.7 MB of system bytes with under 10 KB
+in use (`tools/arenas.py`), against 0.8 MB with the buffers held. Two
+kinds of part still allocate on the thread that runs them: `FusedStep`'s
+row parts their logits, since buffers held the same way kept the bits but
+raised mid-train's peak RSS (192.9 -> 195.4 MB, higher in 6 of 6 pairs),
+and `_top_k`'s partial and argsort rankings their index arrays, since
+numpy's argpartition and argsort take no output array.
 """
 
 from __future__ import annotations
@@ -65,6 +79,11 @@ def _take(lock: threading.Lock | threading.Semaphore) -> None:
     hypervisor a core idle for a while wakes slowly: on a 2-core virtual
     machine a lock round trip to a thread idle for 2 ms took 99 us
     (median; p90 0.86 ms), against 9 us to one that had just blocked.
+    Shorter polls did not pay: with SPIN_S at 0.5, 0.2 or 0 ms, in-process
+    `generate`, a mid-size `train` and open-eval scoring moved by -9% to
+    +9% over 12 and 16 alternating rounds in two sessions, no setting
+    faster in both, and blocking only `generate`'s waits read open-eval
+    `setup_s` lower in 5 of 10 pairs; so every wait polls for SPIN_S.
     """
     if lock.acquire(blocking=False):
         return
@@ -110,7 +129,9 @@ class Crew:
 
     A crew of one starts no thread and runs the parts in a plain loop. Use
     as a context manager, from one thread: the workers stop and are joined
-    on exit, also when the block raises.
+    on exit, also when the block raises, and when a worker fails to start
+    the ones already started are stopped and joined before the error is
+    raised.
     """
 
     def __init__(self, count: int):
@@ -125,9 +146,13 @@ class Crew:
             wake = threading.Lock()
             wake.acquire()
             thread = threading.Thread(target=self._serve, args=(index, wake), daemon=True)
+            try:
+                thread.start()
+            except BaseException:  # the workers already started would wait forever
+                self.__exit__()
+                raise
             self._wakes.append(wake)
             self._threads.append(thread)
-            thread.start()
 
     def _serve(self, index: int, wake: threading.Lock) -> None:
         while True:

@@ -161,12 +161,13 @@ def _embed(encoder: Encoder, x: np.ndarray, normalize: bool) -> np.ndarray:
 
 
 def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
-            normalize: bool) -> np.ndarray:
+            normalize: bool, out: np.ndarray) -> np.ndarray:
     """Scores of the rows of x against the class columns of weights_t, with
     the floating-point operations of `similarities(bank, embed(encoder, x))`
     (`normalize`) or of the Tape's linear-head logits,
-    `matmul(encoder.forward_raw(x), transpose(head.weights))`."""
-    return _embed(encoder, x, normalize) @ weights_t
+    `matmul(encoder.forward_raw(x), transpose(head.weights))`, written into
+    `out` (N x C, C-contiguous), which is returned."""
+    return np.matmul(_embed(encoder, x, normalize), weights_t, out=out)
 
 
 def _screens(num_classes: int, dim: int) -> bool:
@@ -381,7 +382,13 @@ def evaluate(
     per thread at a time; of failing blocks, the first one's error is
     raised. Each block runs the same operations and writes only its own
     rows, so the report does not depend on the thread count; a one-block
-    call starts no thread.
+    call starts no thread. Before the crew runs, the caller allocates one
+    float64 score buffer of the largest block's size per thread; a block
+    takes a free one and scores into its first rows (the float32 screen,
+    the float64 product, the linear-head logits and the softmax passes), so
+    no worker's heap keeps a score block (see `parallel`). Only the partial
+    and argsort rankings of a large `topk` still allocate block-sized index
+    arrays, since numpy's argpartition and argsort take no output array.
     """
     if not (math.isfinite(tau) and tau > 0):
         raise ValueError(f"tau must be finite and positive, got {tau}")
@@ -428,34 +435,44 @@ def evaluate(
         bank32_t = weights_t.astype(np.float32)
         gap = _screen_gap(weights_t)
 
-    def score(block: slice) -> None:
-        x = np.asarray(source.take(indices[block], axis=0), dtype=np.float64)
-        if screen:
-            z = _embed(encoder, x, normalize=True)
-            scores = np.empty((z.shape[0], num_classes))
-            ids = _screened_argmax(z, bank32_t, gap, scores)
-            if ids is not None:
-                preds[block] = ids
-                return
-            np.matmul(z, weights_t, out=scores)  # a near tie: the whole block in float64
-        else:
-            scores = _scores(encoder, weights_t, x, normalize=head is None)
-        if topk is None:
-            preds[block] = np.argmax(scores, axis=1)
-            return
-        ids, vals = _top_k(scores, k)
-        preds[block] = ids[:, 0]
-        top_ids[block] = ids
-        # report temperature-scaled softmax probabilities as scores; for
-        # tau > 0 the row maximum of scores / tau is the top score / tau
-        scores /= tau
-        scores -= vals[:, :1] / tau
-        np.exp(scores, out=scores)
-        total = scores.sum(axis=1, keepdims=True)
-        top_probs[block] = np.take_along_axis(scores, ids, axis=1) / total
-
     blocks = _row_blocks(n, num_classes)
-    with parallel.Crew(min(len(blocks), parallel.worker_threads())) as crew:
+    threads = min(len(blocks), parallel.worker_threads())
+    # one score buffer per thread, allocated on the caller (see `parallel`);
+    # a running block holds one, so the list is never empty when popped
+    rows = max(block.stop - block.start for block in blocks)
+    free = [np.empty((rows, num_classes)) for _ in range(threads)]
+
+    def score(block: slice) -> None:
+        buffer = free.pop()
+        try:
+            scores = buffer[:block.stop - block.start]
+            x = np.asarray(source.take(indices[block], axis=0), dtype=np.float64)
+            if screen:
+                z = _embed(encoder, x, normalize=True)
+                ids = _screened_argmax(z, bank32_t, gap, scores)
+                if ids is not None:
+                    preds[block] = ids
+                    return
+                np.matmul(z, weights_t, out=scores)  # a near tie: the whole block in float64
+            else:
+                scores = _scores(encoder, weights_t, x, normalize=head is None, out=scores)
+            if topk is None:
+                preds[block] = np.argmax(scores, axis=1)
+                return
+            ids, vals = _top_k(scores, k)
+            preds[block] = ids[:, 0]
+            top_ids[block] = ids
+            # report temperature-scaled softmax probabilities as scores; for
+            # tau > 0 the row maximum of scores / tau is the top score / tau
+            scores /= tau
+            scores -= vals[:, :1] / tau
+            np.exp(scores, out=scores)
+            total = scores.sum(axis=1, keepdims=True)
+            top_probs[block] = np.take_along_axis(scores, ids, axis=1) / total
+        finally:
+            free.append(buffer)
+
+    with parallel.Crew(threads) as crew:
         crew.run(score, blocks)
 
     correct = preds == labels

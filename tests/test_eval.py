@@ -27,7 +27,7 @@ from oodtune.model import (ClassBank, Encoder, embed, flatten_params, similariti
 from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
-from helpers import identity_encoder, linear_head_logits, random_head
+from helpers import identity_encoder, linear_head_logits, random_bank, random_head
 
 
 NOISELESS = BenchmarkSpec(
@@ -130,8 +130,8 @@ def _recorded_blocks(monkeypatch, keep=np.copy):
     blocks = []
     inner = scoring._scores
 
-    def recording(encoder, weights_t, x, normalize):
-        out = inner(encoder, weights_t, x, normalize)
+    def recording(encoder, weights_t, x, normalize, out):
+        out = inner(encoder, weights_t, x, normalize, out)
         blocks.append((x[0].copy(), keep(out)))
         return out
 
@@ -1686,6 +1686,50 @@ def test_threaded_blocks_are_each_scored_once_under_frequent_switches(monkeypatc
     assert len(blocks) == subset.labels.size // 2
     _in_row_order(blocks, subset.features)  # each row scored once
     assert threaded.to_json() == serial.to_json()
+
+
+@pytest.mark.parametrize("path", ["screened", "near tie", "top-k", "linear head"])
+def test_two_threads_score_every_block_into_two_buffers(monkeypatch, path):
+    # C=400 and d=32 are screened; ten rows a block make ten blocks
+    rng = np.random.default_rng(0)
+    num_classes, dim, n = 400, 32, 100
+    bank = random_bank(rng, num_classes, dim)
+    subset = db.SplitSubset(rng.standard_normal((n, dim)), np.arange(n),
+                            labels=np.arange(n) % num_classes, domains=np.zeros(n, dtype=np.uint32))
+    head = random_head(num_classes, dim, rng) if path == "linear head" else None
+    topk = 3 if path == "top-k" else None
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 10 * num_classes)
+    if path == "near tie":
+        monkeypatch.setattr(scoring, "_screen_gap", lambda bank_t: np.inf)  # every block flags
+
+    def run():
+        return evaluate(identity_encoder(dim), bank, subset, range(200), head=head,
+                        topk=topk).to_json()
+
+    serial = _reports_by_threads(monkeypatch, run, threads=(1,))[0]
+    # the array that owns each block's scores, kept alive so that no two
+    # blocks' arrays can share an identity
+    owners, flags = [], []
+    inner_scores, inner_screen = scoring._scores, scoring._screened_argmax
+
+    def scores(*args, **kwargs):
+        out = inner_scores(*args, **kwargs)
+        owners.append(out if out.base is None else out.base)
+        return out
+
+    def screened(z, bank32_t, gap, out):
+        owners.append(out if out.base is None else out.base)
+        ids = inner_screen(z, bank32_t, gap, out)
+        flags.append(ids is None)
+        return ids
+
+    monkeypatch.setattr(scoring, "_scores", scores)
+    monkeypatch.setattr(scoring, "_screened_argmax", screened)
+    assert _reports_by_threads(monkeypatch, run, threads=(2,))[0] == serial
+    assert len(owners) == len(scoring._row_blocks(n, num_classes)) >= 6
+    assert len({id(owner) for owner in owners}) <= 2
+    want = {"screened": False, "near tie": True}
+    assert flags == ([want[path]] * len(owners) if path in want else [])
 
 
 @pytest.mark.parametrize("env,cores,want", [

@@ -2,7 +2,7 @@
 every part runs once; errors are those of the first failing part in
 order, and no part starts after a failure; a worker runs under the
 caller's context; the caller never waits for a worker that took nothing;
-the workers are joined on exit."""
+the workers are joined on exit, and when one fails to start."""
 
 import sys
 import threading
@@ -109,3 +109,22 @@ def test_caller_runs_every_part_when_the_worker_has_not_woken(monkeypatch):
     assert ran == [(i, caller) for i in range(6)]
     assert timed_out and not any(timed_out)
     assert not crew._threads[0].is_alive()
+
+
+def test_a_worker_that_fails_to_start_stops_the_workers_already_started(monkeypatch):
+    before = threading.active_count()
+    start = threading.Thread.start
+    started = []
+
+    def second_fails(thread):
+        started.append(thread)
+        if len(started) == 2:
+            raise RuntimeError("can't start new thread")
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", second_fails)
+    with pytest.raises(RuntimeError, match="can't start new thread"):
+        parallel.Crew(3)
+    monkeypatch.undo()
+    assert len(started) == 2 and not started[0].is_alive()
+    assert threading.active_count() == before
