@@ -221,11 +221,12 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     Every draw but the noise comes first: the prototypes, the lift, and
     each domain's rotation draw and offset. The caller then solves every
     domain's rotation and base points and draws noise block 0. Each later
-    step is one `Crew.run` over two parts: draw block i + 1 and scale,
-    shift and store block i, on a crew of two threads with two block
-    buffers when `parallel.worker_threads()` is 2 or more and a domain
-    spans more than one block; otherwise on the caller alone, storing
-    block i before drawing block i + 1 into the one buffer. The draws run
+    step is one `Crew.run` over two parts, draw block i + 1 and scale,
+    shift and store block i, on `Crew(2)` when a domain spans more than one
+    block, else `Crew(1)`. On two threads the draw fills the other of two
+    block buffers; on one, the store runs first and the draw reuses its
+    buffer. The buffers are allocated inside the crew's `with`, so a
+    failed allocation leaves no worker running. The draws run
     one at a time in the stream's order and the arithmetic on each value is
     the same either way, so the archive's bits are too.
 
@@ -264,12 +265,6 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
     k = max(1, NOISE_BLOCK_ELEMENTS // (n * d_in)) if r == n else 1
     spans = [(c0, min(c, c0 + k), r0, min(n, r0 + r))
              for c0, r0 in product(range(0, c, k), range(0, n, r))]
-    threaded = len(spans) > 1 and parallel.worker_threads() > 1
-    buffers = [np.empty(min(k, c) * r * d_in) for _ in range(2 if threaded else 1)]
-    # block i of the stream, a view of buffer i mod the buffer count
-    blocks = [buffers[i % len(buffers)][: (c1 - c0) * (r1 - r0) * d_in]
-              .reshape(c1 - c0, r1 - r0, d_in)
-              for i, (c0, c1, r0, r1) in enumerate(spans * spec.num_domains)]
 
     def draw(i: int) -> None:
         rng.standard_normal(out=blocks[i])
@@ -282,7 +277,13 @@ def generate(spec: BenchmarkSpec) -> EmbeddingArchive:
         features[i // len(spans), c0:c1, r0:r1] = points
 
     # a value beyond float32's range raises, in the arithmetic or the store
-    with np.errstate(over="raise"), parallel.Crew(2 if threaded else 1) as crew:
+    with np.errstate(over="raise"), parallel.Crew(2 if len(spans) > 1 else 1) as crew:
+        threaded = crew.threads > 1
+        buffers = [np.empty(min(k, c) * r * d_in) for _ in range(2 if threaded else 1)]
+        # block i of the stream, a view of buffer i mod the buffer count
+        blocks = [buffers[i % len(buffers)][: (c1 - c0) * (r1 - r0) * d_in]
+                  .reshape(c1 - c0, r1 - r0, d_in)
+                  for i, (c0, c1, r0, r1) in enumerate(spans * spec.num_domains)]
         try:
             shifts = [(rng.standard_normal((d_in, d_in)),
                        spec.domain_strength * rng.standard_normal(d_in))

@@ -246,8 +246,9 @@ class RunSpec:
         spec = cls(**{key: config.get(key, default) for key, default in defaults.items()})
         if spec.head not in (tr.HEAD_METRIC, tr.HEAD_LINEAR):
             raise RunFileError(f"run config field 'head' is unknown: {spec.head!r}")
-        if not (math.isfinite(spec.tau) and spec.tau > 0):
-            raise RunFileError(f"run config field 'tau' must be finite and positive: {spec.tau!r}")
+        if not (math.isfinite(spec.tau) and spec.tau > 0 and math.isfinite(1.0 / spec.tau)):
+            raise RunFileError("run config field 'tau' must be finite and positive, with a finite "
+                               f"reciprocal: {spec.tau!r}")
         for key, least in _LEAST.items():
             value = getattr(spec, key)
             if value is not None and value < least:

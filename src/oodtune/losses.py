@@ -47,6 +47,13 @@ class LossConfig:
             raise ValueError(f"unknown margin mode {self.margin_mode!r}")
         if self.margin_mode == MARGIN_FIXED and self.fixed_margin < 0:
             raise ValueError(f"fixed margin must be non-negative, got {self.fixed_margin}")
+        # logits (S + lambda D) / tau, S in [-1, 1] and D in [0, margin]; the
+        # log-softmax subtracts two of them
+        margin = {MARGIN_ADAPTIVE: 2.0, MARGIN_FIXED: self.fixed_margin}.get(self.margin_mode, 0.0)
+        bound = (1.0 + self.lam * margin) / self.tau
+        if not bound < np.finfo(float).max / 2:
+            raise ValueError(f"tau {self.tau} and lambda {self.lam} give logits up to (1 + lambda "
+                             f"* {margin}) / tau = {bound:.3g}, whose differences overflow float64")
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:

@@ -2,32 +2,21 @@
 (`worker_threads`), and a crew of persistent threads that run a job's
 parts with the caller (`Crew`).
 
-`scoring.evaluate` runs its score blocks and `trainer.FusedStep` the
-halves of each training step on a crew of at most `worker_threads()`.
-`databench.generate` runs its noise on a crew of two when
-`worker_threads()` is 2 or more: one run per block, of two parts, draw
-block i + 1 and store block i. The draw goes first because the caller
-takes a run's first part before the worker wakes; with the store first,
-the caller waited on the worker's longer draw at every block. The
-rotations are solved before any run, because a part goes to whichever
-thread asks first: the worker must run only draws and stores, which
-allocate no array, since rotations solved on either thread raised the
-peak RSS. Every part runs the same operations at any thread count, so
-results do not depend on it.
+Each job opens its own crew for its run, `Crew(parts)`, which caps itself
+at `worker_threads()`: `trainer.train` one for the halves of each step
+(`FusedStep`), `scoring.evaluate` one for its score blocks, and
+`databench.generate` one of two for its noise draws and stores. Every part
+runs the same operations at any thread count, so results do not depend
+on it. Why each job splits, orders and buffers its parts as it does is
+said, with its measurements, where the job does it: `trainer.SPLIT_WORK`,
+`scoring.evaluate` and `databench.generate`.
 
-A part writes block-sized arrays only into buffers its caller allocated:
-`evaluate` allocates one score buffer per crew thread before the crew
-runs, and `generate` two noise buffers. glibc's malloc serves each thread
-from an arena of its own, which stays resident after the thread is joined
-and which the caller's later arrays do not reuse: while `evaluate`'s parts
-allocated their own 2 MB score blocks, 16 open-eval set-ups and jobs in one
-process left each worker arena at 2.7 MB of system bytes with under 10 KB
-in use (`tools/arenas.py`), against 0.8 MB with the buffers held. Two
-kinds of part still allocate on the thread that runs them: `FusedStep`'s
-row parts their logits, since buffers held the same way kept the bits but
-raised mid-train's peak RSS (192.9 -> 195.4 MB, higher in 6 of 6 pairs),
-and `_top_k`'s partial and argsort rankings their index arrays, since
-numpy's argpartition and argsort take no output array.
+A part writes block-sized arrays only into buffers its caller allocated
+before the crew runs (`evaluate`'s score buffers, `generate`'s noise
+buffers), since what a worker allocates stays resident in its own malloc
+arena after the crew closes (measured in `scoring.evaluate`); the parts
+that still allocate say why in their own docstrings (`FusedStep`,
+`scoring.evaluate`).
 """
 
 from __future__ import annotations
@@ -42,7 +31,7 @@ BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"
 
 
 def worker_threads() -> int:
-    """Threads to run row parts on: the usable cores over the BLAS
+    """Threads a crew may run parts on: the usable cores over the BLAS
     threads, at least one.
 
     The BLAS thread count is the first positive integer among
@@ -111,8 +100,10 @@ class _Job:
 
 
 class Crew:
-    """The caller and `count - 1` persistent worker threads, which run the
-    parts of a job together.
+    """The caller and `threads - 1` persistent worker threads, which run
+    the parts of a job together; `threads` is `parts` capped at
+    `worker_threads()`, at least one, so a crew never has a thread past
+    the job's parts or the cores.
 
     `run(task, parts)` calls task(part) for every part: each thread takes
     the next part in order under one lock. A part no thread has started
@@ -134,7 +125,8 @@ class Crew:
     raised.
     """
 
-    def __init__(self, count: int):
+    def __init__(self, parts: int):
+        self.threads = max(1, min(parts, worker_threads()))
         self._lock = threading.Lock()  # guards the parts, busy count and errors of a job
         self._done = threading.Lock()  # released by the last busy worker to a waiting caller
         self._done.acquire()
@@ -142,7 +134,7 @@ class Crew:
         self._stop = False
         self._wakes: list[threading.Lock] = []  # one per worker, released by the caller
         self._threads: list[threading.Thread] = []
-        for index in range(count - 1):
+        for index in range(self.threads - 1):
             wake = threading.Lock()
             wake.acquire()
             thread = threading.Thread(target=self._serve, args=(index, wake), daemon=True)

@@ -20,11 +20,11 @@ gives each range one fold when the run starts, BMA or the uniform average
 every `bma_every` steps, EMA every step, or none). A step whose work reaches
 SPLIT_WORK has two of each, a smaller one one of each; both run the same
 code. `FusedStep` fixes its parts when it is built for the run's batch
-size, and `train` runs its loop inside the step's `with` block, where the
-parts run on a `parallel.Crew` of one thread per part, the caller's among
-them, as far as the cores allow (`parallel.worker_threads`). The parts
-are fixed by the shapes alone, so the loop is fully deterministic under
-its seeds and gives the same bits at every thread count.
+size, and `train` opens one `parallel.Crew(len(step.blocks))` around its
+loop and runs every step's parts on it: one thread per part, the caller's
+among them, as far as the cores allow. The parts are fixed by the shapes
+alone, so the loop is fully deterministic under its seeds and gives the
+same bits at every thread count.
 """
 
 from __future__ import annotations
@@ -223,10 +223,12 @@ class FusedStep:
     computes the gradients of one range from those buffers, then calls
     the call's `update(part)`, which `train` uses to step the optimizer and
     the ensemble on that range. The losses are checked between the phases,
-    before any parameter moves. Inside a `with step:` block the parts of a
-    phase run on a `parallel.Crew` of one thread per part, as many as
-    `parallel.worker_threads` allows; outside it, on the caller alone. The
-    parts do not depend on the thread count, so neither do the results.
+    before any parameter moves. The parts of a phase run on the call's
+    `crew`, which `train` opens as `parallel.Crew(len(step.blocks))`. The
+    parts do not depend on the crew's thread count, so neither do the
+    results. A row part allocates its logits on the thread that runs it:
+    logit buffers allocated once by the caller kept the bits but raised
+    mid-train's peak RSS (192.9 -> 195.4 MB, higher in 6 of 6 pairs).
 
     The encoder and head tensors are only read at construction:
     `write_back` copies each lane's parameters into them.
@@ -312,28 +314,17 @@ class FusedStep:
                          g_h=np.empty((s, batch_size, hidden)), g_r=np.empty((s, batch_size, d)))
         if linear:
             self._act.update(r=np.empty((s, batch_size, d)), g=np.empty((s, batch_size, c)))
-        self._crew = parallel.Crew(1)
 
     def write_back(self) -> None:
         """Copy each lane's current parameters into its encoder (and head) tensors."""
         for tensors, flat in zip(self._tensors, self.params):
             unflatten_params(tensors, flat)
 
-    def __enter__(self) -> "FusedStep":
-        """Open the crew the parts run on; its workers are stopped and
-        joined on exit."""
-        self._crew = parallel.Crew(min(len(self.blocks), parallel.worker_threads())).__enter__()
-        return self
-
-    def __exit__(self, *exc) -> None:
-        crew, self._crew = self._crew, parallel.Crew(1)
-        crew.__exit__(*exc)
-
-    def __call__(self, x: np.ndarray, labels: np.ndarray,
+    def __call__(self, x: np.ndarray, labels: np.ndarray, crew: parallel.Crew,
                  update: Callable[[int], None] | None = None) -> list[float]:
         """Fill `grads` for the batches (x, labels), S x B x d_in and S x B,
-        call `update(part)` on each range once its gradients are in, and
-        return the list of S losses.
+        running the parts on `crew`; call `update(part)` on each range once
+        its gradients are in, and return the list of S losses.
 
         Labels must lie in [0, C); train() checks them once per run.
         Raises ShapeError on batches of another shape than the step's, and
@@ -348,7 +339,7 @@ class FusedStep:
         s, b = want
         # as tensor.transpose builds it
         w_t = np.ascontiguousarray(self._p[4].transpose(0, 2, 1)) if self._linear else None
-        self._crew.run(partial(self._rows, x, labels, w_t), self.blocks)
+        crew.run(partial(self._rows, x, labels, w_t), self.blocks)
         # per lane in Python floats: the same IEEE operations as on numpy scalars
         losses = [total / b * -1.0
                   for total in np.add.reduce(self._act["picked"], axis=-1).tolist()]
@@ -356,7 +347,7 @@ class FusedStep:
             if not math.isfinite(loss):
                 where = f"lane {lane}: " if s > 1 else ""
                 raise NonFiniteError(f"{where}non-finite loss {loss}")
-        self._crew.run(partial(self._range, x, update), range(len(self._covered)))
+        crew.run(partial(self._range, x, update), range(len(self._covered)))
         return losses
 
     def _rows(self, x: np.ndarray, labels: np.ndarray, w_t: np.ndarray | None,
@@ -553,7 +544,7 @@ def train(
     trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
-    with step:
+    with parallel.Crew(len(step.blocks)) as crew:
         for t in range(cfg.steps):
             chunk_step = t % BATCH_DRAW_STEPS
             if chunk_step == 0:
@@ -566,7 +557,7 @@ def train(
                 features.take(rows[chunk_step], axis=0, out=x_row, mode="clip")
                 labels.take(rows[chunk_step], out=y_row, mode="clip")
             try:
-                losses[t] = step(xs.astype(np.float64, copy=False), ys,
+                losses[t] = step(xs.astype(np.float64, copy=False), ys, crew,
                                  partial(update, cosine_lr(t, cfg.steps, cfg.base_lr),
                                          (t + 1) % every == 0))
             except NonFiniteError as exc:

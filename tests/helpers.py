@@ -2,11 +2,26 @@
 
 import numpy as np
 
+from oodtune import parallel
 from oodtune import tensor as T
 from oodtune.model import ClassBank, Encoder, LinearHead
 from oodtune.tensor import ShapeError
 
 FD_STEP = 1e-5
+
+
+def recorded_crew_threads(monkeypatch) -> list[int]:
+    """Patch `parallel.Crew` so that every crew opened from here on
+    appends its thread count to the returned list."""
+    seen = []
+
+    class Recorded(parallel.Crew):
+        def __init__(self, parts):
+            super().__init__(parts)
+            seen.append(self.threads)
+
+    monkeypatch.setattr(parallel, "Crew", Recorded)
+    return seen
 
 
 def central_diff(f, x0: np.ndarray, step: float = FD_STEP) -> np.ndarray:

@@ -24,6 +24,8 @@ from oodtune.databench import (
 )
 from oodtune.model import BankNormError
 
+from helpers import recorded_crew_threads
+
 
 SMALL = BenchmarkSpec(samples_per_class_per_domain=5, seed=11)
 
@@ -535,16 +537,8 @@ def test_block_bound_is_below_point_nine_by_twice_the_dot_products_error():
 def _crews(monkeypatch, threads):
     """Run `generate` with `threads` worker threads, recording the thread
     count of each crew it opens."""
-    seen = []
-
-    class Recorded(parallel.Crew):
-        def __init__(self, count):
-            seen.append(count)
-            super().__init__(count)
-
     monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
-    monkeypatch.setattr(parallel, "Crew", Recorded)
-    return seen
+    return recorded_crew_threads(monkeypatch)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -27,7 +27,8 @@ from oodtune.model import (ClassBank, Encoder, embed, flatten_params, similariti
 from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
-from helpers import identity_encoder, linear_head_logits, random_bank, random_head
+from helpers import (identity_encoder, linear_head_logits, random_bank, random_head,
+                     recorded_crew_threads)
 
 
 NOISELESS = BenchmarkSpec(
@@ -697,6 +698,30 @@ def test_cli_train_of_a_loss_beyond_float32_exits_two_and_writes_nothing(tmp_pat
     assert not run.exists()
 
 
+@pytest.mark.parametrize("flags", [["--lambda", "1e308"],
+                                   ["--margin", "fixed:1e308", "--lambda", "10"],
+                                   ["--tau", "1e-310"], ["--head", "linear", "--tau", "1e-310"]])
+def test_cli_train_of_logits_beyond_float64_exits_two_before_a_step(tmp_path, capsys,
+                                                                    monkeypatch, flags):
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    capsys.readouterr()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(tr.FusedStep, "__call__", no_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "5"]
+                    + flags) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(r"error: tau \S+ and lambda \S+ give logits up to \(1 \+ lambda \* \S+\) / "
+                        r"tau = inf, whose differences overflow float64\n", err)
+    assert err.count("\n") == 1 and err.endswith("differences overflow float64\n")
+    assert not run.exists()
+
+
 def test_cli_train_with_underflowing_beta_weights_exits_two_before_a_step(tmp_path, capsys,
                                                                          monkeypatch):
     data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
@@ -1250,6 +1275,7 @@ def test_cli_eval_rejects_run_config_that_does_not_fit_the_archive(tmp_path, cap
         ("shots", -3, "'shots' must be >= 1 or null"),
         ("head", "bogus", "'head' is unknown"),
         ("tau", -1.0, "'tau' must be finite and positive"),
+        ("tau", 1e-310, "'tau' must be finite and positive, with a finite reciprocal: 1e-310"),
         ("embed_dim", 13, "'embed_dim' is 13, the archive has 12"),
         ("input_dim", 17, "'input_dim' is 17, the archive has 16"),
         ("num_domains", 3, "'num_domains' is 3, the archive has 2"),
@@ -1365,7 +1391,7 @@ def test_python_dash_m_runs_the_cli():
     assert done.stderr.startswith("usage error: ")
 
 
-@pytest.mark.parametrize("tau", [0.0, float("nan"), -0.01])
+@pytest.mark.parametrize("tau", [0.0, float("nan"), -0.01, 1e-310])
 @pytest.mark.parametrize("topk", [None, 2])
 def test_evaluate_rejects_a_temperature_that_is_not_finite_and_positive(tau, topk):
     archive = generate(NOISELESS)
@@ -1373,6 +1399,16 @@ def test_evaluate_rejects_a_temperature_that_is_not_finite_and_positive(tau, top
     with pytest.raises(ValueError, match="tau must be finite and positive"):
         evaluate(identity_encoder(16), archive.bank, splits.test_both, splits.base_classes,
                  tau=tau, topk=topk)
+
+
+def test_evaluate_at_a_tiny_temperature_reports_finite_probabilities():
+    # 1 / tau is finite, and the scaled scores and their differences too
+    archive = generate(NOISELESS)
+    splits = split(archive, NOISELESS)
+    report = evaluate(identity_encoder(16), archive.bank, splits.test_both, splits.base_classes,
+                      tau=1e-300, topk=2)
+    probs = report.topk.probs
+    assert np.isfinite(probs).all() and (probs[:, 0] == 1.0).all()
 
 
 def _sweep_cutoff(num_classes):
@@ -1647,6 +1683,20 @@ def test_threaded_error_is_the_first_failing_block_in_row_order(monkeypatch):
         evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
     assert later_failed.is_set()
     assert threading.active_count() == before  # every thread has stopped
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_evaluate_scores_one_block_on_one_thread_and_many_on_every_core(monkeypatch, cores):
+    spec, archive, splits, enc = _threads_case(monkeypatch)
+    seen = recorded_crew_threads(monkeypatch)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: cores)
+    assert len(scoring._row_blocks(splits.test_both.labels.size, spec.num_classes)) > 2
+    evaluate(enc, archive.bank, splits.test_both, splits.base_classes)
+    assert seen == [cores]
+    seen.clear()
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 1 << 18)
+    evaluate(enc, archive.bank, splits.test_both, splits.base_classes, topk=3)
+    assert seen == [1]
 
 
 def test_one_block_call_starts_no_thread(monkeypatch):

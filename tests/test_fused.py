@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from oodtune import losses as L
+from oodtune import parallel
 from oodtune import tensor as T
 from oodtune.model import Encoder, embed, similarities, trainables
 from oodtune.tensor import NonFiniteError, ShapeError
@@ -21,6 +22,14 @@ from oodtune.trainer import (
 from helpers import central_diff, linear_head_logits, max_rel_err, random_bank, random_head
 
 MARGINS = [L.MARGIN_ADAPTIVE, L.MARGIN_FIXED, L.MARGIN_NONE]
+
+
+@pytest.fixture
+def crew():
+    """The crew the steps here run on: theirs are too small to split, so
+    the caller alone runs their one part of each phase."""
+    with parallel.Crew(1) as serial:
+        yield serial
 
 
 def _tape_loss(enc, bank, x, labels, loss_cfg, head):
@@ -67,7 +76,7 @@ def _instance(rng, lanes, linear, zero_row, tau, margin):
 @pytest.mark.parametrize("zero_row", [False, True])
 @pytest.mark.parametrize("tau", [1.0, 0.01])
 @pytest.mark.parametrize("margin", MARGINS)
-def test_fused_step_equals_tape_bit_for_bit(lanes, linear, zero_row, tau, margin):
+def test_fused_step_equals_tape_bit_for_bit(crew, lanes, linear, zero_row, tau, margin):
     # each lane of a stacked step equals the Tape on that lane alone
     rng = np.random.default_rng([lanes, int(linear), int(zero_row), int(tau * 100),
                                  MARGINS.index(margin)])
@@ -75,7 +84,8 @@ def test_fused_step_equals_tape_bit_for_bit(lanes, linear, zero_row, tau, margin
         bank, cfg, built = _instance(rng, lanes, linear, zero_row, tau, margin)
         encoders, heads, xs, labels = (list(v) for v in zip(*built))
         step = FusedStep(encoders, bank, cfg, len(labels[0]), heads if linear else None)
-        losses = step(np.stack(xs), np.stack(labels))
+        assert len(step.blocks) == 1
+        losses = step(np.stack(xs), np.stack(labels), crew)
         for i, (enc, head, x, y) in enumerate(built):
             want_loss, want_grads = _tape_loss_and_grad(enc, bank, x, y, cfg, head)
             assert losses[i] == want_loss
@@ -83,7 +93,7 @@ def test_fused_step_equals_tape_bit_for_bit(lanes, linear, zero_row, tau, margin
 
 
 @pytest.mark.parametrize("linear", [False, True])
-def test_fused_gradients_match_finite_differences(linear):
+def test_fused_gradients_match_finite_differences(crew, linear):
     # criterion 4's instance sizes and bound, on the fused step
     rng = np.random.default_rng(204)
     worst = 0.0
@@ -96,12 +106,12 @@ def test_fused_gradients_match_finite_differences(linear):
             labels = rng.integers(0, 6, size=3)
             step = FusedStep([enc], bank, L.LossConfig(tau=tau), len(labels),
                              None if head is None else [head])
-            step(x[None], labels[None])
+            step(x[None], labels[None], crew)
             grads = step.grads[0].copy()
 
             def f(flat):
                 step.params[0][...] = flat
-                return step(x[None], labels[None])[0]
+                return step(x[None], labels[None], crew)[0]
 
             fd = central_diff(f, step.params[0].copy(), step=1e-5)
             worst = max(worst, max_rel_err(grads, fd))
@@ -109,22 +119,22 @@ def test_fused_gradients_match_finite_differences(linear):
 
 
 @pytest.mark.parametrize("linear", [False, True])
-def test_a_step_takes_only_batches_of_the_size_it_was_built_for(linear):
+def test_a_step_takes_only_batches_of_the_size_it_was_built_for(crew, linear):
     rng = np.random.default_rng(205)
     enc = Encoder.init(4, 5, 3, rng)
     bank = random_bank(rng, 6, 3)
     heads = [random_head(6, 3, rng)] if linear else None
     x, labels = rng.standard_normal((1, 5, 4)), rng.integers(0, 6, size=(1, 5))
     step = FusedStep([enc], bank, L.LossConfig(), 5, heads)
-    loss = step(x, labels)
+    loss = step(x, labels, crew)
     fewer = (x[:, :4], labels[:, :4])
     more = (np.concatenate([x, x], 1), np.concatenate([labels, labels], 1))
     mismatched = (x, labels[:, :4])
     two_lanes = (np.concatenate([x, x]), np.concatenate([labels, labels]))
     for bad_x, bad_labels in (fewer, more, mismatched, two_lanes):
         with pytest.raises(ShapeError, match="step built for 1 x 5 batches"):
-            step(bad_x, bad_labels)
-    assert step(x, labels) == loss
+            step(bad_x, bad_labels, crew)
+    assert step(x, labels, crew) == loss
 
 
 def _tape_train(enc, bank, data, cfg, head=None):

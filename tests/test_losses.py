@@ -187,6 +187,45 @@ def test_loss_config_validation():
                 LossConfig(**{field: bad})
 
 
+# (mode, fixed margin, the largest margin a logit can get per unit of lambda)
+MARGIN_BOUNDS = [("adaptive", 0.0, 2.0), ("fixed", 5.0, 5.0), ("none", 7.0, 0.0)]
+
+
+@pytest.mark.parametrize("mode, fixed, margin", MARGIN_BOUNDS)
+def test_loss_config_rejects_logits_whose_differences_overflow(mode, fixed, margin):
+    # the tau at which (1 + lambda * margin) / tau reaches half float64's max
+    edge = (1.0 + 0.3 * margin) / (np.finfo(float).max / 2)
+    LossConfig(tau=edge * 1.01, lam=0.3, margin_mode=mode, fixed_margin=fixed)
+    with pytest.raises(ValueError, match=rf"^tau \S+ and lambda 0.3 give logits up to \(1 \+ "
+                                         rf"lambda \* {margin}\) / tau = "):
+        LossConfig(tau=edge * 0.99, lam=0.3, margin_mode=mode, fixed_margin=fixed)
+    # lambda counts only with a margin, and the fixed margin only in fixed mode
+    for cfg, counts in (({"tau": 1e-310}, True), ({"lam": 1e308}, mode != "none"),
+                        ({"lam": 10.0, "fixed_margin": 1e308}, mode == "fixed")):
+        cfg = {"margin_mode": mode, "fixed_margin": fixed, **cfg}
+        if counts:
+            with pytest.raises(ValueError, match="differences overflow float64"):
+                LossConfig(**cfg)
+        else:
+            LossConfig(**cfg)
+
+
+@pytest.mark.parametrize("mode, fixed, margin", MARGIN_BOUNDS)
+def test_a_rows_loss_at_the_smallest_accepted_tau_is_finite_without_a_warning(mode, fixed,
+                                                                              margin):
+    # the bound keeps each row's log-softmax finite; a mean over many such
+    # rows can still overflow
+    rng = np.random.default_rng(12)
+    bank = random_bank(rng, 6, 4)
+    cfg = LossConfig(tau=(1.0 + 0.3 * margin) / (np.finfo(float).max / 2) * 1.01, lam=0.3,
+                     margin_mode=mode, fixed_margin=fixed)
+    for label, row in zip((0, 5, 2), ([[-1.0, 1, 1, 1, 1, 1]], [[1.0, 1, 1, 1, 1, -1]],
+                                      [[1.0, -1, -1, -1, -1, -1]])):
+        with np.errstate(over="raise", invalid="raise"):
+            loss = mms_loss(Tensor(row), [label], bank, cfg)
+        assert math.isfinite(float(loss.data)) and float(loss.data) > 0.0
+
+
 def test_cross_entropy_trivial_values():
     loss = metric_softmax_loss(Tensor(np.zeros((1, 4))), [2], tau=1.0)
     assert abs(float(loss.data) - math.log(4)) < 1e-12

@@ -176,6 +176,47 @@ def test_a_failing_first_run_still_writes_a_record(monkeypatch, tmp_path, capsys
     capsys.readouterr()
 
 
+def _main_on(monkeypatch, tmp_path, results):
+    """`main` over three pairs whose runs return results[(side, seed)], or
+    else the good result; a side's directory is named pairs-<side>-..."""
+    good = _stdout(0.2, 0.4, 300.0)
+    monkeypatch.setattr(pairs, "run_side", lambda root, workload, seed, seconds: pairs.parse_run(
+        results.get((root.name.split("-")[1], seed), good)))
+    _no_git(monkeypatch)
+    monkeypatch.setattr(pairs, "OUT", tmp_path)
+    code = pairs.main(["--workload", "open-eval", "--pairs", "3"])
+    (path,) = tmp_path.iterdir()
+    return code, json.loads(path.read_text())
+
+
+def test_a_run_that_is_not_correct_makes_main_fail_naming_it(monkeypatch, tmp_path, capsys):
+    code, rec = _main_on(monkeypatch, tmp_path,
+                         {("change", 2): _stdout(0.2, 0.4, 300.0, failed=3, seed=2)})
+    assert code == 1 and not rec["all_correct"] and rec["failure"] is None
+    assert [p["seed"] for p in rec["pairs"]] == [1, 2, 3]
+    err = capsys.readouterr().err
+    assert err == ("error: the change run at seed 2 is not correct or failed an operation "
+                   "(correct=False, 3/40 failed)\n")
+
+
+def test_a_metric_worse_than_its_bound_makes_main_fail_naming_it(monkeypatch, tmp_path, capsys):
+    worse = {("change", seed): _stdout(0.2, 0.4, 340.0, seed=seed) for seed in (1, 2, 3)}
+    code, rec = _main_on(monkeypatch, tmp_path, worse)
+    assert code == 1 and rec["all_correct"]
+    assert rec["metrics"]["peak_rss_mb"]["worse_than_bound"]
+    assert not rec["metrics"]["job_s"]["worse_than_bound"]
+    err = capsys.readouterr().err
+    assert err == ("error: peak_rss_mb: the change's median 340 is worse than the parent's 300 "
+                   "by more than 10%\n")
+
+
+def test_correct_runs_within_their_bounds_make_main_succeed(monkeypatch, tmp_path, capsys):
+    within = {("change", seed): _stdout(0.2, 0.4, 320.0, seed=seed) for seed in (1, 2, 3)}
+    code, rec = _main_on(monkeypatch, tmp_path, within)
+    assert code == 0 and rec["all_correct"]
+    assert capsys.readouterr().err == ""
+
+
 def test_record_name_carries_the_parent_revision(monkeypatch, tmp_path):
     monkeypatch.setattr(pairs, "OUT", tmp_path)
     assert pairs.record_path("mid-train", "2178388", 20111, 20120, False) == \

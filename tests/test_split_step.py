@@ -16,7 +16,7 @@ from oodtune.model import Encoder
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import FusedStep, TrainerConfig, TrainSet, train
 
-from helpers import random_bank, random_head
+from helpers import random_bank, random_head, recorded_crew_threads
 
 # trained parameters and losses of a reordered but correct step stay this
 # close over a few mid-size steps: the tolerance perfbench's replica check uses
@@ -31,6 +31,12 @@ def split_small(monkeypatch):
 
 def _threads(monkeypatch, count):
     monkeypatch.setattr(parallel, "worker_threads", lambda: count)
+
+
+def _serial(step, x, labels):
+    """One call of `step` on the caller alone."""
+    with parallel.Crew(1) as crew:
+        return step(x, labels, crew)
 
 
 def _lanes(lanes, linear, dtype, d_in=6, hidden=8, classes=5, dim=4):
@@ -77,10 +83,12 @@ def test_one_and_two_threads_train_the_same_bits(monkeypatch, split_small, lanes
     monkeypatch.setattr(parallel.Crew, "__enter__", lambda self: crews.append(self) or self)
     _threads(monkeypatch, 1)
     serial = _train(lanes, linear, dtype, cfg)
+    assert [crew.threads for crew in crews] == [1]
     assert not any(crew._threads for crew in crews)  # no worker started
     crews.clear()
     _threads(monkeypatch, 2)
     threaded = _train(lanes, linear, dtype, cfg)
+    assert [crew.threads for crew in crews] == [2]
     assert [len(crew._threads) for crew in crews] == [1]  # the step ran on a worker
     _assert_same(threaded, serial)
 
@@ -93,14 +101,27 @@ def test_the_steps_crew_has_no_thread_past_its_parts(monkeypatch, linear, split)
     cfg = TrainerConfig(steps=6, batch_size=7, head="linear" if linear else "metric")
     _threads(monkeypatch, 2)
     two = _train(2, linear, np.float64, cfg)
-    counts = []
-    init = parallel.Crew.__init__
-    monkeypatch.setattr(parallel.Crew, "__init__",
-                        lambda self, count: counts.append(count) or init(self, count))
+    seen = recorded_crew_threads(monkeypatch)
     _threads(monkeypatch, 4)
     four = _train(2, linear, np.float64, cfg)
-    assert max(counts) == (2 if split else 1)  # one thread per part, not per core
+    assert seen == [2 if split else 1]  # one thread per part, not per core
     _assert_same(four, two)
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_train_runs_a_desk_step_on_one_thread_and_a_split_step_on_two(monkeypatch, cores):
+    _threads(monkeypatch, cores)
+    seen = recorded_crew_threads(monkeypatch)
+    bank = random_bank(np.random.default_rng(3), 20, 32)
+    rng = np.random.default_rng(4)
+    data = TrainSet(rng.standard_normal((50, 48)), rng.integers(0, 20, size=50))
+    desk = Encoder.init(48, 64, 32, np.random.default_rng(5))
+    train(desk, bank, data, TrainerConfig(steps=2, batch_size=36))
+    assert seen == [1]
+    seen.clear()
+    monkeypatch.setattr(tr, "SPLIT_WORK", 0)
+    train(desk, bank, data, TrainerConfig(steps=2, batch_size=36))
+    assert seen == [cores]
 
 
 def test_halves_split_the_batch_rows_and_the_parameters_at_a_matrix_row(split_small):
@@ -127,7 +148,7 @@ def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, li
     x, labels = rng.standard_normal((lanes, 9, 6)), rng.integers(0, 5, size=(lanes, 9))
     whole = build()
     assert len(whole.blocks) == len(whole.ranges) == 1
-    whole_losses = whole(x, labels)
+    whole_losses = _serial(whole, x, labels)
     monkeypatch.setattr(tr, "SPLIT_WORK", 0)
     halves = build()
     assert len(halves.blocks) == len(halves.ranges) == 2
@@ -142,8 +163,9 @@ def test_halves_give_the_whole_steps_losses_and_gradients(monkeypatch, lanes, li
 
     monkeypatch.setattr(halves, "_rows", meeting)
     _threads(monkeypatch, 2)
-    with halves:
-        halves_losses = halves(x, labels)
+    with parallel.Crew(len(halves.blocks)) as crew:
+        assert crew.threads == 2
+        halves_losses = halves(x, labels, crew)
     assert len(ran_on) == 2 and threading.get_ident() in ran_on
     np.testing.assert_allclose(halves_losses, whole_losses, rtol=1e-13, atol=0)
     np.testing.assert_allclose(halves.grads, whole.grads, rtol=1e-12, atol=1e-15)
@@ -158,14 +180,15 @@ def test_a_call_runs_its_update_once_per_range(monkeypatch, split):
     rng = np.random.default_rng(9)
     x, labels = rng.standard_normal((2, 7, 6)), rng.integers(0, 5, size=(2, 7))
     before = step.params.copy()
-    step(x, labels)  # no update: the parameters stay
+    _serial(step, x, labels)  # no update: the parameters stay
     np.testing.assert_array_equal(step.params, before)
     assert len(step.ranges) == (2 if split else 1)
     _threads(monkeypatch, 2)
-    with step:
+    with parallel.Crew(len(step.blocks)) as crew:
+        assert crew.threads == len(step.ranges)
         for _ in range(3):
             parts = []
-            step(x, labels, parts.append)
+            step(x, labels, crew, parts.append)
             assert sorted(parts) == list(range(len(step.ranges)))
 
 
@@ -186,8 +209,8 @@ def test_a_failed_call_leaves_nothing_for_the_next(monkeypatch, linear, split):
     nan[1, 6, 2] = np.nan  # the last block of lane 1
     step, fresh = build(), build()
     with pytest.raises(NonFiniteError):
-        step(nan, labels)
-    assert step(x, labels) == fresh(x, labels)
+        _serial(step, nan, labels)
+    assert _serial(step, x, labels) == _serial(fresh, x, labels)
     np.testing.assert_array_equal(step.grads, fresh.grads)
 
 
@@ -241,8 +264,9 @@ def test_mid_size_halves_agree_with_one_block(monkeypatch):
 
 def _fail(monkeypatch, step, x, labels, threads):
     _threads(monkeypatch, threads)
-    with step, pytest.raises(NonFiniteError) as info:
-        step(x, labels)
+    with parallel.Crew(len(step.blocks)) as crew, pytest.raises(NonFiniteError) as info:
+        step(x, labels, crew)
+    assert crew.threads == threads
     return str(info.value)
 
 
@@ -288,12 +312,13 @@ def test_the_worker_runs_under_the_callers_error_state(monkeypatch, split_small)
     x, labels = rng.standard_normal((1, 8, 6)), rng.integers(0, 5, size=(1, 8))
     first, _ = step.blocks
     x[:, first] = 0.0
-    step(x, labels)  # ignored underflow: no error
+    _serial(step, x, labels)  # ignored underflow: no error
     for threads in (1, 2):
         _threads(monkeypatch, threads)
-        with step, np.errstate(under="raise"), \
+        with parallel.Crew(len(step.blocks)) as crew, np.errstate(under="raise"), \
                 pytest.raises(FloatingPointError, match="underflow"):
-            step(x, labels)
+            step(x, labels, crew)
+        assert crew.threads == threads
 
 
 def test_no_thread_outlives_train(monkeypatch, split_small):

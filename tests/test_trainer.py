@@ -318,9 +318,9 @@ def test_batches_drawn_in_chunks_equal_a_replay_drawing_one_step_at_a_time(monke
     seen = []
 
     class Recording(tr.FusedStep):
-        def __call__(self, xs, ys, update=None):
+        def __call__(self, xs, ys, crew, update=None):
             seen.append(xs.copy())
-            return super().__call__(xs, ys, update)
+            return super().__call__(xs, ys, crew, update)
 
     def run():
         encoders = [Encoder.init(4, 5, 4, rng) for _ in cfgs]

@@ -34,7 +34,10 @@ quartile distance); whether the change's median is worse than the
 parent's by more than the metric's bound; and perfbench's environment
 record. When a run exits non-zero the pairs stop: the record keeps the
 pairs done so far and names the failing side, its seed, its exit code and
-the tail of its standard error, and the script exits 1.
+the tail of its standard error, and the script exits 1. It also exits 1,
+after writing the record, when a run is not `correct` or failed an
+operation, or when a metric's change median is worse than its bound; it
+prints one `error:` line naming each such run or metric.
 
 Just before each run, the script times a fixed numpy pass (`np.multiply`
 over CALIBRATION_VALUES float64 values into a preallocated output) and a
@@ -302,8 +305,18 @@ def main(argv=None) -> int:
     if failure is not None:
         print(f"error: the {failure['side']} run at seed {failure['seed']} exited "
               f"{failure['exit_code']}:\n{failure['stderr_tail']}", file=sys.stderr)
-        return 1
-    return 0
+    bounds = {metric["name"]: metric["bound"] for metric in spec["end_to_end"]}
+    problems = [f"the {side} run at seed {p['seed']} is not correct or failed an operation "
+                f"(correct={p[side]['correct']}, {p[side]['failed']}/{p[side]['attempted']} "
+                f"failed)"
+                for p in pairs for side in ("parent", "change")
+                if not (p[side]["correct"] and p[side]["failed"] == 0)]
+    problems += [f"{name}: the change's median {m['change']['median']:.4g} is worse than the "
+                 f"parent's {m['parent']['median']:.4g} by more than {bounds[name]:.0%}"
+                 for name, m in rec["metrics"].items() if m["worse_than_bound"]]
+    for problem in problems:
+        print(f"error: {problem}", file=sys.stderr)
+    return 1 if failure is not None or problems else 0
 
 
 if __name__ == "__main__":
