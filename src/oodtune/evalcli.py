@@ -504,13 +504,8 @@ def _cmd_ablate(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return 1
-    try:
+        args = build_parser().parse_args(argv)
         for key, least in (_LEAST | {"seeds": 1, "topk": 1}).items():  # where a command takes it
             value = getattr(args, key, None)
             if value is not None and value < least:

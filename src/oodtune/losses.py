@@ -21,6 +21,7 @@ MARGIN_ADAPTIVE = "adaptive"
 MARGIN_FIXED = "fixed"
 MARGIN_NONE = "none"
 MARGIN_MODES = (MARGIN_ADAPTIVE, MARGIN_FIXED, MARGIN_NONE)
+LARGEST_MARGIN = {MARGIN_ADAPTIVE: 2.0, MARGIN_NONE: 0.0}  # D's bound; a fixed margin is its own
 
 
 class LabelError(ValueError):
@@ -47,13 +48,17 @@ class LossConfig:
             raise ValueError(f"unknown margin mode {self.margin_mode!r}")
         if self.margin_mode == MARGIN_FIXED and self.fixed_margin < 0:
             raise ValueError(f"fixed margin must be non-negative, got {self.fixed_margin}")
-        # logits (S + lambda D) / tau, S in [-1, 1] and D in [0, margin]; the
-        # log-softmax subtracts two of them
-        margin = {MARGIN_ADAPTIVE: 2.0, MARGIN_FIXED: self.fixed_margin}.get(self.margin_mode, 0.0)
-        bound = (1.0 + self.lam * margin) / self.tau
-        if not bound < np.finfo(float).max / 2:
+        bound = self.logit_bound
+        if not bound < np.finfo(float).max / 2:  # the log-softmax subtracts two logits
+            margin = LARGEST_MARGIN.get(self.margin_mode, self.fixed_margin)
             raise ValueError(f"tau {self.tau} and lambda {self.lam} give logits up to (1 + lambda "
                              f"* {margin}) / tau = {bound:.3g}, whose differences overflow float64")
+
+    @property
+    def logit_bound(self) -> float:
+        """(1 + lambda m) / tau, which bounds every logit (S + lambda D) / tau:
+        S lies in [-1, 1] and D in [0, m], m the mode's largest margin."""
+        return (1.0 + self.lam * LARGEST_MARGIN.get(self.margin_mode, self.fixed_margin)) / self.tau
 
 
 def _check_labels(labels, num_classes: int) -> np.ndarray:

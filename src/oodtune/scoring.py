@@ -160,14 +160,12 @@ def _embed(encoder: Encoder, x: np.ndarray, normalize: bool) -> np.ndarray:
     return r
 
 
-def _scores(encoder: Encoder, weights_t: np.ndarray, x: np.ndarray,
-            normalize: bool, out: np.ndarray) -> np.ndarray:
-    """Scores of the rows of x against the class columns of weights_t, with
-    the floating-point operations of `similarities(bank, embed(encoder, x))`
-    (`normalize`) or of the Tape's linear-head logits,
-    `matmul(encoder.forward_raw(x), transpose(head.weights))`, written into
-    `out` (N x C, C-contiguous), which is returned."""
-    return np.matmul(_embed(encoder, x, normalize), weights_t, out=out)
+def _scores(z: np.ndarray, weights_t: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """z @ weights_t into `out` (N x C, C-contiguous), a block's only float64
+    product: bit for bit the Tape's `similarities(bank, embed(encoder, x))`
+    for z = `_embed(encoder, x, True)`, and its `matmul(encoder.forward_raw(x),
+    transpose(head.weights))` for z = `_embed(encoder, x, False)`."""
+    return np.matmul(z, weights_t, out=out)
 
 
 def _screens(num_classes: int, dim: int) -> bool:
@@ -365,11 +363,11 @@ def evaluate(
     Without `topk` or `head`, at the shapes `_screens` picks, a block's
     argmax is read off a float32 product with a float32 copy of the bank,
     built once per call (`_screened_argmax`). A block where some row's two
-    best float32 scores lie within 2δ (`_screen_gap`) is scored whole in
-    float64, as every block is on the other paths. Predictions and reports
-    are those of the float64 path exactly, and a block holds one score
-    buffer of the float64 path's size. Top-k needs every float64 score for
-    its softmax, and linear logits have no bound, so neither is screened.
+    best float32 scores lie within 2δ (`_screen_gap`) goes whole through
+    the same `_scores` call as every unscreened block. Predictions and
+    reports are those of the float64 path exactly, and a block holds one
+    score buffer of the float64 path's size. Top-k needs every float64 score
+    for its softmax, and linear logits have no bound: neither is screened.
 
     Each block's rows are read from `subset.source` at their `indices`, so
     no subset is copied. The indices must lie in [0, len(source))
@@ -446,15 +444,13 @@ def evaluate(
         try:
             scores = buffer[:block.stop - block.start]
             x = np.asarray(source.take(indices[block], axis=0), dtype=np.float64)
+            z = _embed(encoder, x, normalize=head is None)
             if screen:
-                z = _embed(encoder, x, normalize=True)
                 ids = _screened_argmax(z, bank32_t, gap, scores)
                 if ids is not None:
                     preds[block] = ids
                     return
-                np.matmul(z, weights_t, out=scores)  # a near tie: the whole block in float64
-            else:
-                scores = _scores(encoder, weights_t, x, normalize=head is None, out=scores)
+            scores = _scores(z, weights_t, scores)  # unscreened, or a near tie
             if topk is None:
                 preds[block] = np.argmax(scores, axis=1)
                 return

@@ -114,6 +114,9 @@ class TrainerConfig:
             raise ValueError(f"unknown head {self.head!r}")
         if self.bma_every < 1:
             raise ValueError(f"bma_every must be >= 1, got {self.bma_every}")
+        if not self.batch_size * self.loss.logit_bound < np.finfo(float).max / 2:  # B rows' losses
+            raise ValueError(f"tau {self.loss.tau} and lambda {self.loss.lam} give a loss whose "
+                             f"sum over a batch of {self.batch_size} rows overflows float64")
         if self.ensemble_mode in (ENSEMBLE_BMA, ENSEMBLE_AVG) and self.bma_every > self.steps:
             raise ValueError(f"bma_every {self.bma_every} exceeds steps {self.steps}: the "
                              f"{self.ensemble_mode} ensemble would get no update")

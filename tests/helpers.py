@@ -3,11 +3,28 @@
 import numpy as np
 
 from oodtune import parallel
+from oodtune import scoring
 from oodtune import tensor as T
 from oodtune.model import ClassBank, Encoder, LinearHead
 from oodtune.tensor import ShapeError
 
 FD_STEP = 1e-5
+
+
+def screen_flags(monkeypatch) -> list[bool]:
+    """Patch `scoring._screened_argmax` so that, for each block the float32
+    screen sees, whether it flagged the block is appended to the returned
+    list."""
+    flags = []
+    inner = scoring._screened_argmax
+
+    def recording(z, bank32_t, gap, out):
+        ids = inner(z, bank32_t, gap, out)
+        flags.append(ids is None)
+        return ids
+
+    monkeypatch.setattr(scoring, "_screened_argmax", recording)
+    return flags
 
 
 def recorded_crew_threads(monkeypatch) -> list[int]:

@@ -28,7 +28,7 @@ from oodtune.scoring import EvalReport, TopK, evaluate, harmonic_mean
 from oodtune.tensor import NonFiniteError, ShapeError, Tensor
 
 from helpers import (identity_encoder, linear_head_logits, random_bank, random_head,
-                     recorded_crew_threads)
+                     recorded_crew_threads, screen_flags)
 
 
 NOISELESS = BenchmarkSpec(
@@ -125,17 +125,24 @@ def test_evaluate_ties_break_to_lowest_class():
 
 
 def _recorded_blocks(monkeypatch, keep=np.copy):
-    """Make evaluate record every score block it computes, in the order
-    computed, which threads may make any order: a copy of the block's first
-    input row and `keep` of its scores."""
+    """Make evaluate record every block it scores in float64, in the order
+    scored, which threads may make any order: a copy of the block's first
+    input row, taken by the `_embed` call before it on the same thread, and
+    `keep` of the scores `_scores` writes."""
     blocks = []
-    inner = scoring._scores
+    first = threading.local()
+    inner_embed, inner_scores = scoring._embed, scoring._scores
 
-    def recording(encoder, weights_t, x, normalize, out):
-        out = inner(encoder, weights_t, x, normalize, out)
-        blocks.append((x[0].copy(), keep(out)))
+    def embedding(encoder, x, normalize):
+        first.row = x[0].copy()
+        return inner_embed(encoder, x, normalize)
+
+    def recording(z, weights_t, out):
+        out = inner_scores(z, weights_t, out)
+        blocks.append((first.row, keep(out)))
         return out
 
+    monkeypatch.setattr(scoring, "_embed", embedding)
     monkeypatch.setattr(scoring, "_scores", recording)
     return blocks
 
@@ -460,6 +467,27 @@ def _pinned_case():
     return archive, subset, splits.base_classes, enc, head
 
 
+# sha256 of a plain (no top-k) metric-head report on _pinned_case, whose
+# C=1000 and d=64 are screened
+PINNED_PLAIN_REPORT = "753bfb3ae6586df0846055dfd248e8dfafeff2f745cd500c1a9b825787ffbb2f"
+
+
+def test_plain_report_bytes_are_pinned_when_screened_flagged_or_unscreened(_pinned_case,
+                                                                           monkeypatch):
+    archive, subset, base, enc, _ = _pinned_case
+    flags = screen_flags(monkeypatch)
+
+    def digest():
+        report = evaluate(enc, archive.bank, subset, base)
+        return hashlib.sha256(report.to_json().encode()).hexdigest()
+
+    assert digest() == PINNED_PLAIN_REPORT and flags == [False, False]
+    monkeypatch.setattr(scoring, "_screen_gap", lambda bank_t: np.inf)  # every block flags
+    assert digest() == PINNED_PLAIN_REPORT and flags == [False, False, True, True]
+    monkeypatch.setattr(scoring, "_screens", lambda num_classes, dim: False)
+    assert digest() == PINNED_PLAIN_REPORT and len(flags) == 4
+
+
 def test_pinned_reports_cover_every_ranking():
     assert [scoring._ranking(min(k, 1000), 1000) for k, _, _ in PINNED_REPORTS] == \
         ["sweeps", "partial", "argsort", "argsort", "sweeps"]
@@ -695,6 +723,29 @@ def test_cli_train_of_a_loss_beyond_float32_exits_two_and_writes_nothing(tmp_pat
     err = capsys.readouterr().err
     assert re.fullmatch(r"error: the loss at step 0, \S+, is not finite in float32, so the run "
                         r"file cannot store it\n", err)
+    assert not run.exists()
+
+
+@pytest.mark.parametrize("tau", ["1.8e-308", "1e-307", "2e-307"])
+def test_cli_train_of_a_batch_loss_beyond_float64_exits_two_before_a_step(tmp_path, capsys,
+                                                                         monkeypatch, tau):
+    # each row's logits pass LossConfig, but the default batch of 36 sums
+    # their losses past float64
+    data, run = tmp_path / "bench.emba", tmp_path / "run.bin"
+    assert main(_gen_args(data)) == 0
+    capsys.readouterr()
+
+    def no_step(*args, **kwargs):
+        raise AssertionError("a training step ran")
+
+    monkeypatch.setattr(tr.FusedStep, "__call__", no_step)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["train", "--data", str(data), "--out", str(run), "--steps", "5",
+                     "--tau", tau]) == 2
+    err = capsys.readouterr().err
+    assert re.fullmatch(rf"error: tau {tau} and lambda 0.3 give a loss whose sum over a batch "
+                        r"of 36 rows overflows float64\n", err)
     assert not run.exists()
 
 
@@ -1757,18 +1808,18 @@ def test_two_threads_score_every_block_into_two_buffers(monkeypatch, path):
                         topk=topk).to_json()
 
     serial = _reports_by_threads(monkeypatch, run, threads=(1,))[0]
-    # the array that owns each block's scores, kept alive so that no two
-    # blocks' arrays can share an identity
-    owners, flags = [], []
+    # the array that owns each block's scores, by the call that writes them,
+    # kept alive so that no two blocks' arrays can share an identity
+    owners, flags = {"screen": [], "scores": []}, []
     inner_scores, inner_screen = scoring._scores, scoring._screened_argmax
 
-    def scores(*args, **kwargs):
-        out = inner_scores(*args, **kwargs)
-        owners.append(out if out.base is None else out.base)
+    def scores(z, weights_t, out):
+        out = inner_scores(z, weights_t, out)
+        owners["scores"].append(out if out.base is None else out.base)
         return out
 
     def screened(z, bank32_t, gap, out):
-        owners.append(out if out.base is None else out.base)
+        owners["screen"].append(out if out.base is None else out.base)
         ids = inner_screen(z, bank32_t, gap, out)
         flags.append(ids is None)
         return ids
@@ -1776,10 +1827,40 @@ def test_two_threads_score_every_block_into_two_buffers(monkeypatch, path):
     monkeypatch.setattr(scoring, "_scores", scores)
     monkeypatch.setattr(scoring, "_screened_argmax", screened)
     assert _reports_by_threads(monkeypatch, run, threads=(2,))[0] == serial
-    assert len(owners) == len(scoring._row_blocks(n, num_classes)) >= 6
-    assert len({id(owner) for owner in owners}) <= 2
+    blocks = len(scoring._row_blocks(n, num_classes))
+    assert blocks >= 6
+    # a near-tied block is screened, then scored in float64
+    assert len(owners["screen"]) == (blocks if path in ("screened", "near tie") else 0)
+    assert len(owners["scores"]) == (0 if path == "screened" else blocks)
+    assert len({id(owner) for owner in owners["screen"] + owners["scores"]}) <= 2
     want = {"screened": False, "near tie": True}
-    assert flags == ([want[path]] * len(owners) if path in want else [])
+    assert flags == ([want[path]] * blocks if path in want else [])
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_near_tied_blocks_are_scored_as_the_tape_scores_their_own_rows(monkeypatch, threads):
+    # C=400 and d=32 are screened; ten rows a block make ten blocks, and an
+    # infinite gap flags every one of them
+    rng = np.random.default_rng(1)
+    num_classes, dim, n = 400, 32, 100
+    bank = random_bank(rng, num_classes, dim)
+    subset = db.SplitSubset(rng.standard_normal((n, 48)), np.arange(n),
+                            labels=np.arange(n) % num_classes, domains=np.zeros(n, dtype=np.uint32))
+    enc = Encoder.init(48, 64, dim, np.random.default_rng(3))
+    monkeypatch.setattr(scoring, "SCORE_BLOCK_ELEMENTS", 10 * num_classes)
+    monkeypatch.setattr(scoring, "_screen_gap", lambda bank_t: np.inf)
+    monkeypatch.setattr(parallel, "worker_threads", lambda: threads)
+    flags = screen_flags(monkeypatch)
+    blocks = _recorded_blocks(monkeypatch)
+    evaluate(enc, bank, subset, range(200))
+    count = len(scoring._row_blocks(n, num_classes))
+    assert count == 10 and flags == [True] * count and len(blocks) == count
+    x = subset.features
+    start = 0
+    for kept in _in_row_order(blocks, x):
+        rows = slice(start, start + kept.shape[0])
+        assert np.array_equal(kept, similarities(bank, embed(enc, Tensor(x[rows]))).data)
+        start = rows.stop
 
 
 @pytest.mark.parametrize("env,cores,want", [

@@ -14,7 +14,7 @@ from oodtune.databench import BenchmarkSpec, generate, split
 from oodtune.scoring import evaluate
 from oodtune.model import ClassBank, Encoder
 
-from helpers import identity_encoder
+from helpers import identity_encoder, screen_flags
 
 C, D = 400, 32  # the smallest shape the rule screens
 
@@ -35,24 +35,10 @@ def _aimed_at(targets):
     return np.arctanh(0.5 * targets)
 
 
-def _flags(mp):
-    """Record, for each block the screen sees, whether it flagged it."""
-    flags = []
-    inner = scoring._screened_argmax
-
-    def recording(z, bank32_t, gap, out):
-        ids = inner(z, bank32_t, gap, out)
-        flags.append(ids is None)
-        return ids
-
-    mp.setattr(scoring, "_screened_argmax", recording)
-    return flags
-
-
 def _screened_and_unscreened(mp, encoder, bank, subset, screens=True):
     """The flags of a screened call, after checking that its report equals
     the one of the same call with the shape rule turned off."""
-    flags = _flags(mp)
+    flags = screen_flags(mp)
     if screens is not True:
         mp.setattr(scoring, "_screens", screens)
     base = list(range(bank.embeddings.shape[0] // 2))
@@ -196,7 +182,7 @@ def test_the_screen_scores_few_open_eval_blocks_in_float64(monkeypatch):
     archive = generate(spec)
     splits = split(archive, spec)
     enc = Encoder.init(spec.input_dim, 64, spec.embed_dim, np.random.default_rng([5, 0]))
-    flags = _flags(monkeypatch)
+    flags = screen_flags(monkeypatch)
     blocks = 0
     for cell in ("test_domain_shift", "test_open", "test_both", "train"):
         subset = getattr(splits, cell)

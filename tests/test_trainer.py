@@ -274,6 +274,24 @@ def test_trainer_config_validation():
     assert TrainerConfig(base_lr=1e308, weight_decay=0.0).base_lr == 1e308
 
 
+@pytest.mark.parametrize("batch", [2, 36, 256])
+def test_trainer_config_rejects_a_batch_whose_summed_logits_overflow(batch):
+    # the tau at which B (1 + lambda * 2) / tau reaches half float64's max;
+    # LossConfig's own edge, one row's, lies at half of it from B = 2 on
+    edge = batch * (1.0 + 0.3 * 2.0) / (np.finfo(float).max / 2)
+    loss = LossConfig(tau=edge * 1.01)
+    assert loss.logit_bound == 1.6 / loss.tau
+    assert TrainerConfig(batch_size=batch, loss=loss).loss is loss
+    with pytest.raises(ValueError, match=rf"^tau \S+ and lambda 0.3 give a loss whose sum over "
+                                         rf"a batch of {batch} rows overflows float64$"):
+        TrainerConfig(batch_size=batch, loss=LossConfig(tau=edge * 0.99))
+    # the losses beyond float32 that train reports when storing the run, not here
+    for loss in (LossConfig(tau=1e-300), LossConfig(lam=1e300),
+                 LossConfig(margin_mode="fixed", fixed_margin=1e300)):
+        for size in (8, 36):
+            TrainerConfig(batch_size=size, loss=loss)
+
+
 @pytest.mark.parametrize("mode", ["bma", "avg"])
 def test_trainer_config_rejects_an_ensemble_that_would_get_no_update(mode):
     with pytest.raises(ValueError, match=f"bma_every 4 exceeds steps 3: the {mode} ensemble"):
