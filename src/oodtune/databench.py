@@ -128,10 +128,6 @@ class EmbeddingArchive:
             raise ValueError("labels/domains do not match the feature row count")
 
     @property
-    def num_samples(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def input_dim(self) -> int:
         return self.features.shape[1]
 

@@ -283,13 +283,15 @@ def _top_k(scores: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """
     n, num_classes = scores.shape
     ranking = _ranking(k, num_classes)
+    if ranking != "sweeps":
+        # negated in place and back, which is exact, so that a block holds
+        # no second copy of its scores beside the ranking's indices
+        neg = np.negative(scores, out=scores)
     if ranking == "argsort":
-        ids = np.argsort(-scores, axis=1, kind="stable")[:, :k]
+        ids = np.argsort(neg, axis=1, kind="stable")[:, :k]
+        np.negative(neg, out=scores)
         return ids, np.take_along_axis(scores, ids, axis=1)
     if ranking == "partial":
-        # negated in place and back, which is exact, so that a block holds
-        # no second copy of its scores beside the partition's indices
-        neg = np.negative(scores, out=scores)
         part = np.argpartition(neg, k, axis=1)
         # ids ascending, then a stable sort by score: the order of a stable
         # argsort among the k

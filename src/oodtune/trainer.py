@@ -191,7 +191,6 @@ class RunResult:
     ensemble_params: ParamVector
     loss_curve: np.ndarray
     config: TrainerConfig
-    trajectory: list[ParamVector] | None = None
 
 
 class FusedStep:
@@ -468,7 +467,6 @@ def train(
     dataset: TrainSet | list[TrainSet],
     cfg: TrainerConfig | list[TrainerConfig],
     head: LinearHead | list[LinearHead] | None = None,
-    keep_trajectory: bool = False,
 ) -> RunResult | list[RunResult]:
     """Run exactly cfg.steps optimizer steps and ensemble the trajectory;
     return a RunResult.
@@ -544,7 +542,6 @@ def train(
         if fold_now:
             fold(theta)
 
-    trajectory = [params.copy()] if keep_trajectory else None
     losses = np.empty((cfg.steps, len(lanes)))
 
     with parallel.Crew(len(step.blocks)) as crew:
@@ -565,8 +562,6 @@ def train(
                                          (t + 1) % every == 0))
             except NonFiniteError as exc:
                 raise NonFiniteError(f"step {t}: {exc}") from None
-            if trajectory is not None:
-                trajectory.append(params.copy())
 
     step.write_back()
     ensemble = params.copy() if avg is None else avg
@@ -577,7 +572,6 @@ def train(
             ensemble_params=ensemble[i],
             loss_curve=losses[:, i].copy(),
             config=lane_cfg,
-            trajectory=None if trajectory is None else [snap[i] for snap in trajectory],
         )
         for i, lane_cfg in enumerate(cfgs)
     ]

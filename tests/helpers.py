@@ -5,6 +5,7 @@ import numpy as np
 from oodtune import parallel
 from oodtune import scoring
 from oodtune import tensor as T
+from oodtune import trainer
 from oodtune.model import ClassBank, Encoder, LinearHead
 from oodtune.tensor import ShapeError
 
@@ -39,6 +40,31 @@ def recorded_crew_threads(monkeypatch) -> list[int]:
 
     monkeypatch.setattr(parallel, "Crew", Recorded)
     return seen
+
+
+def recorded_trajectories(monkeypatch) -> list[list[np.ndarray]]:
+    """Patch `trainer.FusedStep` so that every step built from here on
+    appends a list to the returned one, holding a copy of its S x P
+    parameter block once built and another each time a call returns:
+    theta_0, then the parameters after each step's AdamW and ensemble
+    fold. Lane i's trajectory in the last step built is `[snap[i] for snap
+    in steps[-1]]`. Patch once per test: a second patch would subclass the
+    first and record each snapshot twice."""
+    steps = []
+
+    class Recorded(trainer.FusedStep):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self._snapshots = [self.params.copy()]
+            steps.append(self._snapshots)
+
+        def __call__(self, *args, **kwargs):
+            losses = super().__call__(*args, **kwargs)
+            self._snapshots.append(self.params.copy())
+            return losses
+
+    monkeypatch.setattr(trainer, "FusedStep", Recorded)
+    return steps
 
 
 def central_diff(f, x0: np.ndarray, step: float = FD_STEP) -> np.ndarray:

@@ -7,6 +7,9 @@ from pathlib import Path
 
 import pytest
 
+from oodtune import scoring
+from oodtune.databench import BenchmarkSpec
+
 _TOOLS = Path(__file__).resolve().parent.parent / "tools"
 
 
@@ -76,3 +79,13 @@ def test_the_parent_comparison_exits_one_on_any_difference(bits, monkeypatch, ca
     monkeypatch.setattr(bits, "side", lambda root: same)
     assert bits.main([]) == 0
     assert capsys.readouterr().out == f"{same['all']}\n"
+
+
+def test_the_top_k_jobs_take_every_ranking(bits):
+    rankings = []
+    for size, (gen_flags, _) in bits.SIZES.items():
+        flags = dict(zip(gen_flags[::2], gen_flags[1::2]))
+        classes = int(flags.get("--classes", BenchmarkSpec().num_classes))
+        for topk in (bits.TOPK, bits.WIDE_TOPK[size]):
+            rankings.append(scoring._ranking(int(topk[1]), classes))
+    assert rankings == ["sweeps", "argsort", "sweeps", "partial"]

@@ -83,7 +83,7 @@ def test_degenerate_generation_reproduces_prototypes():
     )
     archive = generate(spec)
     protos32 = archive.bank.embeddings.astype(np.float32)
-    for i in range(archive.num_samples):
+    for i in range(len(archive.labels)):
         np.testing.assert_array_equal(archive.features[i], protos32[archive.labels[i]])
 
 
@@ -182,14 +182,14 @@ def test_split_counts_and_disjointness():
     ])
     assert len(set(protocol_cells)) == len(protocol_cells)
     expected = {
-        i for i in range(archive.num_samples)
+        i for i in range(len(archive.labels))
         if int(archive.labels[i]) in base or int(archive.domains[i]) == SMALL.test_domain
         or int(archive.labels[i]) not in base
     }
     assert set(protocol_cells) == expected  # base x all domains + new x all domains
     both = set(splits.test_both.indices)
     assert both == {
-        i for i in range(archive.num_samples)
+        i for i in range(len(archive.labels))
         if int(archive.domains[i]) == SMALL.test_domain
     }
 
@@ -307,7 +307,7 @@ def test_load_truncated_features_names_byte_counts(tmp_path):
     db.save(archive, path)
     # cut mid-way through the feature block
     header = 4 + 1 + 20
-    feature_bytes = 4 * archive.num_samples * archive.input_dim
+    feature_bytes = 4 * len(archive.labels) * archive.input_dim
     cut = header + feature_bytes // 2
     path.write_bytes(path.read_bytes()[:cut])
     with pytest.raises(TruncatedFileError, match=f"expected {feature_bytes}"):
@@ -341,8 +341,8 @@ def test_load_rejects_denormalized_bank(tmp_path):
     db.save(archive, path)
     raw = bytearray(path.read_bytes())
     header = 4 + 1 + 20
-    offset = header + 4 * archive.num_samples * archive.input_dim \
-        + 8 * archive.num_samples  # labels + domains
+    offset = header + 4 * len(archive.labels) * archive.input_dim \
+        + 8 * len(archive.labels)  # labels + domains
     import struct
     struct.pack_into("<f", raw, offset, 2.0)  # corrupt first bank entry
     path.write_bytes(bytes(raw))
@@ -356,7 +356,7 @@ def test_load_rejects_inconsistent_counts(tmp_path):
     db.save(archive, path)
     raw = bytearray(path.read_bytes())
     header = 4 + 1 + 20
-    offset = header + 4 * archive.num_samples * archive.input_dim
+    offset = header + 4 * len(archive.labels) * archive.input_dim
     import struct
     struct.pack_into("<I", raw, offset, 99)  # label beyond class count
     path.write_bytes(bytes(raw))

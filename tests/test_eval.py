@@ -1499,6 +1499,21 @@ def test_top_k_ranks_rows_holding_minus_infinity_like_the_stable_argsort():
         assert scores.tobytes() == before.tobytes()
 
 
+def test_the_argsort_ranking_holds_no_float_copy_of_the_scores():
+    n, num_classes, k = 13107, 20, 6
+    assert scoring._ranking(k, num_classes) == "argsort"
+    scores = np.random.default_rng(6).standard_normal((n, num_classes))
+    tracemalloc.start()
+    try:
+        ids, vals = scoring._top_k(scores, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ids.shape == vals.shape == (n, k)
+    # the argsort's indices, the values, and a quarter of a float copy of slack
+    assert peak < n * num_classes * 8 + n * k * 8 + n * num_classes * 2
+
+
 def test_linear_head_logits_overflowing_to_minus_infinity_rank_like_the_argsort(monkeypatch):
     spec = BenchmarkSpec(samples_per_class_per_domain=10, seed=5)
     archive = generate(spec)
@@ -1543,6 +1558,8 @@ def test_top_k_equals_the_stable_argsort_for_every_k_below_the_class_count(num_c
     scores[:8] = rng.standard_normal((8, num_classes))  # no ties
     scores[8:12] = rng.choice([-np.inf, -1.0, 0.0, 1.0], size=(4, num_classes))  # ties everywhere
     scores[12, 5] = np.nan
+    scores[13, [3, 9]] = np.inf, -0.0
+    scores.view(np.uint64)[14, 2] = 0xFFF8000000000042  # a NaN with a sign bit and a payload
     before = scores.copy()
     want = np.argsort(-scores, axis=1, kind="stable")
     rankings = set()

@@ -16,7 +16,7 @@ from oodtune.model import Encoder, trainables
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import TrainerConfig, TrainSet, train
 
-from helpers import random_bank, random_head
+from helpers import random_bank, random_head, recorded_trajectories
 
 SIZES = [30, 47, 12]  # train rows per lane: every lane draws from its own set
 
@@ -41,27 +41,30 @@ def _lane(i, bank, linear, d_in=6, hidden=8):
 @pytest.mark.parametrize("lanes", [1, 3])
 @pytest.mark.parametrize("ensemble", ["bma", "ema", "avg", "none"])
 @pytest.mark.parametrize("linear", [False, True])
-def test_every_lane_equals_its_sequential_run(lanes, ensemble, linear):
+def test_every_lane_equals_its_sequential_run(monkeypatch, lanes, ensemble, linear):
     bank = _bank()
     base = TrainerConfig(steps=12, batch_size=5, ensemble_mode=ensemble, ema_decay=0.9,
                          bma_every=2, head="linear" if linear else "metric")
     cfgs = [replace(base, seed=10 + i) for i in range(lanes)]
     built = [_lane(i, bank, linear) for i in range(lanes)]
     heads = [h for _, h, _ in built] if linear else None
-    got = train([e for e, _, _ in built], bank, [d for _, _, d in built], cfgs, head=heads,
-                keep_trajectory=True)
+    steps = recorded_trajectories(monkeypatch)
+    got = train([e for e, _, _ in built], bank, [d for _, _, d in built], cfgs, head=heads)
+    lanes_run = steps[-1]
     assert isinstance(got, list) and len(got) == lanes
     for i, (result, cfg, (enc, head, _)) in enumerate(zip(got, cfgs, built)):
         want_enc, want_head, data = _lane(i, bank, linear)
         want = train(want_enc, bank, TrainSet(np.asarray(data.features, dtype=np.float64),
                                               data.labels),
-                     cfg, head=want_head, keep_trajectory=True)
+                     cfg, head=want_head)
+        trajectory = [snap[i] for snap in lanes_run]
+        want_trajectory = [snap[0] for snap in steps[-1]]
         assert result.config == cfg
         assert np.array_equal(result.loss_curve, want.loss_curve)
         assert np.array_equal(result.final_params, want.final_params)
         assert np.array_equal(result.ensemble_params, want.ensemble_params)
-        assert len(result.trajectory) == len(want.trajectory) == cfg.steps + 1
-        assert all(np.array_equal(a, b) for a, b in zip(result.trajectory, want.trajectory))
+        assert len(trajectory) == len(want_trajectory) == cfg.steps + 1
+        assert all(np.array_equal(a, b) for a, b in zip(trajectory, want_trajectory))
         # each lane's model tensors hold that lane's final parameters
         for a, b in zip(trainables(enc, head), trainables(want_enc, want_head)):
             assert np.array_equal(a.data, b.data)

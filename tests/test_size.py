@@ -76,6 +76,41 @@ MODULES = {
 }
 
 
+# a module's lines, each with its kind: code, docstring, comment or blank,
+# the first that fits
+LINES = [
+    ('"""A module docstring', "docstring"),
+    ('over two lines."""', "docstring"),
+    ("", "blank"),
+    ("import os  # code with a trailing comment", "code"),
+    ('"""A string after the first statement is no docstring."""', "code"),
+    ("", "blank"),
+    ("# a comment", "comment"),
+    ("    # an indented one", "comment"),
+    ("   ", "blank"),
+    ("def f(x):", "code"),
+    ('    """One line."""', "docstring"),
+    ('    text = """a string, not a docstring', "code"),
+    ("# not a comment", "code"),
+    ("", "blank"),  # only whitespace, though inside a string
+    ('"""', "code"),
+    ("    return (x,  # code", "code"),
+    ("            # a comment inside brackets", "comment"),
+    ("            )", "code"),
+    ("", "blank"),
+    ("", "blank"),
+    ("class C:", "code"),
+    ("", "blank"),
+    ('    """A class docstring after a blank line."""', "docstring"),
+    ("", "blank"),
+    ("    async def g(self):", "code"),
+    ('        r"""A raw docstring', "docstring"),
+    ("", "docstring"),
+    ('        # over three lines."""  # and a comment after it', "docstring"),
+    ("        pass", "code"),
+]
+
+
 def _package(root: Path) -> Path:
     package = root / "pkg"
     package.mkdir()
@@ -96,29 +131,49 @@ def test_counts_class_function_and_method_defs_nested_ones_included(size):
     assert size.defs("f = lambda x: x\n") == 0
 
 
+def test_sorts_each_line_into_one_kind(size):
+    source = "\n".join(line for line, _ in LINES) + "\n"
+    assert size.line_kinds(source) == tuple(sum(kind == k for _, kind in LINES)
+                                            for k in size.LINE_KINDS)
+    assert size.line_kinds("") == (0, 0, 0, 0)
+    assert size.line_kinds("x = 1") == (1, 0, 0, 0)  # no newline at the end
+
+
 def test_sizes_count_each_module_s_lines(size, tmp_path):
     package = _package(tmp_path)
     got = size.sizes(package)
     assert list(got) == sorted(MODULES)
-    for name, (lines, *counts) in got.items():
-        assert lines == len((package / name).read_text().splitlines())
-        assert counts == list(MODULES[name][1:])
-    assert got["empty.py"] == (0, 0, 0)
+    for name, (lines, *kinds, fields, def_count) in got.items():
+        text = (package / name).read_text()
+        assert lines == len(text.splitlines()) == sum(kinds)
+        assert tuple(kinds) == size.line_kinds(text)
+        assert [fields, def_count] == list(MODULES[name][1:])
+    assert got["funcs.py"][1:5] == (11, 0, 0, 4)  # its comments trail code
+    assert got["empty.py"] == (0,) * len(size.COLUMNS)
 
 
 def test_report_totals_and_marks_a_module_one_side_lacks(size, tmp_path):
     change = size.sizes(_package(tmp_path))
-    parent = {"funcs.py": (3, 1, 4), "gone.py": (10, 2, 5)}
+    parent = {"funcs.py": (30, 20, 4, 2, 4, 1, 4), "gone.py": (10, 6, 2, 1, 1, 2, 5)}
     lines = size.report(change, parent)
     rows = {line.split()[0]: line.split()[1:] for line in lines[1:]}
-    assert lines[0].split() == ["module", "lines", "ast", "defs", "parent", "lines", "parent",
-                                "ast", "parent", "defs"]
+    assert lines[0].split() == ["module"] + [h for column in size.COLUMNS
+                                             for h in (column, "+/-")]
+    assert lines[0].split()[1:] == ["lines", "+/-", "code", "+/-", "docstring", "+/-",
+                                    "comment", "+/-", "blank", "+/-", "ast", "+/-", "defs", "+/-"]
     assert list(rows) == ["classes.py", "empty.py", "funcs.py", "gone.py", "total"]
-    assert rows["gone.py"] == ["-", "-", "-", "10", "2", "5"]
-    assert rows["empty.py"] == ["0", "0", "0", "-", "-", "-"]
-    total_lines = sum(n for n, *_ in change.values())
-    assert rows["total"] == [str(total_lines), "15", "11", "13", "3", "9"]
+    assert rows["gone.py"] == ["-", "-10", "-", "-6", "-", "-2", "-", "-1", "-", "-1",
+                               "-", "-2", "-", "-5"]
+    assert rows["empty.py"] == ["0", "+0"] * len(size.COLUMNS)
+    funcs = change["funcs.py"]
+    assert rows["funcs.py"][::2] == [str(n) for n in funcs]
+    assert rows["funcs.py"][1::2] == [f"{a - b:+d}" for a, b in zip(funcs, parent["funcs.py"])]
+    totals = [sum(column) for column in zip(*change.values())]
+    assert totals[-2:] == [15, 11]
+    assert rows["total"][::2] == [str(n) for n in totals]
+    assert rows["total"][1::2] == [f"{a - b - c:+d}" for a, b, c in
+                                   zip(totals, parent["funcs.py"], parent["gone.py"])]
     alone = size.report(change, None)
-    assert alone[0].split() == ["module", "lines", "ast", "defs"]
-    assert alone[-1].split() == ["total", str(total_lines), "15", "11"]
-    assert size.report({}, None)[-1].split() == ["total", "0", "0", "0"]
+    assert alone[0].split() == ["module", *size.COLUMNS]
+    assert alone[-1].split() == ["total", *map(str, totals)]
+    assert size.report({}, None)[-1].split() == ["total", *["0"] * len(size.COLUMNS)]

@@ -16,7 +16,7 @@ from oodtune.model import Encoder
 from oodtune.tensor import NonFiniteError
 from oodtune.trainer import FusedStep, TrainerConfig, TrainSet, train
 
-from helpers import random_bank, random_head, recorded_crew_threads
+from helpers import random_bank, random_head, recorded_crew_threads, recorded_trajectories
 
 # trained parameters and losses of a reordered but correct step stay this
 # close over a few mid-size steps: the tolerance perfbench's replica check uses
@@ -57,16 +57,23 @@ def _train(lanes, linear, dtype, cfg):
     bank, built = _lanes(lanes, linear, dtype)
     cfgs = [replace(cfg, seed=10 + i) for i in range(lanes)]
     return train([e for e, _, _ in built], bank, [d for _, _, d in built], cfgs,
-                 head=[h for _, h, _ in built] if linear else None, keep_trajectory=True)
+                 head=[h for _, h, _ in built] if linear else None)
+
+
+def _runs(steps, lanes, linear, dtype, cfg):
+    """Each lane's result of one `_train`, with its trajectory from the
+    `steps` that `recorded_trajectories` returned."""
+    results = _train(lanes, linear, dtype, cfg)
+    return [(result, [snap[i] for snap in steps[-1]]) for i, result in enumerate(results)]
 
 
 def _assert_same(got, want):
-    for a, b in zip(got, want, strict=True):
+    for (a, a_trajectory), (b, b_trajectory) in zip(got, want, strict=True):
         np.testing.assert_array_equal(a.loss_curve, b.loss_curve)
         np.testing.assert_array_equal(a.final_params, b.final_params)
         np.testing.assert_array_equal(a.ensemble_params, b.ensemble_params)
-        assert len(a.trajectory) == len(b.trajectory)
-        for x, y in zip(a.trajectory, b.trajectory):
+        assert len(a_trajectory) == len(b_trajectory)
+        for x, y in zip(a_trajectory, b_trajectory):
             np.testing.assert_array_equal(x, y)
 
 
@@ -81,13 +88,14 @@ def test_one_and_two_threads_train_the_same_bits(monkeypatch, split_small, lanes
                         bma_every=every, head="linear" if linear else "metric")
     crews = []
     monkeypatch.setattr(parallel.Crew, "__enter__", lambda self: crews.append(self) or self)
+    steps = recorded_trajectories(monkeypatch)
     _threads(monkeypatch, 1)
-    serial = _train(lanes, linear, dtype, cfg)
+    serial = _runs(steps, lanes, linear, dtype, cfg)
     assert [crew.threads for crew in crews] == [1]
     assert not any(crew._threads for crew in crews)  # no worker started
     crews.clear()
     _threads(monkeypatch, 2)
-    threaded = _train(lanes, linear, dtype, cfg)
+    threaded = _runs(steps, lanes, linear, dtype, cfg)
     assert [crew.threads for crew in crews] == [2]
     assert [len(crew._threads) for crew in crews] == [1]  # the step ran on a worker
     _assert_same(threaded, serial)
@@ -99,11 +107,12 @@ def test_the_steps_crew_has_no_thread_past_its_parts(monkeypatch, linear, split)
     if split:
         monkeypatch.setattr(tr, "SPLIT_WORK", 0)
     cfg = TrainerConfig(steps=6, batch_size=7, head="linear" if linear else "metric")
+    steps = recorded_trajectories(monkeypatch)
     _threads(monkeypatch, 2)
-    two = _train(2, linear, np.float64, cfg)
+    two = _runs(steps, 2, linear, np.float64, cfg)
     seen = recorded_crew_threads(monkeypatch)
     _threads(monkeypatch, 4)
-    four = _train(2, linear, np.float64, cfg)
+    four = _runs(steps, 2, linear, np.float64, cfg)
     assert seen == [2 if split else 1]  # one thread per part, not per core
     _assert_same(four, two)
 

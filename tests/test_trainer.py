@@ -18,7 +18,7 @@ from oodtune.trainer import (
     train,
 )
 
-from helpers import random_bank, random_head
+from helpers import random_bank, random_head, recorded_trajectories
 
 
 def _toy_task(rng, num_classes=3, dim=4, per_class=30, sigma=0.05):
@@ -179,22 +179,24 @@ def test_train_ensemble_matches_trajectory_oracle(monkeypatch, mode, every, rang
     if ranges == 2:
         monkeypatch.setattr(tr, "SPLIT_WORK", 0)
     assert len(tr.FusedStep([enc], bank, cfg.loss, cfg.batch_size).ranges) == ranges
-    result = train(enc, bank, data, cfg, keep_trajectory=True)
+    steps = recorded_trajectories(monkeypatch)
+    result = train(enc, bank, data, cfg)
+    trajectory = [snap[0] for snap in steps[-1]]
     if mode in ("bma", "avg"):
         # theta_0 and every `every`-th snapshot, weighted as the config says
-        oracle = temporal_ensemble(result.trajectory[::every], 0.5 if mode == "bma" else 1.0)
+        oracle = temporal_ensemble(trajectory[::every], 0.5 if mode == "bma" else 1.0)
         rel = np.abs(result.ensemble_params - oracle) / np.maximum(np.abs(oracle), 1e-12)
         assert rel.max() < 1e-10
     elif mode == "ema":
-        oracle = result.trajectory[0]
-        for theta in result.trajectory[1:]:
+        oracle = trajectory[0]
+        for theta in trajectory[1:]:
             oracle = 0.9 * oracle + (1.0 - 0.9) * theta
         np.testing.assert_array_equal(result.ensemble_params, oracle)
     else:
         np.testing.assert_array_equal(result.ensemble_params, result.final_params)
 
 
-def test_train_no_margin_no_ensemble_degenerates_to_metric_softmax():
+def test_train_no_margin_no_ensemble_degenerates_to_metric_softmax(monkeypatch):
     # recompute each step's loss with metric_softmax_loss on a replayed
     # batch stream: structurally the same training signal
     rng = np.random.default_rng(8)
@@ -205,14 +207,16 @@ def test_train_no_margin_no_ensemble_degenerates_to_metric_softmax():
         steps=15, batch_size=6, seed=9,
         loss=LossConfig(lam=0.0), ensemble_mode="none",
     )
-    result = train(enc, bank, data, cfg, keep_trajectory=True)
+    steps = recorded_trajectories(monkeypatch)
+    result = train(enc, bank, data, cfg)
+    trajectory = [snap[0] for snap in steps[-1]]
     np.testing.assert_array_equal(result.ensemble_params, result.final_params)
 
     batch_rng = np.random.default_rng([cfg.seed, 2])
     enc.set_flat(theta0)
     for t in range(cfg.steps):
         batch = batch_rng.integers(0, data.features.shape[0], size=cfg.batch_size)
-        enc.set_flat(result.trajectory[t])
+        enc.set_flat(trajectory[t])
         sims = similarities(bank, embed(enc, Tensor(data.features[batch])))
         expected = float(metric_softmax_loss(sims, data.labels[batch], cfg.loss.tau).data)
         assert abs(result.loss_curve[t] - expected) < 1e-12

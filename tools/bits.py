@@ -21,6 +21,9 @@ The jobs run through `oodtune.evalcli.main`, in a temporary directory:
   the first linear-head run at `--split both`, also with `--params zero`
   (its seeded encoder and the head copied from the bank); and of each run
   of further flags, at `--split both`;
+- `eval --json --split both` of the first desk run at `--topk 15` and of
+  the first mid run at `--topk 40`: `--topk 3` takes the argmax sweeps at
+  C=20 and C=400, and these take the stable argsort and the partial sort;
 - plain `eval --json` (no top-k, so the argmax alone, which `evaluate`
   screens in float32 at mid size) of the first run and the first
   linear-head run of each size, on each `--split`.
@@ -69,6 +72,8 @@ EXTRA_TRAINS = {
 }
 SPLITS = ("domain", "open", "both", "train")
 TOPK = ["--topk", "3"]
+# a top-k per size that `scoring._top_k` ranks without the sweeps
+WIDE_TOPK = {"desk": ["--topk", "15"], "mid": ["--topk", "40"]}
 # further eval flags, each run on the first run of each size at --split both
 EXTRA_EVALS = [["--params", "final"], ["--params", "zero"]]
 ABLATE_SEEDS = 5
@@ -117,6 +122,7 @@ def jobs(src: Path) -> list[tuple[str, bytes]]:
                 linear = runs[len(ENSEMBLES) * len(SEEDS)]
                 evals = [(runs[0], split, TOPK) for split in SPLITS]
                 evals += [(runs[0], "both", [*TOPK, *flags]) for flags in EXTRA_EVALS]
+                evals.append((runs[0], "both", WIDE_TOPK[size]))
                 evals += [(linear, "both", TOPK), (linear, "both", [*TOPK, "--params", "zero"])]
                 evals += [(out, split, []) for out in (runs[0], linear) for split in SPLITS]
                 for flags in EXTRA_TRAINS[size]:
